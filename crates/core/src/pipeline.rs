@@ -86,8 +86,9 @@ pub struct PipelineStats {
     /// Wall-clock spent in stage 5 (dynamic vulnerability
     /// verification) alone.
     pub vuln_verify_time: Duration,
-    /// Wall-clock spent solving the check-elision pre-pass (zero when
-    /// [`crate::OwlConfig::elide`] is off).
+    /// Wall-clock spent in the check-elision pre-pass (zero when
+    /// [`crate::OwlConfig::elide`] is off), including the run's one
+    /// points-to solve, which the pre-pass performs and stage 4 reuses.
     pub elision_solve_time: Duration,
 }
 
@@ -240,7 +241,8 @@ pub struct PipelineHealth {
     /// Stage-4 summary-cache misses: callee walks actually computed.
     pub summary_cache_misses: u64,
     /// Wall-clock spent solving the whole-module points-to analysis
-    /// (done once per stage-4 entry, shared by every report).
+    /// (done at most once per pipeline run, shared by the check-elision
+    /// pre-pass and every stage-4 report).
     pub points_to_solve: Duration,
     /// Bytes the run journal's open-time recovery truncated off a
     /// torn or corrupt tail (zero when no journal was used or the
@@ -495,6 +497,24 @@ impl<'m> Owl<'m> {
         Self::new(module, entry, OwlConfig::default())
     }
 
+    /// The module's points-to solution, solved on first use and kept in
+    /// `slot`, so one pipeline run solves it at most once: the elision
+    /// pre-pass and stage 4 share it. The solve is timed into
+    /// [`PipelineHealth::points_to_solve`].
+    fn points_to(
+        &self,
+        slot: &mut Option<Arc<PointsTo>>,
+        health: &mut PipelineHealth,
+    ) -> Arc<PointsTo> {
+        slot.get_or_insert_with(|| {
+            let t = Instant::now();
+            let pts = Arc::new(PointsTo::new(self.module));
+            health.points_to_solve += t.elapsed();
+            pts
+        })
+        .clone()
+    }
+
     /// Checks that the entry function can actually be executed, so the
     /// VM constructor cannot panic deep inside a stage.
     fn validate_entry(&self) -> Result<(), PipelineError> {
@@ -543,21 +563,27 @@ impl<'m> Owl<'m> {
             workloads
         };
 
-        let (annotations, reports) =
-            match self.detect_and_annotate(name, workloads, &mut stats, &mut health) {
-                Ok(out) => out,
-                Err(error) => {
-                    return PipelineResult {
-                        program: name.to_string(),
-                        stats,
-                        annotations: Vec::new(),
-                        findings: Vec::new(),
-                        quarantined,
-                        health,
-                        error: Some(error),
-                    };
-                }
-            };
+        let mut pts_slot = None;
+        let (annotations, reports) = match self.detect_and_annotate(
+            name,
+            workloads,
+            &mut stats,
+            &mut health,
+            &mut pts_slot,
+        ) {
+            Ok(out) => out,
+            Err(error) => {
+                return PipelineResult {
+                    program: name.to_string(),
+                    stats,
+                    annotations: Vec::new(),
+                    findings: Vec::new(),
+                    quarantined,
+                    health,
+                    error: Some(error),
+                };
+            }
+        };
         let findings = self.verify_and_analyze(
             &reports,
             workloads,
@@ -565,6 +591,7 @@ impl<'m> Owl<'m> {
             &mut stats,
             &mut health,
             &mut quarantined,
+            &mut pts_slot,
         );
 
         PipelineResult {
@@ -596,6 +623,7 @@ impl<'m> Owl<'m> {
         workloads: &[ProgramInput],
         stats: &mut PipelineStats,
         health: &mut PipelineHealth,
+        pts_slot: &mut Option<Arc<PointsTo>>,
     ) -> Result<(Vec<HbAnnotation>, Vec<RaceReport>), PipelineError> {
         let deadline = self.config.stage_deadline;
 
@@ -603,13 +631,16 @@ impl<'m> Owl<'m> {
         // proved-race-free site set in *both* sweeps' configs so the
         // VM stamps their events and the epoch detector skips its
         // shadow work there. Purely an optimization: report streams
-        // are byte-identical with it on or off.
+        // are byte-identical with it on or off. It solves the run's
+        // points-to analysis, which stage 4 then reuses.
         let mut detect_cfg = self.config.detect.clone();
         detect_cfg.stream.tag_prefix = spill_tag(name);
         if self.config.elide {
-            let pre = ElisionPrepass::run(self.module, self.entry);
+            let t = Instant::now();
+            let pts = self.points_to(pts_slot, health);
+            let pre = ElisionPrepass::run_with(self.module, self.entry, &pts);
             let es = pre.stats();
-            stats.elision_solve_time = pre.solve_time();
+            stats.elision_solve_time = t.elapsed();
             health.elision_sites_thread_local += es.thread_local as u64;
             health.elision_sites_lock_dominated += es.lock_dominated as u64;
             health.elision_sites_read_only += es.read_only as u64;
@@ -729,21 +760,27 @@ impl<'m> Owl<'m> {
             workloads
         };
 
-        let (annotations, reports) =
-            match self.detect_and_annotate(name, workloads, &mut stats, &mut health) {
-                Ok(out) => out,
-                Err(error) => {
-                    return Ok(PipelineResult {
-                        program: name.to_string(),
-                        stats,
-                        annotations: Vec::new(),
-                        findings: Vec::new(),
-                        quarantined,
-                        health,
-                        error: Some(error),
-                    });
-                }
-            };
+        let mut pts_slot = None;
+        let (annotations, reports) = match self.detect_and_annotate(
+            name,
+            workloads,
+            &mut stats,
+            &mut health,
+            &mut pts_slot,
+        ) {
+            Ok(out) => out,
+            Err(error) => {
+                return Ok(PipelineResult {
+                    program: name.to_string(),
+                    stats,
+                    annotations: Vec::new(),
+                    findings: Vec::new(),
+                    quarantined,
+                    health,
+                    error: Some(error),
+                });
+            }
+        };
         let program_records = journal.program_records(name);
         let mut index = ResumeIndex::for_program(&program_records, name);
         let tv = Instant::now();
@@ -870,11 +907,9 @@ impl<'m> Owl<'m> {
             .any(|(race, _)| !index.has_analyze(&unit_key(race)));
         let vuln_cfg = &self.config.vuln;
         let mut analyzer = needs_live.then(|| {
-            let tp = Instant::now();
             let points_to = vuln_cfg
                 .points_to
-                .then(|| Arc::new(PointsTo::new(self.module)));
-            health.points_to_solve += tp.elapsed();
+                .then(|| self.points_to(&mut pts_slot, &mut health));
             let callgraph = vuln_cfg.summaries.then(|| {
                 Arc::new(match &points_to {
                     Some(p) => CallGraph::with_points_to(self.module, p),
@@ -1188,8 +1223,13 @@ impl<'m> Owl<'m> {
         }
         stats.remaining = verified.len();
         stats.race_verify_time += t3.elapsed();
-        let mut findings =
-            self.analyze_findings(verified, &mut stats, &mut health, &mut quarantined);
+        let mut findings = self.analyze_findings(
+            verified,
+            &mut stats,
+            &mut health,
+            &mut quarantined,
+            &mut None,
+        );
         self.verify_vuln_sites(
             &mut findings,
             workloads,
@@ -1217,6 +1257,7 @@ impl<'m> Owl<'m> {
     /// candidate inputs. Each report is supervised: panics and aborted
     /// verifications quarantine the report instead of taking the run
     /// down.
+    #[allow(clippy::too_many_arguments)]
     fn verify_and_analyze(
         &self,
         reports: &[RaceReport],
@@ -1225,6 +1266,7 @@ impl<'m> Owl<'m> {
         stats: &mut PipelineStats,
         health: &mut PipelineHealth,
         quarantined: &mut Vec<Quarantined>,
+        pts_slot: &mut Option<Arc<PointsTo>>,
     ) -> Vec<Finding> {
         let primary = workloads[0].clone();
         let tv = Instant::now();
@@ -1295,7 +1337,7 @@ impl<'m> Owl<'m> {
         }
         stats.remaining = verified.len();
         stats.race_verify_time += t3.elapsed();
-        let mut findings = self.analyze_findings(verified, stats, health, quarantined);
+        let mut findings = self.analyze_findings(verified, stats, health, quarantined, pts_slot);
         self.verify_vuln_sites(&mut findings, workloads, extra_inputs, stats, health, quarantined);
         stats.verify_time += tv.elapsed();
         findings
@@ -1305,9 +1347,10 @@ impl<'m> Owl<'m> {
     /// supervised. An analyzer panic quarantines the report and
     /// rebuilds the analyzer (its memoization may be poisoned).
     ///
-    /// Module-level state — the points-to solution, the refined call
-    /// graph, and the summary cache — is built once here and shared by
-    /// every per-report analyzer. When no per-stage deadline is
+    /// Module-level state — the points-to solution (reused from the
+    /// elision pre-pass when it ran), the refined call graph, and the
+    /// summary cache — is built once here and shared by every
+    /// per-report analyzer. When no per-stage deadline is
     /// configured the reports are independent, so they fan out across
     /// worker threads; each worker has its own analyzer but all share
     /// the one summary cache, so a callee summarized by one worker
@@ -1319,14 +1362,13 @@ impl<'m> Owl<'m> {
         stats: &mut PipelineStats,
         health: &mut PipelineHealth,
         quarantined: &mut Vec<Quarantined>,
+        pts_slot: &mut Option<Arc<PointsTo>>,
     ) -> Vec<Finding> {
         let stage_start = Instant::now();
         let vuln_cfg = &self.config.vuln;
-        let tp = Instant::now();
         let points_to = vuln_cfg
             .points_to
-            .then(|| Arc::new(PointsTo::new(self.module)));
-        health.points_to_solve += tp.elapsed();
+            .then(|| self.points_to(pts_slot, health));
         let callgraph = vuln_cfg.summaries.then(|| {
             Arc::new(match &points_to {
                 Some(p) => CallGraph::with_points_to(self.module, p),

@@ -145,6 +145,14 @@ impl AdmissionController {
         Ok(())
     }
 
+    /// Sheds a request line longer than the in-flight byte budget
+    /// before it is even parsed (no such line could ever be admitted),
+    /// counted with the other [`RejectReason::TooLarge`] sheds.
+    pub fn shed_too_large(&self) -> RejectReason {
+        self.lock().shed_too_large += 1;
+        RejectReason::TooLarge
+    }
+
     /// Releases an admitted request's slot and bytes (call exactly
     /// once per successful [`AdmissionController::try_admit`], after
     /// the response is written).

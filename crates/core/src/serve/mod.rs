@@ -571,10 +571,85 @@ fn handle_request(shared: &Arc<ServeShared>, conn: &Arc<Mutex<UnixStream>>, line
     }
 }
 
+/// What one [`LineReader::read`] call produced.
+enum LineRead {
+    /// A complete line, newline included (or the unterminated tail
+    /// before end of stream).
+    Line(Vec<u8>),
+    /// The line outgrew the cap; the rest of it is skipped.
+    TooLarge,
+    /// The peer hung up.
+    Eof,
+}
+
+/// Reads request lines while holding at most `cap` bytes of any one:
+/// a peer that never sends a newline cannot grow the daemon's memory.
+/// A line that needs more than `cap` bytes, newline included, is
+/// reported as [`LineRead::TooLarge`] as soon as that is certain, and
+/// its remaining bytes are discarded up to its newline.
+struct LineReader<R> {
+    inner: R,
+    line: Vec<u8>,
+    cap: usize,
+    /// Inside a line already reported too large.
+    skipping: bool,
+}
+
+impl<R: BufRead> LineReader<R> {
+    fn new(inner: R, cap: usize) -> Self {
+        LineReader {
+            inner,
+            line: Vec::new(),
+            cap,
+            skipping: false,
+        }
+    }
+
+    /// Reads up to the end of the current line. A read error (such as
+    /// the socket's poll timeout) leaves the partial line in place, so
+    /// the next call resumes it.
+    fn read(&mut self) -> std::io::Result<LineRead> {
+        loop {
+            let available = self.inner.fill_buf()?;
+            if available.is_empty() {
+                return Ok(if self.line.is_empty() {
+                    LineRead::Eof
+                } else {
+                    LineRead::Line(std::mem::take(&mut self.line))
+                });
+            }
+            let newline = available.iter().position(|&b| b == b'\n');
+            let ends = newline.is_some();
+            let n = newline.map_or(available.len(), |i| i + 1);
+            if self.skipping {
+                self.inner.consume(n);
+                self.skipping = !ends;
+                continue;
+            }
+            // An unterminated line still owes at least its newline.
+            if self.line.len() + n + usize::from(!ends) > self.cap {
+                self.inner.consume(n);
+                self.line.clear();
+                self.skipping = !ends;
+                return Ok(LineRead::TooLarge);
+            }
+            self.line.extend_from_slice(&available[..n]);
+            self.inner.consume(n);
+            if ends {
+                return Ok(LineRead::Line(std::mem::take(&mut self.line)));
+            }
+        }
+    }
+}
+
 /// Connection thread: read request lines until the client hangs up or
 /// the daemon shuts down. The read side polls with a short timeout so
 /// a parked connection cannot outlive the daemon; responses to
 /// still-running jobs survive this thread via the shared write half.
+///
+/// A line is capped at [`ServeConfig::max_inflight_bytes`], since
+/// admission could never accept a longer one: it is answered
+/// `rejected too-large` and the connection keeps serving.
 fn connection_loop(shared: Arc<ServeShared>, stream: UnixStream) {
     let reader_stream = match stream.try_clone() {
         Ok(s) => s,
@@ -582,24 +657,35 @@ fn connection_loop(shared: Arc<ServeShared>, stream: UnixStream) {
     };
     let _ = reader_stream.set_read_timeout(Some(Duration::from_millis(50)));
     let conn = Arc::new(Mutex::new(stream));
-    let mut reader = BufReader::new(reader_stream);
-    let mut line = String::new();
+    let cap = usize::try_from(shared.cfg.max_inflight_bytes).unwrap_or(usize::MAX);
+    let mut reader = LineReader::new(BufReader::new(reader_stream), cap);
     loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => return,
-            Ok(_) => {
-                if !line.trim().is_empty() && handle_request(&shared, &conn, &line) {
-                    return;
-                }
-                line.clear();
+        match reader.read() {
+            Ok(LineRead::Eof) => return,
+            Ok(LineRead::TooLarge) => {
+                let reason = shared.admission.shed_too_large();
+                respond(&conn, &Response::Rejected { reason });
             }
+            Ok(LineRead::Line(bytes)) => match String::from_utf8(bytes) {
+                Ok(line) => {
+                    if !line.trim().is_empty() && handle_request(&shared, &conn, &line) {
+                        return;
+                    }
+                }
+                Err(_) => respond(
+                    &conn,
+                    &Response::Error {
+                        message: "request line is not UTF-8".to_string(),
+                    },
+                ),
+            },
             Err(e)
                 if matches!(
                     e.kind(),
                     std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                 ) =>
             {
-                // No data yet; `line` keeps any partial read. Exit once
+                // No data yet; `reader` keeps any partial line. Exit once
                 // the daemon is shutting down — in-flight responses are
                 // delivered through the write half the jobs hold.
                 if shared.shutdown.load(Ordering::SeqCst) {
@@ -785,5 +871,36 @@ mod tests {
         assert_eq!(cfg.workers, 2);
         assert_eq!(cfg.queue_capacity, 8);
         assert!(cfg.socket.ends_with("owl.sock"));
+    }
+
+    /// Every line read from `input` through a 2-byte buffer and an
+    /// 8-byte cap, as text, with `!` for a too-large line.
+    fn lines(input: &[u8]) -> Vec<String> {
+        let mut r = LineReader::new(BufReader::with_capacity(2, input), 8);
+        let mut out = Vec::new();
+        loop {
+            match r.read().expect("in-memory read") {
+                LineRead::Eof => return out,
+                LineRead::TooLarge => out.push("!".to_string()),
+                LineRead::Line(line) => out.push(String::from_utf8(line).unwrap()),
+            }
+        }
+    }
+
+    #[test]
+    fn line_reader_caps_lines_and_resynchronizes() {
+        assert_eq!(lines(b"a\nbc\n"), ["a\n", "bc\n"]);
+        // Exactly at the cap (newline included) is allowed.
+        assert_eq!(lines(b"1234567\nx\n"), ["1234567\n", "x\n"]);
+        // One byte more is not; the next line is read normally.
+        assert_eq!(lines(b"12345678\nx\n"), ["!", "x\n"]);
+        // An endless line is rejected once, without waiting for a
+        // newline, and skipped up to the next one.
+        let mut endless = vec![b'z'; 1000];
+        endless.extend_from_slice(b"\nok\n");
+        assert_eq!(lines(&endless), ["!", "ok\n"]);
+        assert_eq!(lines(&endless[..1000]), ["!"]);
+        // An unterminated tail before end of stream is still a line.
+        assert_eq!(lines(b"a\ntail"), ["a\n", "tail"]);
     }
 }

@@ -45,11 +45,11 @@ use super::cfg::Cfg;
 use super::dom::DomTree;
 use super::loops::LoopInfo;
 use super::pointsto::{AbsLoc, PointsTo};
-use crate::ids::{BlockId, FuncId, GlobalId, InstId, InstRef};
-use crate::inst::{Callee, Inst};
+use crate::ids::{FuncId, GlobalId, InstId, InstRef};
+use crate::inst::{Callee, Inst, Operand};
 use crate::module::Module;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 use std::fmt;
 
 /// Why a site's shadow-memory work can be skipped.
@@ -133,6 +133,19 @@ enum Released {
 /// holds every lock), `Some(s)` is the set held on every path.
 type Lockset = Option<BTreeSet<GlobalId>>;
 
+/// The shadow-memory accesses `inst` makes, as `(address, is write,
+/// elision candidate)` (see [`Access`]). Atomic accesses are excluded
+/// by design: they never touch shadow memory.
+fn accessed(inst: &Inst) -> impl Iterator<Item = (Operand, bool, bool)> {
+    let (first, second) = match *inst {
+        Inst::Load { addr, .. } => (Some((addr, false, true)), None),
+        Inst::Store { addr, .. } => (Some((addr, true, true)), None),
+        Inst::MemCopy { dst, src, .. } => (Some((src, false, false)), Some((dst, true, false))),
+        _ => (None, None),
+    };
+    first.into_iter().chain(second)
+}
+
 fn meet(acc: &mut Lockset, other: &BTreeSet<GlobalId>) -> bool {
     match acc {
         None => {
@@ -198,9 +211,10 @@ struct Analysis<'a> {
     m: &'a Module,
     entry: FuncId,
     pts: &'a PointsTo,
-    /// Call adjacency (internal targets only; thread spawns excluded —
-    /// a spawned function runs on its own root, not its creator's).
-    calls: Vec<Vec<(InstId, Vec<FuncId>)>>,
+    /// Call adjacency, per function and keyed by call site (internal
+    /// targets only; thread spawns excluded — a spawned function runs
+    /// on its own root, not its creator's).
+    calls: Vec<BTreeMap<InstId, Vec<FuncId>>>,
     /// Whether some reachable indirect call resolved to nothing.
     unresolved_call: bool,
     /// `ThreadCreate` sites: (containing function, instruction,
@@ -214,7 +228,7 @@ struct Analysis<'a> {
 impl<'a> Analysis<'a> {
     fn new(m: &'a Module, entry: FuncId, pts: &'a PointsTo) -> Self {
         let n = m.funcs.len();
-        let mut calls = vec![Vec::new(); n];
+        let mut calls = vec![BTreeMap::new(); n];
         let mut unresolved_call = false;
         let mut creates = Vec::new();
         for (fi, f) in m.funcs.iter().enumerate() {
@@ -243,7 +257,7 @@ impl<'a> Analysis<'a> {
                             .into_iter()
                             .filter(|t| m.func(*t).is_internal)
                             .collect();
-                        calls[fi].push((i, internal));
+                        calls[fi].insert(i, internal);
                     }
                     Inst::ThreadCreate { func, .. } if m.func(*func).is_internal => {
                         creates.push((fid, i, *func));
@@ -301,7 +315,7 @@ impl<'a> Analysis<'a> {
                     ElisionClass::ThreadLocal
                 } else if !has_write {
                     ElisionClass::ReadOnlyShared
-                } else if locksets.common_lock(idxs, &accesses) {
+                } else if locksets.common_lock(loc) {
                     ElisionClass::LockDominated
                 } else {
                     continue;
@@ -365,7 +379,7 @@ impl<'a> Analysis<'a> {
                     Reach::One(r) if r == ri => Reach::One(r),
                     _ => Reach::Many,
                 };
-                for (_, targets) in &self.calls[f.index()] {
+                for targets in self.calls[f.index()].values() {
                     for &t in targets {
                         if !visited[t.index()] {
                             visited[t.index()] = true;
@@ -389,8 +403,8 @@ impl<'a> Analysis<'a> {
             && !self
                 .calls
                 .iter()
-                .flat_map(|c| c.iter())
-                .any(|(_, ts)| ts.contains(&self.entry))
+                .flat_map(BTreeMap::values)
+                .any(|ts| ts.contains(&self.entry))
             && !self.creates.iter().any(|&(_, _, t)| t == self.entry);
         self.single = self
             .roots
@@ -413,8 +427,7 @@ impl<'a> Analysis<'a> {
             .collect();
     }
 
-    /// All may-accesses in root-reachable internal functions. Atomic
-    /// accesses are excluded by design: they never touch shadow memory.
+    /// All may-accesses in root-reachable internal functions.
     fn collect_accesses(&self) -> Vec<Access> {
         let mut out = Vec::new();
         for (fi, f) in self.m.funcs.iter().enumerate() {
@@ -424,22 +437,13 @@ impl<'a> Analysis<'a> {
             let fid = FuncId::from_index(fi);
             for (i, inst) in f.iter_insts() {
                 let site = InstRef::new(fid, i);
-                let mut push = |addr, write, candidate| {
+                for (addr, write, candidate) in accessed(inst) {
                     out.push(Access {
                         site,
                         write,
                         candidate,
                         locs: self.pts.pts_operand(fid, addr).iter().copied().collect(),
                     });
-                };
-                match inst {
-                    Inst::Load { addr, .. } => push(*addr, false, true),
-                    Inst::Store { addr, .. } => push(*addr, true, true),
-                    Inst::MemCopy { dst, src, .. } => {
-                        push(*src, false, false);
-                        push(*dst, true, false);
-                    }
-                    _ => {}
                 }
             }
         }
@@ -509,9 +513,11 @@ struct LocksetAnalysis<'a> {
     universe: BTreeSet<GlobalId>,
     released: Vec<Released>,
     entry_sets: Vec<Lockset>,
-    /// Memoized per-function block-entry locksets, and each
-    /// instruction's owning block.
-    block_in: HashMap<FuncId, (Vec<Lockset>, Vec<BlockId>)>,
+    /// Per abstract location, the meet of the must-locksets held at
+    /// its access sites. Sites in dead blocks never execute and
+    /// constrain nothing, so a location whose every site is dead stays
+    /// ⊤ (`None`).
+    common: BTreeMap<AbsLoc, Lockset>,
 }
 
 impl<'a> LocksetAnalysis<'a> {
@@ -543,18 +549,24 @@ impl<'a> LocksetAnalysis<'a> {
             universe,
             released: vec![Released::Set(BTreeSet::new()); a.m.funcs.len()],
             entry_sets: vec![None; a.m.funcs.len()],
-            block_in: HashMap::new(),
+            common: BTreeMap::new(),
         };
         s.solve_released();
         s.solve_entry_sets();
-        for fi in 0..a.m.funcs.len() {
-            if a.m.funcs[fi].is_internal && a.reach[fi] != Reach::None {
+        let mut common: BTreeMap<AbsLoc, Lockset> = BTreeMap::new();
+        for (fi, f) in a.m.funcs.iter().enumerate() {
+            if f.is_internal && a.reach[fi] != Reach::None {
                 let fid = FuncId::from_index(fi);
-                let flow = s.intra_flow(fid);
-                let owners = a.m.funcs[fi].inst_blocks();
-                s.block_in.insert(fid, (flow, owners));
+                s.sweep(fid, &s.intra_flow(fid), |i, st| {
+                    for (addr, _, _) in accessed(f.inst(i)) {
+                        for &l in a.pts.pts_operand(fid, addr) {
+                            meet(common.entry(l).or_default(), st);
+                        }
+                    }
+                });
             }
         }
+        s.common = common;
         s
     }
 
@@ -587,7 +599,7 @@ impl<'a> LocksetAnalysis<'a> {
                         _ => {}
                     }
                 }
-                for (_, targets) in &self.a.calls[fi] {
+                for targets in self.a.calls[fi].values() {
                     for t in targets {
                         match (&mut eff, &self.released[t.index()]) {
                             (Released::All, _) => {}
@@ -621,12 +633,15 @@ impl<'a> LocksetAnalysis<'a> {
                     continue;
                 }
                 let fid = FuncId::from_index(fi);
-                let flow = self.intra_flow(fid);
-                let owners = f.inst_blocks();
-                for (call, targets) in self.a.calls[fi].clone() {
-                    let Some(state) = self.state_at(fid, &flow, &owners, call) else {
-                        continue; // dead block: the call never runs
-                    };
+                let calls = &self.a.calls[fi];
+                // Calls in dead blocks never run and are never visited.
+                let mut at_calls = Vec::new();
+                self.sweep(fid, &self.intra_flow(fid), |i, st| {
+                    if let Some(targets) = calls.get(&i) {
+                        at_calls.push((targets, st.clone()));
+                    }
+                });
+                for (targets, state) in at_calls {
                     for t in targets {
                         if meet(&mut self.entry_sets[t.index()], &state) {
                             changed = true;
@@ -683,24 +698,27 @@ impl<'a> LocksetAnalysis<'a> {
         }
     }
 
-    /// The must-lockset immediately before instruction `at` (`None`
-    /// when its block is unreachable: the instruction never executes).
-    fn state_at(
+    /// One forward pass over every block of `fid` that some path
+    /// reaches, starting from its block-entry lockset in `block_in`:
+    /// `visit` sees each instruction with the must-lockset held
+    /// immediately before it. Instructions in dead blocks never run and
+    /// are not visited.
+    fn sweep(
         &self,
         fid: FuncId,
         block_in: &[Lockset],
-        owners: &[BlockId],
-        at: InstId,
-    ) -> Lockset {
-        let b = owners[at.index()];
-        let mut st = block_in[b.index()].clone()?;
-        for &i in &self.a.m.func(fid).blocks[b.index()].insts {
-            if i == at {
-                return Some(st);
+        mut visit: impl FnMut(InstId, &BTreeSet<GlobalId>),
+    ) {
+        let f = self.a.m.func(fid);
+        for (block, entry) in f.blocks.iter().zip(block_in) {
+            let Some(mut st) = entry.clone() else {
+                continue;
+            };
+            for &i in &block.insts {
+                visit(i, &st);
+                self.transfer(fid, i, &mut st);
             }
-            self.transfer(fid, i, &mut st);
         }
-        Some(st)
     }
 
     fn transfer(&self, fid: FuncId, i: InstId, st: &mut BTreeSet<GlobalId>) {
@@ -726,10 +744,7 @@ impl<'a> LocksetAnalysis<'a> {
                 }
             }
             Inst::Call { .. } => {
-                if let Some((_, targets)) = self.a.calls[fid.index()]
-                    .iter()
-                    .find(|(c, _)| *c == i)
-                {
+                if let Some(targets) = self.a.calls[fid.index()].get(&i) {
                     for t in targets {
                         match &self.released[t.index()] {
                             Released::All => st.clear(),
@@ -742,27 +757,12 @@ impl<'a> LocksetAnalysis<'a> {
         }
     }
 
-    /// Whether one lock is held at every listed access.
-    fn common_lock(&self, idxs: &[usize], accesses: &[Access]) -> bool {
-        let mut acc: Lockset = None;
-        for &i in idxs {
-            let site = accesses[i].site;
-            let Some((block_in, owners)) = self.block_in.get(&site.func) else {
-                return false;
-            };
-            match self.state_at(site.func, block_in, owners, site.inst) {
-                // Dead block: the access never executes; it constrains
-                // nothing.
-                None => {}
-                Some(held) => {
-                    meet(&mut acc, &held);
-                    if acc.as_ref().is_some_and(BTreeSet::is_empty) {
-                        return false;
-                    }
-                }
-            }
-        }
-        acc.is_some_and(|s| !s.is_empty())
+    /// Whether one lock is held at every access site of `loc` that
+    /// can execute.
+    fn common_lock(&self, loc: AbsLoc) -> bool {
+        self.common
+            .get(&loc)
+            .is_some_and(|held| held.as_ref().is_some_and(|s| !s.is_empty()))
     }
 }
 

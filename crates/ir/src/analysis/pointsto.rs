@@ -27,10 +27,16 @@
 //! Constraints are solved with a standard worklist: base constraints
 //! seed the sets, copy edges propagate them, and `load`/`store`/
 //! indirect-call constraints add edges on the fly as the sets of their
-//! pointer operands grow. Indirect calls are resolved on the fly from
-//! the `Func` locations flowing into the callee operand, which is also
-//! what [`super::CallGraph`] consumes to refine its arity-based
-//! fallback.
+//! pointer operands grow. A node is on the worklist at most once (an
+//! on-list flag, cleared when it is popped), and one visit propagates
+//! its whole current set, so growth while it waits costs no extra
+//! visit: a `global_addr` feeding N `gep`s is visited once, and
+//! straight-line code solves in linear time. The least fixpoint does
+//! not depend on visit order.
+//!
+//! Indirect calls are resolved on the fly from the `Func` locations
+//! flowing into the callee operand, which is also what
+//! [`super::CallGraph`] consumes to refine its arity-based fallback.
 
 use crate::ids::{FuncId, GlobalId, InstId, InstRef};
 use crate::inst::{Callee, Inst, Operand};
@@ -110,6 +116,11 @@ enum Deferred {
 #[derive(Debug)]
 pub struct PointsTo {
     index: HashMap<Node, usize>,
+    /// Each node's points-to set, as an index into `sets`.
+    set_ids: Vec<usize>,
+    /// The distinct points-to sets, one copy each. Most nodes share a
+    /// set (every `gep` has its base's), and a pipeline run holds the
+    /// solution from the elision pre-pass to stage 4.
     sets: Vec<BTreeSet<AbsLoc>>,
     /// Resolved targets per indirect call site (arity-checked,
     /// deterministic order).
@@ -126,6 +137,10 @@ struct Solver {
     /// Copy edges: successors per node (`dst ⊇ src`).
     succs: Vec<BTreeSet<usize>>,
     deferred: Vec<Vec<Deferred>>,
+    /// Nodes whose set must be re-propagated, each at most once.
+    work: Vec<usize>,
+    /// Whether a node is on `work` (cleared when it is popped).
+    queued: Vec<bool>,
     indirect: BTreeMap<InstRef, Vec<FuncId>>,
     /// Indirect-call targets already wired, to keep re-instantiation
     /// idempotent.
@@ -141,6 +156,8 @@ impl Solver {
             sets: Vec::new(),
             succs: Vec::new(),
             deferred: Vec::new(),
+            work: Vec::new(),
+            queued: Vec::new(),
             indirect: BTreeMap::new(),
             wired_calls: BTreeSet::new(),
             constraints: 0,
@@ -157,7 +174,22 @@ impl Solver {
         self.sets.push(BTreeSet::new());
         self.succs.push(BTreeSet::new());
         self.deferred.push(Vec::new());
+        self.queued.push(false);
         i
+    }
+
+    /// Queues `n` for propagation unless it is already queued.
+    fn enqueue(&mut self, n: usize) {
+        if !self.queued[n] {
+            self.queued[n] = true;
+            self.work.push(n);
+        }
+    }
+
+    fn pop(&mut self) -> Option<usize> {
+        let n = self.work.pop()?;
+        self.queued[n] = false;
+        Some(n)
     }
 
     /// The node for an operand of function `f`, if it can carry a
@@ -170,29 +202,31 @@ impl Solver {
         }
     }
 
-    fn base(&mut self, n: usize, loc: AbsLoc, work: &mut Vec<usize>) {
+    fn base(&mut self, n: usize, loc: AbsLoc) {
         self.constraints += 1;
         if self.sets[n].insert(loc) {
-            work.push(n);
+            self.enqueue(n);
         }
     }
 
-    fn copy(&mut self, src: usize, dst: usize, work: &mut Vec<usize>) {
+    fn copy(&mut self, src: usize, dst: usize) {
         self.constraints += 1;
         if src != dst && self.succs[src].insert(dst) && !self.sets[src].is_empty() {
-            work.push(src);
+            self.enqueue(src);
+        }
+    }
+
+    /// Attaches a deferred constraint to pointer node `n`.
+    fn defer(&mut self, n: usize, c: Deferred) {
+        self.constraints += 1;
+        self.deferred[n].push(c);
+        if !self.sets[n].is_empty() {
+            self.enqueue(n);
         }
     }
 
     /// Wires parameter/return edges for a resolved indirect call.
-    fn wire_call(
-        &mut self,
-        site: InstRef,
-        args: &[Option<usize>],
-        target: FuncId,
-        m: &Module,
-        work: &mut Vec<usize>,
-    ) {
+    fn wire_call(&mut self, site: InstRef, args: &[Option<usize>], target: FuncId, m: &Module) {
         if !self.wired_calls.insert((site, target)) {
             return;
         }
@@ -203,12 +237,12 @@ impl Solver {
         for (k, arg) in args.iter().enumerate() {
             if let Some(a) = arg {
                 let p = self.node(Node::Param(target, k as u32));
-                self.copy(*a, p, work);
+                self.copy(*a, p);
             }
         }
         let ret = self.node(Node::Ret(target));
         let res = self.node(Node::Inst(site));
-        self.copy(ret, res, work);
+        self.copy(ret, res);
     }
 }
 
@@ -216,7 +250,6 @@ impl PointsTo {
     /// Builds and solves the points-to constraints of `m`.
     pub fn new(m: &Module) -> Self {
         let mut s = Solver::new();
-        let mut work: Vec<usize> = Vec::new();
 
         // Constraint generation over every internal function.
         for (fi, func) in m.funcs.iter().enumerate() {
@@ -229,55 +262,47 @@ impl PointsTo {
                 match inst {
                     Inst::GlobalAddr(g) => {
                         let n = s.node(Node::Inst(iref));
-                        s.base(n, AbsLoc::Global(*g), &mut work);
+                        s.base(n, AbsLoc::Global(*g));
                     }
                     Inst::FuncAddr(f) => {
                         let n = s.node(Node::Inst(iref));
-                        s.base(n, AbsLoc::Func(*f), &mut work);
+                        s.base(n, AbsLoc::Func(*f));
                     }
                     Inst::Alloca { .. } => {
                         let n = s.node(Node::Inst(iref));
-                        s.base(n, AbsLoc::Alloca(iref), &mut work);
+                        s.base(n, AbsLoc::Alloca(iref));
                     }
                     Inst::Malloc { .. } => {
                         let n = s.node(Node::Inst(iref));
-                        s.base(n, AbsLoc::Heap(iref), &mut work);
+                        s.base(n, AbsLoc::Heap(iref));
                     }
                     Inst::Gep { base, .. } => {
                         // Field-insensitive: interior pointers alias
                         // their base object.
                         if let Some(b) = s.operand_node(fid, *base) {
                             let n = s.node(Node::Inst(iref));
-                            s.copy(b, n, &mut work);
+                            s.copy(b, n);
                         }
                     }
                     Inst::Phi { incoming } => {
                         for (_, v) in incoming {
                             if let Some(src) = s.operand_node(fid, *v) {
                                 let n = s.node(Node::Inst(iref));
-                                s.copy(src, n, &mut work);
+                                s.copy(src, n);
                             }
                         }
                     }
                     Inst::Load { addr, .. } | Inst::AtomicLoad { addr } => {
                         if let Some(a) = s.operand_node(fid, *addr) {
                             let n = s.node(Node::Inst(iref));
-                            s.constraints += 1;
-                            s.deferred[a].push(Deferred::LoadInto(n));
-                            if !s.sets[a].is_empty() {
-                                work.push(a);
-                            }
+                            s.defer(a, Deferred::LoadInto(n));
                         }
                     }
                     Inst::Store { addr, val } | Inst::AtomicStore { addr, val } => {
                         if let (Some(a), Some(v)) =
                             (s.operand_node(fid, *addr), s.operand_node(fid, *val))
                         {
-                            s.constraints += 1;
-                            s.deferred[a].push(Deferred::StoreFrom(v));
-                            if !s.sets[a].is_empty() {
-                                work.push(a);
-                            }
+                            s.defer(a, Deferred::StoreFrom(v));
                         }
                     }
                     Inst::MemCopy { dst, src, .. } => {
@@ -287,18 +312,10 @@ impl PointsTo {
                         // `dst`'s cells.
                         let tmp = s.node(Node::Inst(iref));
                         if let Some(sn) = s.operand_node(fid, *src) {
-                            s.constraints += 1;
-                            s.deferred[sn].push(Deferred::LoadInto(tmp));
-                            if !s.sets[sn].is_empty() {
-                                work.push(sn);
-                            }
+                            s.defer(sn, Deferred::LoadInto(tmp));
                         }
                         if let Some(dn) = s.operand_node(fid, *dst) {
-                            s.constraints += 1;
-                            s.deferred[dn].push(Deferred::StoreFrom(tmp));
-                            if !s.sets[dn].is_empty() {
-                                work.push(dn);
-                            }
+                            s.defer(dn, Deferred::StoreFrom(tmp));
                         }
                     }
                     Inst::Call { callee, args } => match callee {
@@ -309,12 +326,12 @@ impl PointsTo {
                                 for (k, arg) in args.iter().enumerate() {
                                     if let Some(a) = s.operand_node(fid, *arg) {
                                         let p = s.node(Node::Param(*t, k as u32));
-                                        s.copy(a, p, &mut work);
+                                        s.copy(a, p);
                                     }
                                 }
                                 let ret = s.node(Node::Ret(*t));
                                 let res = s.node(Node::Inst(iref));
-                                s.copy(ret, res, &mut work);
+                                s.copy(ret, res);
                             }
                         }
                         Callee::Indirect(p) => {
@@ -324,27 +341,26 @@ impl PointsTo {
                                 .collect();
                             s.indirect.entry(iref).or_default();
                             if let Some(c) = s.operand_node(fid, *p) {
-                                s.constraints += 1;
-                                s.deferred[c].push(Deferred::Call {
-                                    site: iref,
-                                    args: arg_nodes,
-                                });
-                                if !s.sets[c].is_empty() {
-                                    work.push(c);
-                                }
+                                s.defer(
+                                    c,
+                                    Deferred::Call {
+                                        site: iref,
+                                        args: arg_nodes,
+                                    },
+                                );
                             }
                         }
                     },
                     Inst::ThreadCreate { func, arg } if m.func(*func).is_internal => {
                         if let Some(a) = s.operand_node(fid, *arg) {
                             let p = s.node(Node::Param(*func, 0));
-                            s.copy(a, p, &mut work);
+                            s.copy(a, p);
                         }
                     }
                     Inst::Ret(Some(v)) => {
                         if let Some(src) = s.operand_node(fid, *v) {
                             let r = s.node(Node::Ret(fid));
-                            s.copy(src, r, &mut work);
+                            s.copy(src, r);
                         }
                     }
                     _ => {}
@@ -354,14 +370,15 @@ impl PointsTo {
 
         // Worklist solve. Processing a node re-propagates its full set
         // along copy edges and re-instantiates its deferred
-        // constraints; newly created edges enqueue their sources, so
-        // the loop reaches a fixpoint.
+        // constraints; a set that grows and an edge that is created
+        // enqueue their node, so the loop reaches a fixpoint.
         let mut iterations = 0u64;
-        while let Some(n) = work.pop() {
+        while let Some(n) = s.pop() {
             iterations += 1;
-            // Copy propagation: succ ⊇ n.
-            let succs: Vec<usize> = s.succs[n].iter().copied().collect();
-            for d in succs {
+            // Copy propagation: succ ⊇ n. No edge is added here, so the
+            // successor set can be borrowed out and put back.
+            let succs = std::mem::take(&mut s.succs[n]);
+            for &d in &succs {
                 let add: Vec<AbsLoc> = s.sets[n]
                     .iter()
                     .filter(|l| !s.sets[d].contains(*l))
@@ -369,30 +386,32 @@ impl PointsTo {
                     .collect();
                 if !add.is_empty() {
                     s.sets[d].extend(add);
-                    work.push(d);
+                    s.enqueue(d);
                 }
             }
-            // Deferred constraints keyed on n's set.
-            let deferred = s.deferred[n].clone();
+            s.succs[n] = succs;
+            // Deferred constraints keyed on n's set. They are only
+            // attached before solving, so they too can be borrowed out.
+            let deferred = std::mem::take(&mut s.deferred[n]);
             let locs: Vec<AbsLoc> = s.sets[n].iter().copied().collect();
-            for c in deferred {
+            for c in &deferred {
                 match c {
                     Deferred::LoadInto(dst) => {
                         for l in &locs {
                             let cell = s.node(Node::Cell(*l));
-                            s.copy(cell, dst, &mut work);
+                            s.copy(cell, *dst);
                         }
                     }
                     Deferred::StoreFrom(src) => {
                         for l in &locs {
                             let cell = s.node(Node::Cell(*l));
-                            s.copy(src, cell, &mut work);
+                            s.copy(*src, cell);
                         }
                     }
                     Deferred::Call { site, args } => {
                         for l in &locs {
                             if let AbsLoc::Func(t) = l {
-                                let targets = s.indirect.entry(site).or_default();
+                                let targets = s.indirect.entry(*site).or_default();
                                 let callee = m.func(*t);
                                 if callee.is_internal
                                     && callee.num_params as usize == args.len()
@@ -401,12 +420,13 @@ impl PointsTo {
                                     targets.push(*t);
                                     targets.sort();
                                 }
-                                s.wire_call(site, &args, *t, m, &mut work);
+                                s.wire_call(*site, args, *t, m);
                             }
                         }
                     }
                 }
             }
+            s.deferred[n] = deferred;
         }
 
         let stats = PointsToStats {
@@ -414,9 +434,26 @@ impl PointsTo {
             constraints: s.constraints,
             iterations,
         };
+        // Free the constraint graph first, so that deduplicating the
+        // sets does not add to the solve's peak memory.
+        drop((s.nodes, s.succs, s.deferred, s.work, s.queued, s.wired_calls));
+        let mut ids: HashMap<BTreeSet<AbsLoc>, usize> = HashMap::new();
+        let set_ids = s
+            .sets
+            .into_iter()
+            .map(|set| {
+                let next = ids.len();
+                *ids.entry(set).or_insert(next)
+            })
+            .collect();
+        let mut sets = vec![BTreeSet::new(); ids.len()];
+        for (set, id) in ids {
+            sets[id] = set;
+        }
         PointsTo {
             index: s.index,
-            sets: s.sets,
+            set_ids,
+            sets,
             indirect: s.indirect,
             stats,
             empty: BTreeSet::new(),
@@ -426,7 +463,7 @@ impl PointsTo {
     fn set_of(&self, n: Node) -> &BTreeSet<AbsLoc> {
         self.index
             .get(&n)
-            .map(|&i| &self.sets[i])
+            .map(|&i| &self.sets[self.set_ids[i]])
             .unwrap_or(&self.empty)
     }
 

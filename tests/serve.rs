@@ -469,3 +469,44 @@ fn deeply_nested_request_line_gets_a_typed_error() {
     assert_eq!(report.executed, 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A peer that sends an endless line — far longer than the daemon's
+/// in-flight byte budget, with no newline — is answered `too-large` as
+/// soon as the line outgrows the budget (no such line could ever be
+/// admitted), instead of being buffered without bound, and the daemon
+/// keeps serving other connections.
+#[test]
+fn endless_request_line_is_rejected_too_large() {
+    let dir = scratch_dir("endless");
+    let mut cfg = ServeConfig::new(&dir);
+    cfg.workers = 1;
+    cfg.max_inflight_bytes = 4096;
+    cfg.owl = OwlConfig::quick();
+    let socket = cfg.socket.clone();
+    let daemon = start_daemon(cfg);
+
+    let (mut reader, mut stream) = connect(&socket);
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let chunk = vec![b'x'; 64 * 1024];
+    for _ in 0..16 {
+        stream.write_all(&chunk).expect("write endless line");
+    }
+    match read_response(&mut reader) {
+        Some(Response::Rejected { reason }) => assert_eq!(reason, RejectReason::TooLarge),
+        other => panic!("expected rejected too-large, got {other:?}"),
+    }
+
+    let (mut fresh, mut fresh_stream) = connect(&socket);
+    send(&mut fresh_stream, &Request::Status);
+    match read_response(&mut fresh) {
+        Some(Response::Status(s)) => assert_eq!(s.shed_too_large, 1),
+        other => panic!("daemon should still answer status, got {other:?}"),
+    }
+
+    drop(stream);
+    shutdown(&socket);
+    daemon.join().expect("daemon thread").expect("drained");
+    let _ = std::fs::remove_dir_all(&dir);
+}
