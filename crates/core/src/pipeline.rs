@@ -31,7 +31,7 @@
 use crate::config::OwlConfig;
 use crate::journal::{unit_key, JournalError, JournalRecord, JournalSink, RecordedVuln};
 use owl_ir::analysis::{CallGraph, PointsTo};
-use owl_ir::{FuncId, Module};
+use owl_ir::{FuncId, InstRef, Module};
 use owl_race::{explore_with_deadline, ExplorerConfig, HbAnnotation, RaceReport};
 use owl_static::{
     AdhocSyncDetector, ElisionPrepass, SummaryCache, VulnAnalyzer, VulnReport, VulnStats,
@@ -40,7 +40,7 @@ use owl_verify::{
     AbortCause, RaceVerification, RaceVerifier, VerifyOutcome, VulnVerification, VulnVerifier,
 };
 use owl_vm::ProgramInput;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -1139,12 +1139,18 @@ impl<'m> Owl<'m> {
         // apply — both accesses may be individually lock-protected, so
         // they can never be co-suspended. CTrigger-style verification
         // instead re-executes and confirms the unserializable
-        // interleaving re-manifests.
+        // interleaving re-manifests. Attempt k is the breakpoint-free
+        // run of the primary workload at seed `base_seed + k` for every
+        // report, so each seed runs once, on first use, and `runs[k]`
+        // answers every report's attempt k: the keys that run reported
+        // and its fault count, or its panic message.
         let tv = Instant::now();
         let t3 = Instant::now();
         let stage_start = Instant::now();
         let mut stage_expired = false;
         let primary = workloads[0].clone();
+        type AtomicityKey = (InstRef, InstRef, InstRef);
+        let mut runs: Vec<Result<(HashSet<AtomicityKey>, u64), String>> = Vec::new();
         let mut verified: Vec<(RaceReport, RaceVerification)> = Vec::new();
         for report in &atomicity_reports {
             if let Some(d) = self.config.stage_deadline {
@@ -1163,32 +1169,50 @@ impl<'m> Owl<'m> {
                 });
                 continue;
             }
-            let attempt = catch_unwind(AssertUnwindSafe(|| {
-                let mut confirmed = false;
-                let mut attempts = 0u64;
-                let mut faults = 0u64;
-                for k in 0..self.config.race_verify.max_schedules {
-                    attempts = k + 1;
-                    let mut re = owl_race::AtomicityDetector::new();
-                    let mut sched =
-                        owl_vm::RandomScheduler::new(self.config.race_verify.base_seed + k);
-                    let vm = owl_vm::Vm::new(
-                        self.module,
-                        self.entry,
-                        primary.clone(),
-                        self.config.race_verify.run_config.clone(),
+            let mut confirmed = false;
+            let mut attempts = 0u64;
+            let mut faults = 0u64;
+            let mut reused = 0u64;
+            let mut panicked = None;
+            for k in 0..self.config.race_verify.max_schedules {
+                if runs.len() as u64 > k {
+                    reused += 1;
+                } else {
+                    runs.push(
+                        catch_unwind(AssertUnwindSafe(|| {
+                            let mut re = owl_race::AtomicityDetector::new();
+                            let mut sched =
+                                owl_vm::RandomScheduler::new(self.config.race_verify.base_seed + k);
+                            let vm = owl_vm::Vm::new(
+                                self.module,
+                                self.entry,
+                                primary.clone(),
+                                self.config.race_verify.run_config.clone(),
+                            );
+                            let outcome = vm.run(&mut sched, &mut re);
+                            let keys = re.reports().iter().map(|r| r.key()).collect();
+                            (keys, outcome.injected_faults.len() as u64)
+                        }))
+                        .map_err(panic_message),
                     );
-                    let outcome = vm.run(&mut sched, &mut re);
-                    faults += outcome.injected_faults.len() as u64;
-                    if re.reports().iter().any(|r| r.key() == report.key()) {
-                        confirmed = true;
+                }
+                match &runs[k as usize] {
+                    Ok((keys, run_faults)) => {
+                        attempts = k + 1;
+                        faults += run_faults;
+                        if keys.contains(&report.key()) {
+                            confirmed = true;
+                            break;
+                        }
+                    }
+                    Err(message) => {
+                        panicked = Some(message.clone());
                         break;
                     }
                 }
-                (confirmed, attempts, faults)
-            }));
-            match attempt {
-                Ok((confirmed, attempts, faults)) => {
+            }
+            match panicked {
+                None => {
                     health.race_verify.attempts += attempts;
                     health.race_verify.retries += attempts.saturating_sub(1);
                     health.race_verify.injected_faults += faults;
@@ -1202,20 +1226,21 @@ impl<'m> Owl<'m> {
                                 hints: None,
                                 outcome: None,
                                 injected_faults: faults,
+                                reused_attempts: reused,
                             },
                         ));
                     } else {
                         stats.verifier_eliminated += 1;
                     }
                 }
-                Err(payload) => {
+                Some(message) => {
                     health.race_verify.panics += 1;
                     health.race_verify.quarantined += 1;
                     quarantined.push(Quarantined {
                         race: report.as_race_report(),
                         error: PipelineError::Panicked {
                             stage: Stage::RaceVerify,
-                            message: panic_message(payload),
+                            message,
                         },
                     });
                 }
@@ -1816,6 +1841,7 @@ fn replayed_race_verification(attempts: u64, injected_faults: u64) -> RaceVerifi
         hints: None,
         outcome: None,
         injected_faults,
+        reused_attempts: 0,
     }
 }
 

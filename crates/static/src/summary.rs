@@ -80,9 +80,15 @@ pub struct FuncSummary {
 /// summary is fully computed, so a poisoned lock (a worker panicked
 /// mid-insert) still holds consistent data and is recovered rather
 /// than propagated.
+///
+/// Analyzers sharing the cache compute summaries one at a time, so
+/// every key is computed once and the hit and miss counts, and each
+/// analysis's traversal cost, are what a serial run reports, whatever
+/// the thread timing.
 #[derive(Debug, Default)]
 pub struct SummaryCache {
     map: Mutex<HashMap<SummaryKey, Arc<FuncSummary>>>,
+    compute: Mutex<()>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -95,6 +101,20 @@ impl SummaryCache {
 
     fn map(&self) -> std::sync::MutexGuard<'_, HashMap<SummaryKey, Arc<FuncSummary>>> {
         self.map.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Whether `key` is cached, without counting a lookup.
+    pub(crate) fn contains(&self, key: SummaryKey) -> bool {
+        self.map().contains_key(&key)
+    }
+
+    /// Serializes summary computation across the analyzers sharing this
+    /// cache. Hold the guard from the counted lookup that may miss until
+    /// the summary it computes is inserted: two workers then never both
+    /// miss on one key and both compute it. Nothing is left half-done
+    /// under it, so a poisoned lock is recovered.
+    pub(crate) fn compute_guard(&self) -> std::sync::MutexGuard<'_, ()> {
+        self.compute.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Looks up a summary, counting the hit or miss.

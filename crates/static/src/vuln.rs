@@ -741,6 +741,11 @@ impl<'m> VulnAnalyzer<'m> {
     /// computes the full summary.
     fn summary_for(&mut self, key: SummaryKey) -> Option<(Arc<FuncSummary>, bool)> {
         let cache = self.summaries.clone()?;
+        // A lookup that may miss waits for any other analyzer's
+        // computation to finish. Inside a computation this analyzer
+        // already holds the guard (`in_progress` is non-empty).
+        let _guard =
+            (self.in_progress.is_empty() && !cache.contains(key)).then(|| cache.compute_guard());
         if let Some(s) = cache.get(key) {
             return Some((s, false));
         }

@@ -3,25 +3,34 @@
 //! Race detectors over-report; OWL verifies each surviving report by
 //! catching the race "in the racing moment": thread-specific
 //! breakpoints halt a thread arriving at one racing instruction until a
-//! *different* thread arrives at the other racing instruction with the
-//! *same* address. Only then is the race real. The verifier then prints
-//! security hints — the racing instructions, the values they are about
-//! to read/write, and the variable's type — and can release the
-//! threads in a chosen order to let the corruption actually happen
-//! (the "bug order"), which the vulnerability verifier builds on.
+//! *different* thread arrives at the other racing instruction (or at
+//! the same one, when both sides of the report are one instruction)
+//! with the *same* address. Only then is the race real. The verifier
+//! then prints security hints — the racing instructions, the values
+//! they are about to read/write, and the variable's type — and can
+//! release the threads in a chosen order to let the corruption
+//! actually happen (the "bug order"), which the vulnerability verifier
+//! builds on.
 //!
 //! Livelocks caused by suspensions are resolved by the VM's automatic
 //! oldest-suspension release, mirroring the paper's "temporarily
 //! releasing one of the currently triggered breakpoints".
+//!
+//! A verifier remembers, per (entry, input) and seed, the first attempt
+//! whose run matched no breakpoint, with the sites it fetched. Such a
+//! run is the breakpoint-free run at that seed, so a later report whose
+//! racing sites it never fetched would run exactly like it too: that
+//! attempt is answered from the memo instead of re-executed.
 
 use crate::verdict::{AbortCause, VerifyOutcome};
 use owl_ir::{FuncId, InstRef, Module, Type};
 use owl_race::RaceReport;
 use owl_vm::{
     BreakDecision, BreakWorld, Breakpoint, Controller, ExecOutcome, ExitStatus, ProgramInput,
-    RandomScheduler, RunConfig, Suspension, ThreadId, Vm,
+    RandomScheduler, RunConfig, SiteSet, Suspension, ThreadId, Vm,
 };
 use serde::{Deserialize, Serialize};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Which racing instruction should execute first once the race is
@@ -90,6 +99,9 @@ pub struct RaceVerification {
     /// Total faults the VM's [`owl_vm::FaultPlan`] injected across all
     /// attempts.
     pub injected_faults: u64,
+    /// Attempts (included in `attempts`) answered from an earlier
+    /// breakpoint-free run at the same seed instead of re-executed.
+    pub reused_attempts: u64,
 }
 
 /// Verifier configuration.
@@ -129,6 +141,60 @@ impl Default for RaceVerifyConfig {
 pub struct RaceVerifier<'m> {
     module: &'m Module,
     config: RaceVerifyConfig,
+    memo: Mutex<AttemptMemo>,
+}
+
+/// The verifier's record of breakpoint-free runs.
+#[derive(Debug, Default)]
+struct AttemptMemo {
+    /// Recording buffer, allocated on first use and lent to one run at
+    /// a time.
+    scratch: Option<SiteSet>,
+    slots: Vec<MemoSlot>,
+}
+
+/// Breakpoint-free runs of one (entry, input), by seed index.
+#[derive(Debug)]
+struct MemoSlot {
+    entry: FuncId,
+    input: ProgramInput,
+    runs: Vec<Option<CleanRun>>,
+}
+
+/// What an attempt that matches no breakpoint yields at one seed.
+#[derive(Debug)]
+struct CleanRun {
+    fetched: SiteSet,
+    status: ExitStatus,
+    injected_faults: u64,
+}
+
+impl AttemptMemo {
+    /// The slot of `(entry, input)`, created on first use.
+    fn slot(&mut self, entry: FuncId, input: &ProgramInput) -> usize {
+        if let Some(i) = self
+            .slots
+            .iter()
+            .position(|s| s.entry == entry && s.input == *input)
+        {
+            return i;
+        }
+        self.slots.push(MemoSlot {
+            entry,
+            input: input.clone(),
+            runs: Vec::new(),
+        });
+        self.slots.len() - 1
+    }
+
+    /// Records seed `k`'s clean run in `slot` unless it has one.
+    fn store(&mut self, slot: usize, k: usize, run: CleanRun) {
+        let runs = &mut self.slots[slot].runs;
+        if runs.len() <= k {
+            runs.resize_with(k + 1, || None);
+        }
+        runs[k].get_or_insert(run);
+    }
 }
 
 struct RvController {
@@ -161,13 +227,16 @@ impl Controller for RvController {
         let Some(acc) = hit.access else {
             return BreakDecision::Continue;
         };
-        // A partner is a *different thread* suspended at the *other*
-        // racing site touching the *same address*.
+        // A partner is a *different thread* suspended at the racing
+        // site that completes the pair with this one — the other site,
+        // or this same site when both sides of the report are one
+        // instruction — touching the *same address*.
+        let completes_pair = |waiting: InstRef| {
+            (waiting == self.site_a && hit.site == self.site_b)
+                || (waiting == self.site_b && hit.site == self.site_a)
+        };
         let partner = world.suspended.iter().find(|(tid, s)| {
-            **tid != hit.tid
-                && s.site != hit.site
-                && (s.site == self.site_a || s.site == self.site_b)
-                && s.access.map(|a| a.addr) == Some(acc.addr)
+            **tid != hit.tid && completes_pair(s.site) && s.access.map(|a| a.addr) == Some(acc.addr)
         });
         if let Some((&ptid, psusp)) = partner {
             // Caught in the racing moment.
@@ -221,7 +290,11 @@ impl Controller for RvController {
 impl<'m> RaceVerifier<'m> {
     /// Creates a verifier over `module`.
     pub fn new(module: &'m Module, config: RaceVerifyConfig) -> Self {
-        RaceVerifier { module, config }
+        RaceVerifier {
+            module,
+            config,
+            memo: Mutex::default(),
+        }
     }
 
     /// Verifier with default configuration.
@@ -229,8 +302,21 @@ impl<'m> RaceVerifier<'m> {
         Self::new(module, RaceVerifyConfig::default())
     }
 
+    /// The memo. Nothing panics while the lock is held and an entry is
+    /// stored only once its run has returned, so even a poisoned lock
+    /// would guard a sound memo: recover it instead of propagating.
+    fn memo(&self) -> MutexGuard<'_, AttemptMemo> {
+        self.memo.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Attempts to catch `report`'s race in the racing moment, trying
     /// up to `max_schedules` seeds.
+    ///
+    /// Attempt *k* is answered without executing when the verifier
+    /// already ran seed *k* on this entry and input with no breakpoint
+    /// matched, and that run fetched neither racing site: the attempt
+    /// would run exactly like it and cannot confirm. It still counts in
+    /// `attempts`, with the recorded run's faults.
     pub fn verify(
         &self,
         entry: FuncId,
@@ -255,7 +341,9 @@ impl<'m> RaceVerifier<'m> {
         };
         let start = Instant::now();
         let mut injected_faults = 0u64;
+        let mut reused_attempts = 0u64;
         let mut all_step_limit = true;
+        let slot = self.memo().slot(entry, input);
         for k in 0..self.config.max_schedules {
             if let Some(d) = self.config.deadline {
                 if k > 0 && start.elapsed() >= d {
@@ -269,9 +357,28 @@ impl<'m> RaceVerifier<'m> {
                         hints: None,
                         outcome: None,
                         injected_faults,
+                        reused_attempts,
                     };
                 }
             }
+            // Answer from seed k's clean run when it fetched neither
+            // racing site; otherwise run, recording fetched sites.
+            let mut sites = {
+                let mut memo = self.memo();
+                if let Some(Some(run)) = memo.slots[slot].runs.get(k as usize) {
+                    if !run.fetched.contains(report.first.site)
+                        && !run.fetched.contains(report.second.site)
+                    {
+                        reused_attempts += 1;
+                        injected_faults += run.injected_faults;
+                        if run.status != ExitStatus::StepLimit {
+                            all_step_limit = false;
+                        }
+                        continue;
+                    }
+                }
+                memo.scratch.take().unwrap_or_default()
+            };
             let mut controller = RvController {
                 site_a: report.first.site,
                 site_b: report.second.site,
@@ -287,7 +394,28 @@ impl<'m> RaceVerifier<'m> {
             vm.add_breakpoint(Breakpoint::at(report.first.site));
             vm.add_breakpoint(Breakpoint::at(report.second.site));
             let mut sched = RandomScheduler::new(self.config.base_seed + k);
-            let outcome = vm.run_controlled(&mut sched, &mut owl_vm::NullSink, &mut controller);
+            let (outcome, fetched) = vm.run_recording(
+                &mut sched,
+                &mut owl_vm::NullSink,
+                &mut controller,
+                &mut sites,
+            );
+            // At a seed that already has a clean run, a live attempt
+            // fetches one of its racing sites like that run does, so it
+            // matches and `fetched` is `None`: only a seed's first clean
+            // run is copied into the memo.
+            let clean = fetched.map(|fetched| CleanRun {
+                fetched: fetched.clone(),
+                status: outcome.status,
+                injected_faults: outcome.injected_faults.len() as u64,
+            });
+            {
+                let mut memo = self.memo();
+                if let Some(clean) = clean {
+                    memo.store(slot, k as usize, clean);
+                }
+                memo.scratch = Some(sites);
+            }
             injected_faults += outcome.injected_faults.len() as u64;
             if outcome.status != ExitStatus::StepLimit {
                 all_step_limit = false;
@@ -302,6 +430,7 @@ impl<'m> RaceVerifier<'m> {
                     hints: Some(hints),
                     outcome: Some(outcome),
                     injected_faults,
+                    reused_attempts,
                 };
             }
         }
@@ -323,6 +452,7 @@ impl<'m> RaceVerifier<'m> {
             hints: None,
             outcome: None,
             injected_faults,
+            reused_attempts,
         }
     }
 
@@ -532,6 +662,152 @@ mod tests {
                 attempts: 4,
             }
         );
+    }
+
+    /// Two `worker` threads each run `counter += 1`.
+    fn counter_module() -> (Module, FuncId) {
+        let mut mb = ModuleBuilder::new("counter");
+        let g = mb.global("counter", 1, Type::I64);
+        let w = mb.declare_func("worker", 1);
+        let main = mb.declare_func("main", 0);
+        {
+            let mut b = mb.build_func(w);
+            let a = b.global_addr(g);
+            let v = b.load(a, Type::I64);
+            let v2 = b.add(v, 1);
+            b.store(a, v2);
+            b.ret(None);
+        }
+        {
+            let mut b = mb.build_func(main);
+            let t1 = b.thread_create(w, 0);
+            let t2 = b.thread_create(w, 0);
+            b.thread_join(t1);
+            b.thread_join(t2);
+            b.ret(None);
+        }
+        (mb.finish(), main)
+    }
+
+    #[test]
+    fn confirms_two_threads_racing_at_one_instruction() {
+        let (m, main) = counter_module();
+        let raw = owl_race::explore(
+            &m,
+            main,
+            &[ProgramInput::empty()],
+            &owl_race::ExplorerConfig::default(),
+        );
+        // A load/store pair, and the store/store pair at one instruction.
+        assert_eq!(raw.reports.len(), 2, "{:?}", raw.reports);
+        assert!(
+            raw.reports.iter().any(|r| r.first.site == r.second.site),
+            "{:?}",
+            raw.reports
+        );
+        let verifier = RaceVerifier::with_defaults(&m);
+        for report in &raw.reports {
+            let v = verifier.verify(main, &ProgramInput::empty(), report);
+            assert!(v.confirmed, "{report:?} must verify: {v:?}");
+            assert_eq!(v.attempts, 1);
+            let hints = v.hints.expect("hints");
+            assert_eq!(hints.global_name.as_deref(), Some("counter"));
+            assert_ne!(hints.waiting.tid, hints.arriving.tid);
+            let sites = [hints.waiting.site, hints.arriving.site];
+            assert!(
+                sites == [report.first.site, report.second.site]
+                    || sites == [report.second.site, report.first.site]
+            );
+        }
+    }
+
+    #[test]
+    fn attempts_answered_from_the_memo_match_a_fresh_verifier() {
+        // `unused` stores to `g` but never runs: its reports would be
+        // re-executed from scratch every attempt, only to be eliminated.
+        let mut mb = ModuleBuilder::new("memo");
+        let g = mb.global("g", 1, Type::I64);
+        let w = mb.declare_func("writer", 1);
+        let unused = mb.declare_func("unused", 0);
+        let main = mb.declare_func("main", 0);
+        {
+            let mut b = mb.build_func(w);
+            let a = b.global_addr(g);
+            b.store(a, 1);
+            b.ret(None);
+        }
+        {
+            let mut b = mb.build_func(unused);
+            let a = b.global_addr(g);
+            b.store(a, 2);
+            b.load(a, Type::I64);
+            b.ret(None);
+        }
+        {
+            let mut b = mb.build_func(main);
+            let t = b.thread_create(w, 0);
+            let a = b.global_addr(g);
+            b.load(a, Type::I64);
+            b.thread_join(t);
+            b.ret(None);
+        }
+        let m = mb.finish();
+        let main = m.func_by_name("main").unwrap();
+        let unused = m.func_by_name("unused").unwrap();
+        let access = |site, is_write| owl_race::Access {
+            tid: ThreadId(0),
+            site,
+            stack: std::sync::Arc::from(vec![].into_boxed_slice()),
+            is_write,
+            value: 0,
+            ty: Type::I64,
+        };
+        let gated = |a, b| RaceReport {
+            addr: owl_vm::mem::GLOBAL_BASE,
+            global_name: Some("g".into()),
+            first: access(InstRef::new(unused, owl_ir::InstId(a)), true),
+            second: access(InstRef::new(unused, owl_ir::InstId(b)), false),
+            read_hint: None,
+        };
+        let mut reports = vec![first_report(&m, main)];
+        reports.extend([gated(1, 2), gated(1, 1), gated(2, 2)]);
+        let config = RaceVerifyConfig {
+            max_schedules: 6,
+            run_config: RunConfig {
+                fault: owl_vm::FaultPlan::uniform(5, 0.05),
+                ..RunConfig::default()
+            },
+            ..RaceVerifyConfig::default()
+        };
+        let shared = RaceVerifier::new(&m, config.clone());
+        let input = ProgramInput::empty();
+        // A verify that panics (here: an entry taking a parameter) must
+        // leave the memo usable for every later report.
+        let w = m.func_by_name("writer").unwrap();
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            shared.verify(w, &input, &reports[1])
+        }));
+        assert!(panicked.is_err());
+        let mut reused = 0;
+        for report in &reports {
+            let a = shared.verify(main, &input, report);
+            let b = RaceVerifier::new(&m, config.clone()).verify(main, &input, report);
+            assert_eq!(b.reused_attempts, 0);
+            assert_eq!(
+                (a.confirmed, a.verdict, a.attempts, a.injected_faults),
+                (b.confirmed, b.verdict, b.attempts, b.injected_faults)
+            );
+            assert_eq!((&a.hints, &a.outcome), (&b.hints, &b.outcome));
+            reused += a.reused_attempts;
+        }
+        // The first gated report fills the memo at every seed the real
+        // race's confirming attempt did not cover; the later two reuse
+        // every attempt.
+        assert!(reused >= 2 * config.max_schedules, "reused {reused}");
+        // Another input is another memo slot: nothing to reuse yet.
+        let other = ProgramInput::new(vec![1]);
+        let v = shared.verify(main, &other, &reports[1]);
+        assert_eq!(v.reused_attempts, 0);
     }
 
     #[test]

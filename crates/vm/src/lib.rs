@@ -54,6 +54,7 @@ mod fault;
 mod input;
 pub mod mem;
 mod sched;
+mod sites;
 pub mod stream;
 mod violation;
 mod vm;
@@ -67,5 +68,6 @@ pub use stream::{event_channel, ChannelReceiver, ChannelSender};
 pub use input::ProgramInput;
 pub use mem::Memory;
 pub use sched::{PctScheduler, RandomScheduler, ReplayScheduler, RoundRobin, Scheduler};
+pub use sites::SiteSet;
 pub use violation::{SecurityEvent, SecurityRecord, Violation, ViolationRecord};
 pub use vm::{DeadlockInfo, ExecOutcome, ExitStatus, RunConfig, Snapshot, Vm, WaitInfo, WaitReason};

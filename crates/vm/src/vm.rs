@@ -15,6 +15,7 @@ use crate::fault::{FaultKind, FaultPlan, FaultRecord, FaultState};
 use crate::input::ProgramInput;
 use crate::mem::{MemError, Memory, FUNCPTR_BASE};
 use crate::sched::Scheduler;
+use crate::sites::SiteSet;
 use crate::violation::{SecurityEvent, SecurityRecord, Violation, ViolationRecord};
 use owl_ir::{BinOp, BlockId, Callee, FuncId, Inst, InstId, InstRef, Module, Operand, Pred, Type};
 use serde::{Deserialize, Serialize};
@@ -291,6 +292,14 @@ enum Pause {
     AtStep(u64),
 }
 
+/// Opt-in fetched-site recording for [`Vm::run_recording`].
+struct FetchRecorder {
+    /// Every site any thread fetched.
+    sites: SiteSet,
+    /// Fetches that matched an armed breakpoint, hit or dropped.
+    bp_matches: u64,
+}
+
 /// The virtual machine for one execution.
 pub struct Vm<'m> {
     module: &'m Module,
@@ -307,6 +316,9 @@ pub struct Vm<'m> {
     elided: Option<Arc<HashSet<InstRef>>>,
     step: u64,
     outcome: ExecOutcome,
+    /// Set only for the duration of [`Vm::run_recording`], so never
+    /// part of a [`Snapshot`].
+    recorder: Option<FetchRecorder>,
 }
 
 impl std::fmt::Debug for Vm<'_> {
@@ -371,6 +383,7 @@ impl<'m> Vm<'m> {
                 deadlock: None,
                 injected_faults: vec![],
             },
+            recorder: None,
         }
     }
 
@@ -404,6 +417,36 @@ impl<'m> Vm<'m> {
     ) -> ExecOutcome {
         self.run_loop_inner(sched, sink, controller, Pause::Never);
         self.take_outcome()
+    }
+
+    /// [`Vm::run_controlled`], recording every instruction site any
+    /// thread fetched into `sites`, which is emptied and laid out for
+    /// this VM's module first, so one buffer serves many runs.
+    ///
+    /// The set is returned only when no fetch matched an armed
+    /// breakpoint, whether the hit reached the controller or a
+    /// dropped-breakpoint fault swallowed it. Such a run executed step
+    /// for step like the same run with no breakpoints at all: same
+    /// scheduler picks, same fault draws, same outcome. So would the
+    /// same run under any other breakpoints whose sites are all outside
+    /// the returned set.
+    pub fn run_recording<'s>(
+        mut self,
+        sched: &mut dyn Scheduler,
+        sink: &mut dyn TraceSink,
+        controller: &mut dyn Controller,
+        sites: &'s mut SiteSet,
+    ) -> (ExecOutcome, Option<&'s SiteSet>) {
+        sites.reset(self.module);
+        self.recorder = Some(FetchRecorder {
+            sites: std::mem::take(sites),
+            bp_matches: 0,
+        });
+        self.run_loop_inner(sched, sink, controller, Pause::Never);
+        let rec = self.recorder.take().expect("recorder installed above");
+        *sites = rec.sites;
+        let outcome = self.take_outcome();
+        (outcome, (rec.bp_matches == 0).then_some(&*sites))
     }
 
     /// Runs until the first scheduling point where at least two
@@ -492,6 +535,7 @@ impl<'m> Vm<'m> {
             elided: snap.elided,
             step: snap.step,
             outcome: snap.outcome,
+            recorder: None,
         }
     }
 
@@ -975,11 +1019,17 @@ impl<'m> Vm<'m> {
             self.finish_thread(tid, None);
             return;
         };
+        if let Some(rec) = &mut self.recorder {
+            rec.sites.insert(site);
+        }
         let inst = self.module.inst(site).clone();
 
         // Breakpoint check (before execution).
         let skip = std::mem::replace(&mut self.threads[tid.index()].skip_bp, false);
         if !skip && self.breakpoints.iter().any(|b| b.matches(site, tid)) {
+            if let Some(rec) = &mut self.recorder {
+                rec.bp_matches += 1;
+            }
             // Dropped-hit fault: the controller never hears about this
             // match; execution falls through as if nothing was armed.
             if self.faults.fire_drop_bp(self.step) {
@@ -2141,5 +2191,128 @@ mod tests {
         let o = Vm::new(&m, main, ProgramInput::empty(), cfg).run(&mut sched, &mut NullSink);
         assert_eq!(o.status, ExitStatus::StepLimit);
         assert_eq!(o.steps, 1000);
+    }
+
+    /// Two `worker` threads each bump `g`; `unused` stores to `g` but
+    /// is never called. Returns the module, `main`, the worker's store
+    /// site and the never-fetched store site.
+    fn recording_module() -> (Module, FuncId, InstRef, InstRef) {
+        let mut mb = ModuleBuilder::new("rec");
+        let g = mb.global("g", 1, Type::I64);
+        let worker = mb.declare_func("worker", 1);
+        let unused = mb.declare_func("unused", 0);
+        let main = mb.declare_func("main", 0);
+        let store = {
+            let mut b = mb.build_func(worker);
+            let a = b.global_addr(g);
+            let v = b.load(a, Type::I64);
+            let v2 = b.add(v, 1);
+            let s = b.store(a, v2);
+            b.ret(None);
+            s
+        };
+        let never = {
+            let mut b = mb.build_func(unused);
+            let a = b.global_addr(g);
+            let s = b.store(a, 7);
+            b.ret(None);
+            s
+        };
+        {
+            let mut b = mb.build_func(main);
+            let t1 = b.thread_create(worker, 0);
+            let t2 = b.thread_create(worker, 0);
+            b.thread_join(t1);
+            b.thread_join(t2);
+            b.ret(None);
+        }
+        let m = mb.finish();
+        let store = InstRef::new(worker, store);
+        let never = InstRef::new(unused, never);
+        (m, main, store, never)
+    }
+
+    /// Continues every hit, counting them.
+    struct CountHits(u64);
+
+    impl Controller for CountHits {
+        fn on_break(&mut self, _: &mut BreakWorld<'_>, _: &Suspension) -> BreakDecision {
+            self.0 += 1;
+            BreakDecision::Continue
+        }
+    }
+
+    #[test]
+    fn unmatched_breakpoints_leave_the_run_unchanged_and_return_fetched_sites() {
+        let (m, main, store, never) = recording_module();
+        let mut sites = SiteSet::default();
+        for seed in 0..6 {
+            let cfg = RunConfig {
+                fault: FaultPlan::uniform(seed, 0.05),
+                ..RunConfig::default()
+            };
+            assert!(cfg.record_schedule);
+            let plain = Vm::new(&m, main, ProgramInput::empty(), cfg.clone())
+                .run(&mut RandomScheduler::new(seed), &mut NullSink);
+            let mut vm = Vm::new(&m, main, ProgramInput::empty(), cfg);
+            vm.add_breakpoint(Breakpoint::at(never));
+            let mut hits = CountHits(0);
+            let (outcome, fetched) = vm.run_recording(
+                &mut RandomScheduler::new(seed),
+                &mut NullSink,
+                &mut hits,
+                &mut sites,
+            );
+            assert_eq!(outcome, plain, "seed {seed}");
+            assert_eq!(hits.0, 0);
+            let fetched = fetched.expect("no breakpoint matched");
+            assert!(fetched.contains(store), "seed {seed}");
+            assert!(fetched.contains(InstRef::new(main, InstId(0))));
+            assert!(!fetched.contains(never));
+        }
+    }
+
+    #[test]
+    fn a_matched_breakpoint_withholds_the_fetched_set() {
+        let (m, main, store, _) = recording_module();
+        let mut sites = SiteSet::new(&m);
+        // Hit: the controller hears about it.
+        let mut vm = Vm::new(&m, main, ProgramInput::empty(), RunConfig::default());
+        vm.add_breakpoint(Breakpoint::at(store));
+        let mut hits = CountHits(0);
+        let (outcome, fetched) = vm.run_recording(
+            &mut RandomScheduler::new(1),
+            &mut NullSink,
+            &mut hits,
+            &mut sites,
+        );
+        assert_eq!(outcome.status, ExitStatus::Finished);
+        assert_eq!(hits.0, 2);
+        assert!(fetched.is_none());
+        // Dropped: a fault swallows every hit, so the controller never
+        // hears about one, yet the fault draws make the run differ.
+        let cfg = RunConfig {
+            fault: FaultPlan {
+                drop_breakpoint_rate: 1.0,
+                ..FaultPlan::none()
+            },
+            ..RunConfig::default()
+        };
+        let mut vm = Vm::new(&m, main, ProgramInput::empty(), cfg);
+        vm.add_breakpoint(Breakpoint::at(store));
+        let mut hits = CountHits(0);
+        let (outcome, fetched) = vm.run_recording(
+            &mut RandomScheduler::new(1),
+            &mut NullSink,
+            &mut hits,
+            &mut sites,
+        );
+        assert_eq!(hits.0, 0);
+        assert_eq!(outcome.injected_faults.len(), 2);
+        assert!(outcome
+            .injected_faults
+            .iter()
+            .all(|f| f.kind == FaultKind::DroppedBreakpoint));
+        assert!(fetched.is_none());
     }
 }

@@ -155,6 +155,52 @@ fn summary_cache_replay_is_deterministic_and_cheaper() {
 }
 
 #[test]
+fn concurrent_analyzers_count_like_a_serial_run() {
+    // Analyzers on several threads share one cache and start the same
+    // analysis at once. Summaries are computed one at a time, so no two
+    // workers both miss on a key and both pay for it: hits, misses and
+    // the traversal cost equal a serial run's, whatever the timing.
+    const THREADS: usize = 4;
+    let (p, site, stack) = heap_relay_read();
+    let analyze = |cache: &Arc<SummaryCache>| {
+        let mut a = VulnAnalyzer::with_shared(
+            &p.module,
+            VulnConfig::default(),
+            None,
+            None,
+            Some(cache.clone()),
+        );
+        let (reports, stats) = a.analyze(site, &stack);
+        (reports.len(), stats.insts_visited, stats.funcs_entered)
+    };
+    let totals = |runs: Vec<(usize, u64, u64)>, cache: &SummaryCache| {
+        let sum = runs
+            .iter()
+            .fold((0, 0, 0), |t, r| (t.0 + r.0, t.1 + r.1, t.2 + r.2));
+        (sum, cache.hits(), cache.misses())
+    };
+    let cache = Arc::new(SummaryCache::new());
+    let serial = totals((0..THREADS).map(|_| analyze(&cache)).collect(), &cache);
+    assert!(serial.2 > 0, "the walk computes summaries");
+    for _ in 0..20 {
+        let cache = Arc::new(SummaryCache::new());
+        let start = std::sync::Barrier::new(THREADS);
+        let runs = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        analyze(&cache)
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert_eq!(totals(runs, &cache), serial);
+    }
+}
+
+#[test]
 fn heap_relay_detected_end_to_end_with_points_to_only() {
     // The pipeline-level acceptance check, both directions: with the
     // default knobs stage 4 hints the heap-relay memcopy (and the
