@@ -23,7 +23,7 @@
 //!   caller walk they enable) the cache-relay attack disappears, and
 //!   repeated callee walks are paid per report instead of once.
 
-use owl::{evaluate_program, OwlConfig};
+use owl::{evaluate_program, Counter, OwlConfig};
 use owl_race::{explore, ExplorerConfig, LocksetDetector};
 use owl_static::{ConseqAnalyzer, VulnAnalyzer, VulnConfig};
 use owl_verify::{RaceVerifier, RaceVerifyConfig};
@@ -345,8 +345,8 @@ fn main() {
         let h = &on.result.health;
         println!(
             "   {name:10} cache {} hit(s) / {} miss(es), points-to solve {:?}; pipeline wall {:6.1} ms with vs {:6.1} ms without (detected {} vs {})",
-            h.summary_cache_hits,
-            h.summary_cache_misses,
+            h.counters[Counter::SummaryCacheHits],
+            h.counters[Counter::SummaryCacheMisses],
             h.points_to_solve,
             on_time.as_secs_f64() * 1e3,
             off_time.as_secs_f64() * 1e3,

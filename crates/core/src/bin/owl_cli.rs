@@ -21,9 +21,10 @@
 use owl::journal::{encode_error, encode_health, encode_summary};
 use owl::json::Json;
 use owl::serve::{
-    encode_request, parse_response, serve, FailureKind, Request, Response, ServeConfig,
+    encode_request, parse_response, serve, status_pairs, FailureKind, Request, Response,
+    ServeConfig,
 };
-use owl::{run_campaign, CampaignConfig, Owl, OwlConfig, PathAuditor, ProgramSummary};
+use owl::{run_campaign, CampaignConfig, Counter, Owl, OwlConfig, PathAuditor, ProgramSummary};
 use owl_static::hints;
 use owl_vm::{FaultPlan, RandomScheduler};
 use std::io::{BufRead, BufReader, Write};
@@ -369,41 +370,47 @@ fn main() -> ExitCode {
                         );
                     }
                     let h = &result.health;
+                    let c = |counter: Counter| h.counters[counter];
                     println!(
                         "stage 4: points-to solved in {:?}; summary cache {} hit(s) / {} miss(es)",
-                        h.points_to_solve, h.summary_cache_hits, h.summary_cache_misses
+                        h.points_to_solve,
+                        c(Counter::SummaryCacheHits),
+                        c(Counter::SummaryCacheMisses)
                     );
                     if cfg.elide {
+                        let sites = [
+                            c(Counter::ElisionSitesThreadLocal),
+                            c(Counter::ElisionSitesLockDominated),
+                            c(Counter::ElisionSitesReadOnly),
+                        ];
                         println!(
                             "elision: {} site(s) proved race-free ({} thread-local, \
                              {} lock-dominated, {} read-only); {} event(s) skipped shadow work",
-                            h.elision_sites_thread_local
-                                + h.elision_sites_lock_dominated
-                                + h.elision_sites_read_only,
-                            h.elision_sites_thread_local,
-                            h.elision_sites_lock_dominated,
-                            h.elision_sites_read_only,
-                            h.elision_events_elided
+                            sites.iter().sum::<u64>(),
+                            sites[0],
+                            sites[1],
+                            sites[2],
+                            c(Counter::ElisionEventsElided)
                         );
                     }
                     if cfg.detect.stream.max_trace_mem.is_some() {
                         println!(
                             "trace memory: {} pressure event(s), {} segment(s) / {} byte(s) \
                              spilled, {} shadow cell(s) GCed",
-                            h.mem_pressure_events,
-                            h.trace_spill_segments,
-                            h.trace_spilled_bytes,
-                            h.shadow_cells_gced
+                            c(Counter::MemPressureEvents),
+                            c(Counter::TraceSpillSegments),
+                            c(Counter::TraceSpilledBytes),
+                            c(Counter::ShadowCellsGced)
                         );
                     }
                     if cfg.detect.hb_backend.is_predictive() {
                         println!(
                             "prediction: {} candidate(s), {} witnessed ({} by sync reversal), \
                              {} rejected by the witness check",
-                            h.predict_candidates,
-                            h.predict_witnessed,
-                            h.predict_reversal_races,
-                            h.predict_witness_rejected
+                            c(Counter::PredictCandidates),
+                            c(Counter::PredictWitnessed),
+                            c(Counter::PredictReversalRaces),
+                            c(Counter::PredictWitnessRejected)
                         );
                     }
                     if h.total_injected_faults() > 0
@@ -583,22 +590,17 @@ fn main() -> ExitCode {
                         // quarantines without scraping stderr.
                         let mut doc = outcome.summary.to_json();
                         if let Json::Obj(pairs) = &mut doc {
+                            let discarded = [
+                                Counter::JournalDiscardedBytes,
+                                Counter::JournalDiscardedRecords,
+                            ]
+                            .map(|c| (c.name(), Json::UInt(outcome.health.counters[c])));
                             pairs.push((
                                 "recovery".to_string(),
-                                Json::obj([
-                                    (
-                                        "journal_discarded_bytes",
-                                        Json::UInt(outcome.recovery.discarded_bytes),
-                                    ),
-                                    (
-                                        "journal_discarded_records",
-                                        Json::UInt(outcome.recovery.discarded_records),
-                                    ),
-                                    (
-                                        "valid_records",
-                                        Json::UInt(outcome.summary.records),
-                                    ),
-                                ]),
+                                Json::obj(discarded.into_iter().chain([(
+                                    "valid_records",
+                                    Json::UInt(outcome.summary.records),
+                                )])),
                             ));
                             pairs.push((
                                 "health".to_string(),
@@ -775,68 +777,7 @@ fn main() -> ExitCode {
             };
             client_roundtrip(socket, &Request::Status, |resp| match resp {
                 Response::Status(s) => {
-                    let out = Json::obj([
-                        ("queue_depth", Json::UInt(s.queue_depth)),
-                        ("active", Json::UInt(s.active)),
-                        ("inflight_bytes", Json::UInt(s.inflight_bytes)),
-                        ("draining", Json::Bool(s.draining)),
-                        ("executed", Json::UInt(s.executed)),
-                        ("cache_hits", Json::UInt(s.cache_hits)),
-                        ("shed_queue_full", Json::UInt(s.shed_queue_full)),
-                        ("shed_too_large", Json::UInt(s.shed_too_large)),
-                        ("shed_draining", Json::UInt(s.shed_draining)),
-                        ("stored", Json::UInt(s.stored)),
-                        (
-                            "recovery_discarded_bytes",
-                            Json::UInt(s.recovery_discarded_bytes),
-                        ),
-                        (
-                            "recovery_discarded_records",
-                            Json::UInt(s.recovery_discarded_records),
-                        ),
-                        (
-                            "elision_sites_thread_local",
-                            Json::UInt(s.elision_sites_thread_local),
-                        ),
-                        (
-                            "elision_sites_lock_dominated",
-                            Json::UInt(s.elision_sites_lock_dominated),
-                        ),
-                        (
-                            "elision_sites_read_only",
-                            Json::UInt(s.elision_sites_read_only),
-                        ),
-                        (
-                            "elision_events_elided",
-                            Json::UInt(s.elision_events_elided),
-                        ),
-                        ("elision_solve_us", Json::UInt(s.elision_solve_us)),
-                        ("trace_spilled_bytes", Json::UInt(s.trace_spilled_bytes)),
-                        (
-                            "trace_spill_segments",
-                            Json::UInt(s.trace_spill_segments),
-                        ),
-                        ("mem_pressure_events", Json::UInt(s.mem_pressure_events)),
-                        ("shadow_cells_gced", Json::UInt(s.shadow_cells_gced)),
-                        (
-                            "units_aborted_mem_budget",
-                            Json::UInt(s.units_aborted_mem_budget),
-                        ),
-                        ("predict_candidates", Json::UInt(s.predict_candidates)),
-                        ("predict_witnessed", Json::UInt(s.predict_witnessed)),
-                        (
-                            "predict_witness_rejected",
-                            Json::UInt(s.predict_witness_rejected),
-                        ),
-                        (
-                            "predict_reversal_races",
-                            Json::UInt(s.predict_reversal_races),
-                        ),
-                        ("units_forked", Json::UInt(s.units_forked)),
-                        ("prefix_steps_saved", Json::UInt(s.prefix_steps_saved)),
-                        ("schedules_deduped", Json::UInt(s.schedules_deduped)),
-                        ("snapshot_bytes", Json::UInt(s.snapshot_bytes)),
-                    ]);
+                    let out = Json::obj(status_pairs(s));
                     println!("{}", out.to_json_string());
                     Some(ExitCode::SUCCESS)
                 }

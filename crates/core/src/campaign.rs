@@ -22,15 +22,17 @@
 //! process dying and must propagate like a real `SIGKILL`.
 
 use crate::config::OwlConfig;
+use crate::counters::Counter;
 use crate::journal::{
     encode_error, encode_summary, Journal, JournalError, JournalKilled, JournalRecord,
-    ProgramSummary, RecoveryReport, SharedJournal, fnv1a64,
+    ProgramSummary, RecoveryReport, SharedJournal,
 };
 use crate::json::Json;
 use crate::metrics::MetricsRecorder;
 use crate::pipeline::{Owl, PipelineError, PipelineHealth, PipelineResult, Stage};
 use crate::queue::{DeadlineQueue, Pop};
 use owl_corpus::CorpusProgram;
+use owl_race::spill::fnv1a64;
 use owl_verify::VerifyOutcome;
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -220,6 +222,7 @@ impl CampaignSummary {
                     program,
                     attempts,
                     summary,
+                    ..
                 } => {
                     set_status(
                         &mut programs,
@@ -415,20 +418,18 @@ fn set_status(
     }
 }
 
-/// Reconstructs the journal-visible slice of a consolidated
-/// [`PipelineHealth`] from the record stream. Detection counters are
-/// not journaled (stages 1–2 re-execute deterministically), so only
-/// stages 3–5 and the recovery counters are populated — plus
-/// [`PipelineHealth::units_aborted_mem_budget`], which is rebuilt from
-/// quarantine records carrying a memory-budget abort.
+/// Reconstructs a consolidated [`PipelineHealth`] from the record
+/// stream: stages 3–5 from their unit records, the counters summed
+/// over `ProgramFinished` records, plus
+/// [`Counter::UnitsAbortedMemBudget`] from quarantine records carrying
+/// a memory-budget abort. The journal recovery counters come only from
+/// `recovery`, the journal's open-time repair. The detection stage's
+/// [`crate::StageHealth`] is not journaled and reads 0.
 pub fn health_from_records(records: &[JournalRecord], recovery: &RecoveryReport) -> PipelineHealth {
-    let mut health = PipelineHealth {
-        journal_discarded_bytes: recovery.discarded_bytes,
-        journal_discarded_records: recovery.discarded_records,
-        ..PipelineHealth::default()
-    };
+    let mut health = PipelineHealth::default();
     for rec in records {
         match rec {
+            JournalRecord::ProgramFinished { counters, .. } => health.counters.add(counters),
             JournalRecord::ReportVerified {
                 attempts,
                 injected_faults,
@@ -480,12 +481,14 @@ pub fn health_from_records(records: &[JournalRecord], recovery: &RecoveryReport)
                     ..
                 } = error
                 {
-                    health.units_aborted_mem_budget += aborted_units;
+                    health.counters[Counter::UnitsAbortedMemBudget] += aborted_units;
                 }
             }
             _ => {}
         }
     }
+    health.counters[Counter::JournalDiscardedBytes] = recovery.discarded_bytes;
+    health.counters[Counter::JournalDiscardedRecords] = recovery.discarded_records;
     health
 }
 
@@ -647,6 +650,7 @@ fn run_attempt(
                 program: p.name.to_string(),
                 attempts: attempt,
                 summary: ProgramSummary::from_result(&result),
+                counters: Box::new(result.health.counters.clone()),
             })?;
         }
         Ok::<(), JournalError>(())
@@ -774,25 +778,10 @@ pub(crate) fn record_attempt_metrics(
         h.race_verify.retries + h.vuln_verify.retries,
     );
     m.counter("injected_faults", h.total_injected_faults());
-    m.counter("summary_cache_hits", h.summary_cache_hits);
-    m.counter("summary_cache_misses", h.summary_cache_misses);
     m.counter("units_quarantined", h.total_quarantined());
-    m.counter("detector_suppressed", h.detector_suppressed);
-    m.counter("detector_reports_dropped", h.detector_reports_dropped);
-    m.counter("events_elided", h.elision_events_elided);
-    m.counter("trace_spilled_bytes", h.trace_spilled_bytes);
-    m.counter("trace_spill_segments", h.trace_spill_segments);
-    m.counter("mem_pressure_events", h.mem_pressure_events);
-    m.counter("shadow_cells_gced", h.shadow_cells_gced);
-    m.counter("units_aborted_mem_budget", h.units_aborted_mem_budget);
-    m.counter("predict_candidates", h.predict_candidates);
-    m.counter("predict_witnessed", h.predict_witnessed);
-    m.counter("predict_witness_rejected", h.predict_witness_rejected);
-    m.counter("predict_reversal_races", h.predict_reversal_races);
-    m.counter("units_forked", h.units_forked);
-    m.counter("prefix_steps_saved", h.prefix_steps_saved);
-    m.counter("schedules_deduped", h.schedules_deduped);
-    m.counter("snapshot_bytes", h.snapshot_bytes);
+    for (c, n) in h.counters.iter() {
+        m.counter(c.metric_name(), n);
+    }
 }
 
 /// Runs (or resumes) a campaign over `programs` against the journal at
@@ -925,6 +914,12 @@ pub fn run_campaign(
     let health = health_from_records(&records, &recovery);
     if let Some(m) = &cfg.metrics {
         m.counter("journal_appends", journal.appends());
+        for c in [
+            Counter::JournalDiscardedBytes,
+            Counter::JournalDiscardedRecords,
+        ] {
+            m.counter(c.metric_name(), health.counters[c]);
+        }
     }
     Ok(CampaignOutcome {
         summary,

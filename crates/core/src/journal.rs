@@ -27,9 +27,9 @@
 //! everything from there to EOF is discarded and the file is truncated
 //! back to the last valid record. Recovery is automatic and quantified:
 //! the [`RecoveryReport`] carries the discarded byte and record counts,
-//! which the pipeline surfaces in
-//! [`crate::PipelineHealth::journal_discarded_bytes`] /
-//! [`crate::PipelineHealth::journal_discarded_records`].
+//! which a campaign surfaces as the
+//! [`crate::Counter::JournalDiscardedBytes`] and
+//! [`crate::Counter::JournalDiscardedRecords`] health counters.
 //!
 //! ## Kill points
 //!
@@ -40,8 +40,10 @@
 //! of catching it, so it behaves like a real `SIGKILL` landing right
 //! after an fsync — the worst moment that still must lose nothing.
 
+use crate::counters::Counters;
 use crate::json::{self, Json};
 use crate::pipeline::{PipelineError, PipelineResult, Stage};
+use owl_race::spill::fnv1a64;
 use owl_race::RaceReport;
 use owl_static::{DepKind, VulnReport};
 use owl_verify::{AbortCause, VerifyOutcome};
@@ -123,17 +125,6 @@ impl From<std::io::Error> for JournalError {
     fn from(e: std::io::Error) -> Self {
         JournalError::Io(e)
     }
-}
-
-/// FNV-1a 64-bit — small, dependency-free, and plenty for torn-write
-/// and bit-rot detection on a line-sized payload.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// The stable identity of one race report within a program — the unit
@@ -312,6 +303,12 @@ pub enum JournalRecord {
         attempts: u64,
         /// Deterministic result summary.
         summary: ProgramSummary,
+        /// The finished run's health counters, which no other record
+        /// carries. Decoded by name: a record written before a counter
+        /// existed reads it as 0. Boxed: a journal holds every record
+        /// in memory, and inline the counters' 192 bytes would enlarge
+        /// every record, not just this one.
+        counters: Box<Counters>,
     },
     /// A program exhausted its retry budget and was abandoned; the
     /// campaign degrades gracefully and moves on.
@@ -668,8 +665,9 @@ pub fn decode_summary(v: &Json) -> Option<ProgramSummary> {
 }
 
 /// Encodes a [`crate::PipelineHealth`] (shared with the CLI's `--json`
-/// output). Wall-clock fields are deliberately omitted — health JSON
-/// stays deterministic for equal seeds.
+/// output): the four stages, then every counter in
+/// [`crate::Counter::ALL`] order. Wall-clock fields are deliberately
+/// omitted — health JSON stays deterministic for equal seeds.
 pub fn encode_health(h: &crate::PipelineHealth) -> Json {
     let stage = |s: &crate::StageHealth| {
         Json::obj([
@@ -681,68 +679,16 @@ pub fn encode_health(h: &crate::PipelineHealth) -> Json {
             ("quarantined", Json::UInt(s.quarantined)),
         ])
     };
-    Json::obj([
-        ("detect", stage(&h.detect)),
-        ("race_verify", stage(&h.race_verify)),
-        ("vuln_analyze", stage(&h.vuln_analyze)),
-        ("vuln_verify", stage(&h.vuln_verify)),
-        ("summary_cache_hits", Json::UInt(h.summary_cache_hits)),
-        ("summary_cache_misses", Json::UInt(h.summary_cache_misses)),
-        (
-            "journal_discarded_bytes",
-            Json::UInt(h.journal_discarded_bytes),
-        ),
-        (
-            "journal_discarded_records",
-            Json::UInt(h.journal_discarded_records),
-        ),
-        ("detector_suppressed", Json::UInt(h.detector_suppressed)),
-        (
-            "detector_reports_dropped",
-            Json::UInt(h.detector_reports_dropped),
-        ),
-        (
-            "elision_sites_thread_local",
-            Json::UInt(h.elision_sites_thread_local),
-        ),
-        (
-            "elision_sites_lock_dominated",
-            Json::UInt(h.elision_sites_lock_dominated),
-        ),
-        (
-            "elision_sites_read_only",
-            Json::UInt(h.elision_sites_read_only),
-        ),
-        (
-            "elision_events_elided",
-            Json::UInt(h.elision_events_elided),
-        ),
-        ("trace_spilled_bytes", Json::UInt(h.trace_spilled_bytes)),
-        (
-            "trace_spill_segments",
-            Json::UInt(h.trace_spill_segments),
-        ),
-        ("mem_pressure_events", Json::UInt(h.mem_pressure_events)),
-        ("shadow_cells_gced", Json::UInt(h.shadow_cells_gced)),
-        (
-            "units_aborted_mem_budget",
-            Json::UInt(h.units_aborted_mem_budget),
-        ),
-        ("predict_candidates", Json::UInt(h.predict_candidates)),
-        ("predict_witnessed", Json::UInt(h.predict_witnessed)),
-        (
-            "predict_witness_rejected",
-            Json::UInt(h.predict_witness_rejected),
-        ),
-        (
-            "predict_reversal_races",
-            Json::UInt(h.predict_reversal_races),
-        ),
-        ("units_forked", Json::UInt(h.units_forked)),
-        ("prefix_steps_saved", Json::UInt(h.prefix_steps_saved)),
-        ("schedules_deduped", Json::UInt(h.schedules_deduped)),
-        ("snapshot_bytes", Json::UInt(h.snapshot_bytes)),
-    ])
+    Json::obj(
+        [
+            ("detect", stage(&h.detect)),
+            ("race_verify", stage(&h.race_verify)),
+            ("vuln_analyze", stage(&h.vuln_analyze)),
+            ("vuln_verify", stage(&h.vuln_verify)),
+        ]
+        .into_iter()
+        .chain(h.counters.json_pairs()),
+    )
 }
 
 fn encode_record(rec: &JournalRecord) -> Json {
@@ -806,11 +752,13 @@ fn encode_record(rec: &JournalRecord) -> Json {
             program,
             attempts,
             summary,
+            counters,
         } => Json::obj([
             ("t", Json::str("program-finished")),
             ("program", Json::str(program.clone())),
             ("attempts", Json::UInt(*attempts)),
             ("summary", encode_summary(summary)),
+            ("counters", counters.to_json()),
         ]),
         JournalRecord::ProgramQuarantined {
             program,
@@ -878,6 +826,11 @@ fn decode_record(v: &Json) -> Option<JournalRecord> {
             program: program()?,
             attempts: v.get("attempts")?.as_u64()?,
             summary: decode_summary(v.get("summary")?)?,
+            counters: Box::new(
+                v.get("counters")
+                    .map(Counters::from_json)
+                    .unwrap_or_default(),
+            ),
         },
         "program-quarantined" => JournalRecord::ProgramQuarantined {
             program: program()?,
@@ -1157,9 +1110,6 @@ pub trait JournalSink {
     /// Snapshot of the records already journaled for `program`, in
     /// file order.
     fn program_records(&self, program: &str) -> Vec<JournalRecord>;
-
-    /// What open-time recovery found.
-    fn recovery_report(&self) -> RecoveryReport;
 }
 
 impl JournalSink for Journal {
@@ -1177,10 +1127,6 @@ impl JournalSink for Journal {
             .filter(|r| r.program() == Some(program))
             .cloned()
             .collect()
-    }
-
-    fn recovery_report(&self) -> RecoveryReport {
-        self.recovery.clone()
     }
 }
 
@@ -1256,15 +1202,12 @@ impl JournalSink for SharedJournal {
             .cloned()
             .collect()
     }
-
-    fn recovery_report(&self) -> RecoveryReport {
-        self.recovery()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counters::Counter;
 
     fn tmp_path(tag: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -1322,6 +1265,12 @@ mod tests {
                             reached: true,
                         }],
                     }],
+                },
+                counters: {
+                    let mut c = Counters::default();
+                    c[Counter::PredictCandidates] = 9;
+                    c[Counter::UnitsForked] = 4;
+                    Box::new(c)
                 },
             },
         ]
@@ -1509,10 +1458,22 @@ mod tests {
     }
 
     #[test]
-    fn fnv_vectors() {
-        // Published FNV-1a 64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    fn program_finished_without_counters_decodes_as_zero() {
+        // A line exactly as journals written before `ProgramFinished`
+        // carried counters hold it.
+        let line = br#"{"crc":"c62c818529c1e6fa","rec":{"t":"program-finished","program":"Memcached","attempts":1,"summary":{"raw":123,"adhoc":0,"annotated":123,"eliminated":120,"remaining":3,"vulnerable":0,"faults":0,"quarantined":0,"findings":[]}}}"#;
+        match parse_line(line).expect("old line still parses") {
+            JournalRecord::ProgramFinished {
+                program,
+                summary,
+                counters,
+                ..
+            } => {
+                assert_eq!(program, "Memcached");
+                assert_eq!(summary.raw_reports, 123);
+                assert_eq!(*counters, Counters::default());
+            }
+            other => panic!("expected program-finished, got {other:?}"),
+        }
     }
 }

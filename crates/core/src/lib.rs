@@ -46,6 +46,7 @@
 pub mod audit;
 pub mod campaign;
 mod config;
+mod counters;
 mod eval;
 pub mod journal;
 pub mod json;
@@ -61,6 +62,7 @@ pub use campaign::{
     CampaignOutcome, CampaignSummary, ProgramOutcome, ProgramStatus,
 };
 pub use config::OwlConfig;
+pub use counters::{Counter, Counters};
 pub use eval::{evaluate_program, AttackOutcome, ProgramEvaluation};
 pub use journal::{
     Journal, JournalError, JournalKilled, JournalRecord, JournalSink, ProgramSummary,

@@ -29,6 +29,7 @@
 //! retries, injected faults, deadline hits, and panics per stage.
 
 use crate::config::OwlConfig;
+use crate::counters::{Counter, Counters};
 use crate::journal::{unit_key, JournalError, JournalRecord, JournalSink, RecordedVuln};
 use owl_ir::analysis::{CallGraph, PointsTo};
 use owl_ir::{FuncId, InstRef, Module};
@@ -235,88 +236,12 @@ pub struct PipelineHealth {
     pub vuln_analyze: StageHealth,
     /// Stage 5 (dynamic vulnerability verification).
     pub vuln_verify: StageHealth,
-    /// Stage-4 summary-cache hits: memoized callee walks replayed
-    /// instead of recomputed (across reports and worker threads).
-    pub summary_cache_hits: u64,
-    /// Stage-4 summary-cache misses: callee walks actually computed.
-    pub summary_cache_misses: u64,
     /// Wall-clock spent solving the whole-module points-to analysis
     /// (done at most once per pipeline run, shared by the check-elision
     /// pre-pass and every stage-4 report).
     pub points_to_solve: Duration,
-    /// Bytes the run journal's open-time recovery truncated off a
-    /// torn or corrupt tail (zero when no journal was used or the
-    /// journal was clean).
-    pub journal_discarded_bytes: u64,
-    /// Records discarded by the run journal's open-time recovery.
-    pub journal_discarded_records: u64,
-    /// Race observations the detector suppressed because they matched
-    /// an adhoc-synchronization annotation, summed over both detection
-    /// sweeps. (Live runs only — not journaled.)
-    pub detector_suppressed: u64,
-    /// Observations of new site pairs the detector dropped because the
-    /// report cap was full. Non-zero means the raw report set is
-    /// truncated. (Live runs only — not journaled.)
-    pub detector_reports_dropped: u64,
-    /// Access sites the check-elision pre-pass proved thread-local.
-    pub elision_sites_thread_local: u64,
-    /// Access sites the pre-pass proved lock-dominated.
-    pub elision_sites_lock_dominated: u64,
-    /// Access sites the pre-pass proved read-only-shared.
-    pub elision_sites_read_only: u64,
-    /// Data-access events whose epoch shadow-memory work was skipped
-    /// at elided sites, summed over both detection sweeps.
-    pub elision_events_elided: u64,
-    /// Bytes of trace the streaming detection units spilled to segment
-    /// files under memory pressure, summed over both sweeps. (Live
-    /// runs only — not journaled.)
-    pub trace_spilled_bytes: u64,
-    /// Spill segments written (each verified by checksum on replay and
-    /// deleted). (Live runs only — not journaled.)
-    pub trace_spill_segments: u64,
-    /// Times a detection unit's in-flight window crossed the soft
-    /// memory limit. (Live runs only — not journaled.)
-    pub mem_pressure_events: u64,
-    /// Shadow cells the detectors' thread-exit/free GC reclaimed.
-    /// (Live runs only — not journaled.)
-    pub shadow_cells_gced: u64,
-    /// Detection units aborted with a typed memory-budget verdict
-    /// because their trace outgrew `--max-trace-mem` with nowhere to
-    /// spill. Reconstructed on resume from quarantine records.
-    pub units_aborted_mem_budget: u64,
-    /// Conflicting access pairs the predictive detection backends
-    /// submitted to the witness machinery, summed over both detection
-    /// sweeps. Zero for non-predictive backends. (Live runs only —
-    /// not journaled.)
-    pub predict_candidates: u64,
-    /// Predicted-race candidates with a validated witness reordering.
-    /// (Live runs only — not journaled.)
-    pub predict_witnessed: u64,
-    /// Predicted-race candidates rejected by the closure, scheduler,
-    /// or witness validator. (Live runs only — not journaled.)
-    pub predict_witness_rejected: u64,
-    /// Witnessed predicted races that required reversing a
-    /// lock-acquire order (`syncrev` backend only). (Live runs only —
-    /// not journaled.)
-    pub predict_reversal_races: u64,
-    /// Detection units the explorer launched from a mid-run snapshot
-    /// instead of instruction zero (prefix-sharing fork mode), summed
-    /// over both sweeps. Zero under `--no-fork`. (Live runs only —
-    /// not journaled.)
-    pub units_forked: u64,
-    /// VM steps detection units did not re-execute thanks to prefix
-    /// sharing. Zero under `--no-fork`. (Live runs only — not
-    /// journaled.)
-    pub prefix_steps_saved: u64,
-    /// Detection units whose realized schedule collapsed to an
-    /// already-run signature, so their outcome was reused without
-    /// executing the VM. Zero under `--no-fork`. (Live runs only —
-    /// not journaled.)
-    pub schedules_deduped: u64,
-    /// Estimated bytes of machine state captured by per-input
-    /// snapshots (heap payloads are CoW-shared). Zero under
-    /// `--no-fork`. (Live runs only — not journaled.)
-    pub snapshot_bytes: u64,
+    /// Every pipeline counter (see [`Counter`] for what each counts).
+    pub counters: Counters,
 }
 
 impl PipelineHealth {
@@ -361,30 +286,8 @@ impl PipelineHealth {
             mine.panics += theirs.panics;
             mine.quarantined += theirs.quarantined;
         }
-        self.summary_cache_hits += other.summary_cache_hits;
-        self.summary_cache_misses += other.summary_cache_misses;
         self.points_to_solve += other.points_to_solve;
-        self.journal_discarded_bytes += other.journal_discarded_bytes;
-        self.journal_discarded_records += other.journal_discarded_records;
-        self.detector_suppressed += other.detector_suppressed;
-        self.detector_reports_dropped += other.detector_reports_dropped;
-        self.elision_sites_thread_local += other.elision_sites_thread_local;
-        self.elision_sites_lock_dominated += other.elision_sites_lock_dominated;
-        self.elision_sites_read_only += other.elision_sites_read_only;
-        self.elision_events_elided += other.elision_events_elided;
-        self.trace_spilled_bytes += other.trace_spilled_bytes;
-        self.trace_spill_segments += other.trace_spill_segments;
-        self.mem_pressure_events += other.mem_pressure_events;
-        self.shadow_cells_gced += other.shadow_cells_gced;
-        self.units_aborted_mem_budget += other.units_aborted_mem_budget;
-        self.predict_candidates += other.predict_candidates;
-        self.predict_witnessed += other.predict_witnessed;
-        self.predict_witness_rejected += other.predict_witness_rejected;
-        self.predict_reversal_races += other.predict_reversal_races;
-        self.units_forked += other.units_forked;
-        self.prefix_steps_saved += other.prefix_steps_saved;
-        self.schedules_deduped += other.schedules_deduped;
-        self.snapshot_bytes += other.snapshot_bytes;
+        self.counters.add(&other.counters);
     }
 }
 
@@ -641,9 +544,10 @@ impl<'m> Owl<'m> {
             let pre = ElisionPrepass::run_with(self.module, self.entry, &pts);
             let es = pre.stats();
             stats.elision_solve_time = t.elapsed();
-            health.elision_sites_thread_local += es.thread_local as u64;
-            health.elision_sites_lock_dominated += es.lock_dominated as u64;
-            health.elision_sites_read_only += es.read_only as u64;
+            let c = &mut health.counters;
+            c[Counter::ElisionSitesThreadLocal] += es.thread_local as u64;
+            c[Counter::ElisionSitesLockDominated] += es.lock_dominated as u64;
+            c[Counter::ElisionSitesReadOnly] += es.read_only as u64;
             detect_cfg.elided_sites = Some(pre.elided_sites());
         }
 
@@ -652,18 +556,7 @@ impl<'m> Owl<'m> {
         let raw = explore_with_deadline(self.module, self.entry, workloads, &detect_cfg, deadline);
         let raw_detect = t0.elapsed();
         stats.raw_reports = raw.reports.len();
-        health.detect.attempts += raw.runs;
-        health.detect.injected_faults += raw.injected_faults;
-        health.detect.deadline_hits += raw.deadline_hit as u64;
-        absorb_stream_health(health, &raw);
-        if raw.units_aborted_mem_budget > 0 {
-            stats.detect_time = t0.elapsed();
-            return Err(PipelineError::VerifierAborted {
-                stage: Stage::Detect,
-                cause: AbortCause::MemoryBudget,
-                attempts: raw.units_aborted_mem_budget,
-            });
-        }
+        absorb_sweep(health, &raw).inspect_err(|_| stats.detect_time = t0.elapsed())?;
 
         // Stage 2: adhoc-synchronization hints + annotate + re-detect.
         let t_static = Instant::now();
@@ -684,22 +577,8 @@ impl<'m> Owl<'m> {
             explore_with_deadline(self.module, self.entry, workloads, &annotated_cfg, deadline);
         stats.race_detect_time = raw_detect + t_rerun.elapsed();
         stats.post_annotation_reports = reduced.reports.len();
-        health.detect.attempts += reduced.runs;
-        health.detect.injected_faults += reduced.injected_faults;
-        health.detect.deadline_hits += reduced.deadline_hit as u64;
-        absorb_stream_health(health, &reduced);
-        if reduced.units_aborted_mem_budget > 0 {
-            stats.detect_time = t0.elapsed();
-            return Err(PipelineError::VerifierAborted {
-                stage: Stage::Detect,
-                cause: AbortCause::MemoryBudget,
-                attempts: reduced.units_aborted_mem_budget,
-            });
-        }
-        health.detector_suppressed += (raw.suppressed + reduced.suppressed) as u64;
-        health.elision_events_elided += raw.events_elided + reduced.events_elided;
+        absorb_sweep(health, &reduced).inspect_err(|_| stats.detect_time = t0.elapsed())?;
         let dropped = raw.reports_dropped + reduced.reports_dropped;
-        health.detector_reports_dropped += dropped as u64;
         if dropped > 0 {
             eprintln!(
                 "detect: report cap truncated {dropped} race observation(s); \
@@ -725,10 +604,10 @@ impl<'m> Owl<'m> {
     /// produces the same deterministic summary an uninterrupted run
     /// would have.
     ///
-    /// Journal recovery counters ([`JournalSink::recovery_report`])
-    /// are surfaced
-    /// in the result's [`PipelineHealth::journal_discarded_bytes`] and
-    /// [`PipelineHealth::journal_discarded_records`].
+    /// The journal's open-time recovery counters describe the journal,
+    /// not this program, so the result's health leaves them at 0; a
+    /// campaign reports them once (see
+    /// [`crate::campaign::health_from_records`]).
     ///
     /// Stages 1–2 honor [`OwlConfig::stage_deadline`] as usual, but
     /// the journaled stages 3–5 deliberately do not: wall-clock cuts
@@ -745,13 +624,8 @@ impl<'m> Owl<'m> {
         if let Err(e) = self.validate_entry() {
             return Ok(PipelineResult::failed(name, e));
         }
-        let recovery = journal.recovery_report();
         let mut stats = PipelineStats::default();
-        let mut health = PipelineHealth {
-            journal_discarded_bytes: recovery.discarded_bytes,
-            journal_discarded_records: recovery.discarded_records,
-            ..PipelineHealth::default()
-        };
+        let mut health = PipelineHealth::default();
         let mut quarantined = Vec::new();
         let default_workloads = [ProgramInput::empty()];
         let workloads: &[ProgramInput] = if workloads.is_empty() {
@@ -1570,8 +1444,8 @@ impl<'m> Owl<'m> {
             }
         }
         if let Some(c) = &cache {
-            health.summary_cache_hits += c.hits();
-            health.summary_cache_misses += c.misses();
+            health.counters[Counter::SummaryCacheHits] += c.hits();
+            health.counters[Counter::SummaryCacheMisses] += c.misses();
         }
         stats.vulnerable = findings.iter().filter(|f| !f.vulns.is_empty()).count();
         findings
@@ -1796,22 +1670,26 @@ fn spill_tag(name: &str) -> String {
     tag
 }
 
-/// Folds one exploration sweep's streaming/memory-governance counters
-/// into the pipeline health report.
-fn absorb_stream_health(health: &mut PipelineHealth, sweep: &owl_race::ExploreResult) {
-    health.trace_spilled_bytes += sweep.trace_spilled_bytes;
-    health.trace_spill_segments += sweep.trace_spill_segments;
-    health.mem_pressure_events += sweep.mem_pressure_events;
-    health.shadow_cells_gced += sweep.shadow_cells_gced;
-    health.units_aborted_mem_budget += sweep.units_aborted_mem_budget;
-    health.predict_candidates += sweep.predict_candidates;
-    health.predict_witnessed += sweep.predict_witnessed;
-    health.predict_witness_rejected += sweep.predict_witness_rejected;
-    health.predict_reversal_races += sweep.predict_reversal_races;
-    health.units_forked += sweep.units_forked;
-    health.prefix_steps_saved += sweep.prefix_steps_saved;
-    health.schedules_deduped += sweep.schedules_deduped;
-    health.snapshot_bytes += sweep.snapshot_bytes;
+/// Folds one detection sweep into the health report. A sweep with a
+/// unit aborted over its memory budget becomes the typed error: that
+/// unit's reports were discarded, so the stream is incomplete.
+fn absorb_sweep(
+    health: &mut PipelineHealth,
+    sweep: &owl_race::ExploreResult,
+) -> Result<(), PipelineError> {
+    health.detect.attempts += sweep.runs;
+    health.detect.injected_faults += sweep.injected_faults;
+    health.detect.deadline_hits += sweep.deadline_hit as u64;
+    let counters = Counters::from_explore(sweep);
+    health.counters.add(&counters);
+    match counters[Counter::UnitsAbortedMemBudget] {
+        0 => Ok(()),
+        attempts => Err(PipelineError::VerifierAborted {
+            stage: Stage::Detect,
+            cause: AbortCause::MemoryBudget,
+            attempts,
+        }),
+    }
 }
 
 /// Folds a quarantine's secondary effects (panic/deadline counters plus

@@ -40,13 +40,14 @@ pub mod store;
 
 pub use admission::{AdmissionController, AdmissionSnapshot, RejectReason};
 pub use protocol::{
-    encode_request, encode_response, parse_request, parse_response, FailureKind, Request,
-    Response, StatusReport,
+    encode_request, encode_response, parse_request, parse_response, status_pairs, FailureKind,
+    Request, Response, StatusReport,
 };
 pub use store::{ResultStore, StoreStats};
 
 use crate::campaign::record_attempt_metrics;
 use crate::config::OwlConfig;
+use crate::counters::Counter;
 use crate::journal::{JournalError, JournalKilled, ProgramSummary, RecoveryReport};
 use crate::metrics::MetricsRecorder;
 use crate::pipeline::{Owl, PipelineHealth};
@@ -232,10 +233,23 @@ impl ServeShared {
         self.set_phase(Phase::Draining);
     }
 
+    /// The health merged over every executed request, with the store's
+    /// open-time recovery as the journal recovery counters.
+    fn health(&self) -> PipelineHealth {
+        let recovery = self.store.recovery();
+        let mut h = self
+            .health
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone();
+        h.counters[Counter::JournalDiscardedBytes] += recovery.discarded_bytes;
+        h.counters[Counter::JournalDiscardedRecords] += recovery.discarded_records;
+        h
+    }
+
     fn status_report(&self) -> StatusReport {
         let a = self.admission.snapshot();
         let recovery = self.store.recovery();
-        let h = self.health.lock().unwrap_or_else(PoisonError::into_inner);
         StatusReport {
             queue_depth: self.queue.depth() as u64,
             active: self.running.load(Ordering::SeqCst),
@@ -249,24 +263,8 @@ impl ServeShared {
             stored: self.store.len() as u64,
             recovery_discarded_bytes: recovery.discarded_bytes,
             recovery_discarded_records: recovery.discarded_records,
-            elision_sites_thread_local: h.elision_sites_thread_local,
-            elision_sites_lock_dominated: h.elision_sites_lock_dominated,
-            elision_sites_read_only: h.elision_sites_read_only,
-            elision_events_elided: h.elision_events_elided,
             elision_solve_us: self.elision_solve_us.load(Ordering::SeqCst),
-            trace_spilled_bytes: h.trace_spilled_bytes,
-            trace_spill_segments: h.trace_spill_segments,
-            mem_pressure_events: h.mem_pressure_events,
-            shadow_cells_gced: h.shadow_cells_gced,
-            units_aborted_mem_budget: h.units_aborted_mem_budget,
-            predict_candidates: h.predict_candidates,
-            predict_witnessed: h.predict_witnessed,
-            predict_witness_rejected: h.predict_witness_rejected,
-            predict_reversal_races: h.predict_reversal_races,
-            units_forked: h.units_forked,
-            prefix_steps_saved: h.prefix_steps_saved,
-            schedules_deduped: h.schedules_deduped,
-            snapshot_bytes: h.snapshot_bytes,
+            counters: self.health().counters,
         }
     }
 }
@@ -833,13 +831,7 @@ pub fn serve(cfg: ServeConfig) -> Result<ServeReport, JournalError> {
     }
 
     let recovery = shared.store.recovery().clone();
-    let mut health = shared
-        .health
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clone();
-    health.journal_discarded_bytes += recovery.discarded_bytes;
-    health.journal_discarded_records += recovery.discarded_records;
+    let health = shared.health();
     Ok(ServeReport {
         executed: shared.executed.load(Ordering::SeqCst),
         cache_hits: shared.cache_hits.load(Ordering::SeqCst),

@@ -35,6 +35,7 @@
 //! `sleep_ms` holds a worker busy to make back-pressure deterministic,
 //! `inject_panic` forces the quarantine path.
 
+use crate::counters::Counters;
 use crate::journal::{decode_summary, encode_summary, ProgramSummary};
 use crate::json::{self, Json};
 use crate::serve::admission::RejectReason;
@@ -126,58 +127,13 @@ pub struct StatusReport {
     pub recovery_discarded_bytes: u64,
     /// Records the store's open-time recovery discarded.
     pub recovery_discarded_records: u64,
-    /// Access sites the check-elision pre-pass proved thread-local,
-    /// summed over executed requests.
-    pub elision_sites_thread_local: u64,
-    /// Sites proved lock-dominated, summed over executed requests.
-    pub elision_sites_lock_dominated: u64,
-    /// Sites proved read-only-shared, summed over executed requests.
-    pub elision_sites_read_only: u64,
-    /// Detection-stage events whose shadow-memory work was elided,
-    /// summed over executed requests.
-    pub elision_events_elided: u64,
     /// Microseconds spent solving the check-elision pre-pass, summed
     /// over executed requests.
     pub elision_solve_us: u64,
-    /// Trace bytes spilled to disk segments under `--max-trace-mem`,
-    /// summed over executed requests.
-    pub trace_spilled_bytes: u64,
-    /// Spill segments written (each spilled, replayed, and deleted),
-    /// summed over executed requests.
-    pub trace_spill_segments: u64,
-    /// Memory-pressure events (soft-limit crossings), summed over
-    /// executed requests.
-    pub mem_pressure_events: u64,
-    /// Shadow cells (epoch cells / vector clocks) reclaimed by the
-    /// detector's GC, summed over executed requests.
-    pub shadow_cells_gced: u64,
-    /// Exploration units aborted with a typed memory-budget verdict,
-    /// summed over executed requests.
-    pub units_aborted_mem_budget: u64,
-    /// Predictive-backend candidate pairs submitted to the witness
-    /// machinery, summed over executed requests.
-    pub predict_candidates: u64,
-    /// Predicted races with a validated witness reordering, summed
-    /// over executed requests.
-    pub predict_witnessed: u64,
-    /// Predicted-race candidates rejected before reporting, summed
-    /// over executed requests.
-    pub predict_witness_rejected: u64,
-    /// Witnessed predicted races that needed a lock-acquire reversal,
-    /// summed over executed requests.
-    pub predict_reversal_races: u64,
-    /// Exploration units launched from a mid-run snapshot
-    /// (prefix-sharing fork mode), summed over executed requests.
-    pub units_forked: u64,
-    /// VM steps not re-executed thanks to prefix sharing, summed over
-    /// executed requests.
-    pub prefix_steps_saved: u64,
-    /// Exploration units deduped by schedule signature (outcome reused
-    /// without executing the VM), summed over executed requests.
-    pub schedules_deduped: u64,
-    /// Estimated snapshot footprint in bytes, summed over executed
-    /// requests.
-    pub snapshot_bytes: u64,
+    /// Every pipeline counter, summed over executed requests (failed
+    /// ones included), plus the store's recovery as the journal
+    /// recovery counters.
+    pub counters: Counters,
 }
 
 /// One server response.
@@ -294,6 +250,35 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     }
 }
 
+/// The fields of a [`StatusReport`] as JSON object pairs: the service
+/// fields, then every counter in [`crate::Counter::ALL`] order. The
+/// `status` response and `owl-cli status` both print these.
+pub fn status_pairs(s: &StatusReport) -> Vec<(&'static str, Json)> {
+    let mut pairs = vec![
+        ("queue_depth", Json::UInt(s.queue_depth)),
+        ("active", Json::UInt(s.active)),
+        ("inflight_bytes", Json::UInt(s.inflight_bytes)),
+        ("draining", Json::Bool(s.draining)),
+        ("executed", Json::UInt(s.executed)),
+        ("cache_hits", Json::UInt(s.cache_hits)),
+        ("shed_queue_full", Json::UInt(s.shed_queue_full)),
+        ("shed_too_large", Json::UInt(s.shed_too_large)),
+        ("shed_draining", Json::UInt(s.shed_draining)),
+        ("stored", Json::UInt(s.stored)),
+        (
+            "recovery_discarded_bytes",
+            Json::UInt(s.recovery_discarded_bytes),
+        ),
+        (
+            "recovery_discarded_records",
+            Json::UInt(s.recovery_discarded_records),
+        ),
+        ("elision_solve_us", Json::UInt(s.elision_solve_us)),
+    ];
+    pairs.extend(s.counters.json_pairs());
+    pairs
+}
+
 /// Encodes a response as one wire line (no trailing newline).
 pub fn encode_response(resp: &Response) -> String {
     let v = match resp {
@@ -323,69 +308,9 @@ pub fn encode_response(resp: &Response) -> String {
             ("kind", Json::str(kind.as_str())),
             ("message", Json::str(message.clone())),
         ]),
-        Response::Status(s) => Json::obj([
-            ("resp", Json::str("status")),
-            ("queue_depth", Json::UInt(s.queue_depth)),
-            ("active", Json::UInt(s.active)),
-            ("inflight_bytes", Json::UInt(s.inflight_bytes)),
-            ("draining", Json::Bool(s.draining)),
-            ("executed", Json::UInt(s.executed)),
-            ("cache_hits", Json::UInt(s.cache_hits)),
-            ("shed_queue_full", Json::UInt(s.shed_queue_full)),
-            ("shed_too_large", Json::UInt(s.shed_too_large)),
-            ("shed_draining", Json::UInt(s.shed_draining)),
-            ("stored", Json::UInt(s.stored)),
-            (
-                "recovery_discarded_bytes",
-                Json::UInt(s.recovery_discarded_bytes),
-            ),
-            (
-                "recovery_discarded_records",
-                Json::UInt(s.recovery_discarded_records),
-            ),
-            (
-                "elision_sites_thread_local",
-                Json::UInt(s.elision_sites_thread_local),
-            ),
-            (
-                "elision_sites_lock_dominated",
-                Json::UInt(s.elision_sites_lock_dominated),
-            ),
-            (
-                "elision_sites_read_only",
-                Json::UInt(s.elision_sites_read_only),
-            ),
-            (
-                "elision_events_elided",
-                Json::UInt(s.elision_events_elided),
-            ),
-            ("elision_solve_us", Json::UInt(s.elision_solve_us)),
-            ("trace_spilled_bytes", Json::UInt(s.trace_spilled_bytes)),
-            (
-                "trace_spill_segments",
-                Json::UInt(s.trace_spill_segments),
-            ),
-            ("mem_pressure_events", Json::UInt(s.mem_pressure_events)),
-            ("shadow_cells_gced", Json::UInt(s.shadow_cells_gced)),
-            (
-                "units_aborted_mem_budget",
-                Json::UInt(s.units_aborted_mem_budget),
-            ),
-            ("predict_candidates", Json::UInt(s.predict_candidates)),
-            ("predict_witnessed", Json::UInt(s.predict_witnessed)),
-            (
-                "predict_witness_rejected",
-                Json::UInt(s.predict_witness_rejected),
-            ),
-            (
-                "predict_reversal_races",
-                Json::UInt(s.predict_reversal_races),
-            ),
-            ("units_forked", Json::UInt(s.units_forked)),
-            ("prefix_steps_saved", Json::UInt(s.prefix_steps_saved)),
-            ("schedules_deduped", Json::UInt(s.schedules_deduped)),
-            ("snapshot_bytes", Json::UInt(s.snapshot_bytes)),
-        ]),
+        Response::Status(s) => {
+            Json::obj(std::iter::once(("resp", Json::str("status"))).chain(status_pairs(s)))
+        }
         Response::Bye => Json::obj([("resp", Json::str("bye"))]),
         Response::Error { message } => Json::obj([
             ("resp", Json::str("error")),
@@ -463,24 +388,8 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
                 stored: u("stored"),
                 recovery_discarded_bytes: u("recovery_discarded_bytes"),
                 recovery_discarded_records: u("recovery_discarded_records"),
-                elision_sites_thread_local: u("elision_sites_thread_local"),
-                elision_sites_lock_dominated: u("elision_sites_lock_dominated"),
-                elision_sites_read_only: u("elision_sites_read_only"),
-                elision_events_elided: u("elision_events_elided"),
                 elision_solve_us: u("elision_solve_us"),
-                trace_spilled_bytes: u("trace_spilled_bytes"),
-                trace_spill_segments: u("trace_spill_segments"),
-                mem_pressure_events: u("mem_pressure_events"),
-                shadow_cells_gced: u("shadow_cells_gced"),
-                units_aborted_mem_budget: u("units_aborted_mem_budget"),
-                predict_candidates: u("predict_candidates"),
-                predict_witnessed: u("predict_witnessed"),
-                predict_witness_rejected: u("predict_witness_rejected"),
-                predict_reversal_races: u("predict_reversal_races"),
-                units_forked: u("units_forked"),
-                prefix_steps_saved: u("prefix_steps_saved"),
-                schedules_deduped: u("schedules_deduped"),
-                snapshot_bytes: u("snapshot_bytes"),
+                counters: Counters::from_json(&v),
             })))
         }
         "bye" => Ok(Response::Bye),

@@ -241,6 +241,9 @@ pub struct ExploreResult {
     /// Witnessed races that required a lock-acquire reversal (only
     /// non-zero under [`HbBackend::SyncReversal`]), summed over units.
     pub predict_reversal_races: u64,
+    /// Units whose prediction pass a cost ceiling cut short (see
+    /// [`crate::PredictStats::capped`]).
+    pub predict_capped: u64,
     /// Units that executed from a mid-run snapshot instead of from
     /// instruction zero: each input's pilot plus every unit whose
     /// schedule diverged from the pilot's. Zero with
@@ -1249,6 +1252,7 @@ pub fn explore_with_deadline(
     let mut predict_witnessed = 0u64;
     let mut predict_witness_rejected = 0u64;
     let mut predict_reversal_races = 0u64;
+    let mut predict_capped = 0u64;
     let mut units_forked = 0u64;
     let mut prefix_steps_saved = 0u64;
     let mut schedules_deduped = 0u64;
@@ -1271,6 +1275,7 @@ pub fn explore_with_deadline(
         predict_witnessed += unit.predict.witnessed;
         predict_witness_rejected += unit.predict.witness_rejected;
         predict_reversal_races += unit.predict.reversal_races;
+        predict_capped += unit.predict.capped;
         units_forked += u64::from(unit.forked);
         prefix_steps_saved += unit.prefix_steps_saved;
         schedules_deduped += u64::from(unit.deduped);
@@ -1320,6 +1325,7 @@ pub fn explore_with_deadline(
         predict_witnessed,
         predict_witness_rejected,
         predict_reversal_races,
+        predict_capped,
         units_forked,
         prefix_steps_saved,
         schedules_deduped,

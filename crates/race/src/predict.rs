@@ -93,6 +93,12 @@ pub struct PredictStats {
     /// Witnessed races that needed a lock-acquire reversal (only ever
     /// non-zero under the sync-reversal mode).
     pub reversal_races: u64,
+    /// 1 when a cost ceiling cut this unit's pass short: the trace
+    /// exceeded `MAX_TRACE_EVENTS` (nothing predicted), an access list
+    /// was truncated to `MAX_LIST`, or the pass spent
+    /// `MAX_TOTAL_ATTEMPTS` with candidates left. Sums to a count of
+    /// capped units.
+    pub capped: u64,
 }
 
 /// Which reorderings the witness scheduler may explore.
@@ -243,6 +249,7 @@ impl Predictor {
     /// in trace order, and every scheduler decision is index-based.
     pub(crate) fn predict(&mut self, already: &HashSet<(InstRef, InstRef)>) -> Vec<PredictedRace> {
         if self.events.len() > MAX_TRACE_EVENTS {
+            self.stats.capped = 1;
             return Vec::new();
         }
         let idx = TraceIndex::build(&self.events);
@@ -264,6 +271,9 @@ impl Predictor {
             let first_tid = self.events[accs[0]].tid;
             if accs.iter().all(|&i| self.events[i].tid == first_tid) {
                 continue;
+            }
+            if accs.len() > MAX_LIST {
+                self.stats.capped = 1;
             }
             let accs = &accs[..accs.len().min(MAX_LIST)];
             for (jj, &j) in accs.iter().enumerate() {
@@ -287,6 +297,7 @@ impl Predictor {
                     }
                     *tries += 1;
                     if total >= MAX_TOTAL_ATTEMPTS {
+                        self.stats.capped = 1;
                         break 'all;
                     }
                     total += 1;
@@ -1113,6 +1124,30 @@ mod tests {
         assert!(p.predict(&HashSet::new()).is_empty());
         assert_eq!(p.stats.candidates, 1);
         assert_eq!(p.stats.witness_rejected, 1);
+    }
+
+    #[test]
+    fn attempt_ceiling_counts_the_unit_as_capped() {
+        // Two threads each write `x` at 100 distinct sites inside `L`:
+        // 100 × 100 cross-thread site pairs, more than the pass may try.
+        let n = 100;
+        let mut trace = vec![ev(0, 0, 0, PKind::Fork { child: ThreadId(1) })];
+        for tid in 0..2u32 {
+            trace.push(ev(tid, tid, 1, PKind::Lock { addr: L }));
+            for k in 0..n {
+                trace.push(ev(tid, tid, 10 + k, PKind::Write { addr: X, value: 1 }));
+            }
+            trace.push(ev(tid, tid, 2, PKind::Unlock { addr: L }));
+        }
+        let mut p = predictor_with(PredictMode::SyncReversal, trace);
+        assert!(p.predict(&HashSet::new()).is_empty());
+        assert_eq!(p.stats.candidates, MAX_TOTAL_ATTEMPTS);
+        assert_eq!(p.stats.capped, 1, "{:?}", p.stats);
+
+        // A trace under every ceiling is not capped.
+        let mut p = predictor_with(PredictMode::SyncPreserving, syncp_trace());
+        assert_eq!(p.predict(&HashSet::new()).len(), 1);
+        assert_eq!(p.stats.capped, 0, "{:?}", p.stats);
     }
 
     #[test]

@@ -80,9 +80,10 @@ pub fn approx_event_bytes(ev: &TraceEvent) -> usize {
     std::mem::size_of::<TraceEvent>() + ev.stack.len() * std::mem::size_of::<InstRef>()
 }
 
-// Same parameters as `owl::journal::fnv1a64`; duplicated because the
-// core crate depends on this one.
-fn fnv1a64(bytes: &[u8]) -> u64 {
+/// FNV-1a 64-bit — small, dependency-free, and plenty for torn-write
+/// and bit-rot detection on a line-sized payload. The checksum of
+/// every spill segment line and every run-journal line.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);
@@ -540,6 +541,14 @@ mod tests {
     use super::*;
     use owl_vm::VecSink;
     use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    #[test]
+    fn fnv_vectors() {
+        // Published FNV-1a 64 test vectors.
+        assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63dc4c8601ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    }
 
     fn sample_events() -> Vec<TraceEvent> {
         let stack: owl_vm::CallStack = Arc::from(

@@ -19,7 +19,7 @@
 //! `OWL_CRASH_SEEDS` environment variable.
 
 use owl::{
-    run_campaign, CampaignConfig, CampaignFault, Journal, JournalKilled, OwlConfig,
+    run_campaign, CampaignConfig, CampaignFault, Counter, Journal, JournalKilled, OwlConfig,
     PipelineError, ProgramOutcome,
 };
 use owl_corpus::CorpusProgram;
@@ -197,10 +197,11 @@ fn torn_final_record_recovers_and_is_relogged_in_health() {
     assert!(resumed.recovery.discarded_bytes > 0);
     // The recovery counters surface in the consolidated health.
     assert_eq!(
-        resumed.health.journal_discarded_records, 1,
+        resumed.health.counters[Counter::JournalDiscardedRecords],
+        1,
         "recovery must be logged in PipelineHealth"
     );
-    assert!(resumed.health.journal_discarded_bytes > 0);
+    assert!(resumed.health.counters[Counter::JournalDiscardedBytes] > 0);
     // The torn unit re-executes deterministically: no loss, no drift.
     assert_eq!(resumed.summary.records, total);
     assert_eq!(resumed.summary.render(), expected);
@@ -248,8 +249,11 @@ fn corrupted_checksum_recovers_and_is_relogged_in_health() {
         total - 9,
         "everything from the corrupt record on is discarded"
     );
-    assert_eq!(resumed.health.journal_discarded_records, total - 9);
-    assert!(resumed.health.journal_discarded_bytes > 0);
+    assert_eq!(
+        resumed.health.counters[Counter::JournalDiscardedRecords],
+        total - 9
+    );
+    assert!(resumed.health.counters[Counter::JournalDiscardedBytes] > 0);
     // The discarded tail re-executes deterministically.
     assert_eq!(resumed.summary.records, total);
     assert_eq!(resumed.summary.render(), expected);

@@ -262,8 +262,8 @@ fn over_budget_unit_aborts_with_typed_memory_budget_error() {
         other => panic!("expected a typed memory-budget abort, got {other:?}"),
     }
     assert!(result.findings.is_empty());
-    assert!(result.health.units_aborted_mem_budget > 0);
-    assert!(result.health.mem_pressure_events > 0);
+    assert!(result.health.counters[owl::Counter::UnitsAbortedMemBudget] > 0);
+    assert!(result.health.counters[owl::Counter::MemPressureEvents] > 0);
 }
 
 fn sweep_forked(
@@ -326,13 +326,15 @@ fn assert_fork_equivalent(forked: &ExploreResult, scratch: &ExploreResult, ctx: 
             forked.predict_candidates,
             forked.predict_witnessed,
             forked.predict_witness_rejected,
-            forked.predict_reversal_races
+            forked.predict_reversal_races,
+            forked.predict_capped
         ),
         (
             scratch.predict_candidates,
             scratch.predict_witnessed,
             scratch.predict_witness_rejected,
-            scratch.predict_reversal_races
+            scratch.predict_reversal_races,
+            scratch.predict_capped
         ),
         "{ctx}: predict counters diverge"
     );

@@ -1,151 +1,73 @@
-//! Exhaustiveness guard for the health-counter surfaces.
+//! The health counters on every surface, checked against the registry.
 //!
-//! `PipelineHealth` counters cross four serialization boundaries: the
-//! run journal's `encode_health`, `owl-cli run --json`, `owl-cli
-//! campaign --json` (plus its `BENCH_campaign.json` metrics), and the
-//! daemon's `status` response. Each surface is hand-written, so a new
-//! counter added to the struct can silently miss one of them. This
-//! suite makes that a test failure:
+//! Every surface — the run journal's `encode_health`, `owl-cli run
+//! --json`, `owl-cli campaign --json` and its `BENCH_campaign.json`
+//! metrics, and the daemon's `status` — prints its counters by looping
+//! over `Counter::ALL`, so no surface can miss a counter by
+//! construction and this suite names none. It checks that each surface
+//! really goes through the registry, with real values:
 //!
-//! * the struct is destructured with no `..` — adding a field breaks
-//!   compilation here until the expected-key table below is updated;
-//! * every counter key must appear, with its exact value, in
-//!   `encode_health` output;
-//! * every counter key must appear in the real CLI's `run --json` and
-//!   `campaign --json` output;
-//! * the daemon's `StatusReport` must survive an encode/parse
-//!   round-trip with every field set to a distinct value, and a live
-//!   daemon run must carry the predict counters end to end.
+//! * `encode_health` carries every counter with its value, in table
+//!   order after the four stages;
+//! * the real CLI's `run --json` and `campaign --json` carry every
+//!   counter, and a `syncrev` campaign's journaled health equals the
+//!   same run's `--metrics` counters;
+//! * `StatusReport` survives the protocol's encode/parse round trip
+//!   with every field set, and a live daemon's `status` — over the
+//!   protocol and through `owl-cli status` — carries every counter with
+//!   the value a library run of the same request produces;
+//! * `Counters` round-trips through JSON text, and decodes objects with
+//!   missing, unknown, or mistyped values without panicking.
 
 #![cfg(unix)]
 
 use owl::journal::encode_health;
+use owl::json::{self, Json};
 use owl::serve::{
     encode_request, encode_response, parse_response, serve, Request, Response, ServeConfig,
     StatusReport,
 };
-use owl::{OwlConfig, PipelineHealth, StageHealth};
+use owl::{Counter, Counters, OwlConfig, PipelineHealth};
+use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::process::Command;
 use std::time::{Duration, Instant};
 
-/// A `PipelineHealth` with every counter set to a distinct value, and
-/// the exact key/value pairs each JSON surface must carry for it.
-/// Destructuring with no `..` is the exhaustiveness guard: a new
-/// field fails compilation here until it is added to the table (or
-/// consciously exempted like `points_to_solve`, which is a duration,
-/// not a counter).
-fn distinct_health() -> (PipelineHealth, Vec<(&'static str, u64)>) {
-    let stage = |base: u64| StageHealth {
-        attempts: base,
-        retries: base + 1,
-        injected_faults: base + 2,
-        deadline_hits: base + 3,
-        panics: base + 4,
-        quarantined: base + 5,
-    };
-    let h = PipelineHealth {
-        detect: stage(100),
-        race_verify: stage(200),
-        vuln_analyze: stage(300),
-        vuln_verify: stage(400),
-        summary_cache_hits: 501,
-        summary_cache_misses: 502,
-        points_to_solve: Duration::from_millis(503),
-        journal_discarded_bytes: 504,
-        journal_discarded_records: 505,
-        detector_suppressed: 506,
-        detector_reports_dropped: 507,
-        elision_sites_thread_local: 508,
-        elision_sites_lock_dominated: 509,
-        elision_sites_read_only: 510,
-        elision_events_elided: 511,
-        trace_spilled_bytes: 512,
-        trace_spill_segments: 513,
-        mem_pressure_events: 514,
-        shadow_cells_gced: 515,
-        units_aborted_mem_budget: 516,
-        predict_candidates: 517,
-        predict_witnessed: 518,
-        predict_witness_rejected: 519,
-        predict_reversal_races: 520,
-        units_forked: 521,
-        prefix_steps_saved: 522,
-        schedules_deduped: 523,
-        snapshot_bytes: 524,
-    };
-    // Re-bind by exhaustive destructuring so a new field cannot be
-    // added without revisiting this function.
-    let PipelineHealth {
-        detect: _,
-        race_verify: _,
-        vuln_analyze: _,
-        vuln_verify: _,
-        summary_cache_hits,
-        summary_cache_misses,
-        points_to_solve: _,
-        journal_discarded_bytes,
-        journal_discarded_records,
-        detector_suppressed,
-        detector_reports_dropped,
-        elision_sites_thread_local,
-        elision_sites_lock_dominated,
-        elision_sites_read_only,
-        elision_events_elided,
-        trace_spilled_bytes,
-        trace_spill_segments,
-        mem_pressure_events,
-        shadow_cells_gced,
-        units_aborted_mem_budget,
-        predict_candidates,
-        predict_witnessed,
-        predict_witness_rejected,
-        predict_reversal_races,
-        units_forked,
-        prefix_steps_saved,
-        schedules_deduped,
-        snapshot_bytes,
-    } = h.clone();
-    let keys = vec![
-        ("summary_cache_hits", summary_cache_hits),
-        ("summary_cache_misses", summary_cache_misses),
-        ("journal_discarded_bytes", journal_discarded_bytes),
-        ("journal_discarded_records", journal_discarded_records),
-        ("detector_suppressed", detector_suppressed),
-        ("detector_reports_dropped", detector_reports_dropped),
-        ("elision_sites_thread_local", elision_sites_thread_local),
-        ("elision_sites_lock_dominated", elision_sites_lock_dominated),
-        ("elision_sites_read_only", elision_sites_read_only),
-        ("elision_events_elided", elision_events_elided),
-        ("trace_spilled_bytes", trace_spilled_bytes),
-        ("trace_spill_segments", trace_spill_segments),
-        ("mem_pressure_events", mem_pressure_events),
-        ("shadow_cells_gced", shadow_cells_gced),
-        ("units_aborted_mem_budget", units_aborted_mem_budget),
-        ("predict_candidates", predict_candidates),
-        ("predict_witnessed", predict_witnessed),
-        ("predict_witness_rejected", predict_witness_rejected),
-        ("predict_reversal_races", predict_reversal_races),
-        ("units_forked", units_forked),
-        ("prefix_steps_saved", prefix_steps_saved),
-        ("schedules_deduped", schedules_deduped),
-        ("snapshot_bytes", snapshot_bytes),
-    ];
-    (h, keys)
+/// Every counter set to a distinct value.
+fn distinct_counters() -> Counters {
+    let mut c = Counters::default();
+    for (i, counter) in Counter::ALL.into_iter().enumerate() {
+        c[counter] = 500 + i as u64;
+    }
+    c
+}
+
+/// A JSON object's value at `key` as an integer, failing the test when
+/// it is missing or not one.
+fn uint(obj: &Json, key: &str, surface: &str) -> u64 {
+    obj.get(key)
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("{surface} dropped `{key}`:\n{}", obj.to_json_string()))
 }
 
 #[test]
 fn encode_health_carries_every_counter() {
-    let (h, keys) = distinct_health();
-    let json = encode_health(&h).to_json_string();
-    for (key, value) in keys {
-        assert!(
-            json.contains(&format!("\"{key}\":{value}")),
-            "encode_health dropped `{key}` (expected {value}):\n{json}"
-        );
+    let h = PipelineHealth {
+        counters: distinct_counters(),
+        ..PipelineHealth::default()
+    };
+    let Json::Obj(pairs) = encode_health(&h) else {
+        panic!("health encodes as an object");
+    };
+    // The four stages, then the counters in table order.
+    let keys: Vec<&str> = pairs[4..].iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(keys, Counter::ALL.map(Counter::name));
+    for ((_, v), c) in pairs[4..].iter().zip(Counter::ALL) {
+        assert_eq!(v.as_u64(), Some(h.counters[c]), "{}", c.name());
     }
+    assert_eq!(Counters::from_json(&encode_health(&h)), h.counters);
 }
 
 fn cli() -> Command {
@@ -162,6 +84,10 @@ fn run_ok(args: &[&str]) -> String {
     String::from_utf8(out.stdout).expect("utf8 output")
 }
 
+fn parse_json(text: &str) -> Json {
+    json::parse(text.trim()).unwrap_or_else(|e| panic!("not JSON ({e}):\n{text}"))
+}
+
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("owl-health-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -171,48 +97,57 @@ fn scratch_dir(tag: &str) -> PathBuf {
 
 #[test]
 fn run_json_carries_every_health_counter() {
-    let (_, keys) = distinct_health();
-    let out = run_ok(&["run", "SSDB", "--quick", "--json", "--hb-backend", "syncp"]);
-    for (key, _) in keys {
-        assert!(out.contains(&format!("\"{key}\":")), "run --json dropped `{key}`:\n{out}");
+    let out = parse_json(&run_ok(&[
+        "run",
+        "SSDB",
+        "--quick",
+        "--json",
+        "--hb-backend",
+        "syncp",
+    ]));
+    let health = out.get("health").expect("run --json has health");
+    for c in Counter::ALL {
+        uint(health, c.name(), "run --json");
     }
 }
 
+/// `campaign --json` rebuilds its health from the journal; the metrics
+/// recorder sums the live runs. On a fresh campaign they must agree on
+/// every counter — including the detection counters, which only the
+/// `ProgramFinished` records carry.
 #[test]
 fn campaign_json_and_metrics_carry_every_health_counter() {
-    let (_, keys) = distinct_health();
     let dir = scratch_dir("campaign");
     let metrics = scratch_dir("campaign-metrics");
-    let out = run_ok(&[
+    let out = parse_json(&run_ok(&[
         "campaign",
         dir.to_str().unwrap(),
         "--quick",
         "--json",
         "--hb-backend",
-        "syncp",
+        "syncrev",
         "--metrics",
         metrics.to_str().unwrap(),
-    ]);
-    for (key, _) in &keys {
-        assert!(
-            out.contains(&format!("\"{key}\":")),
-            "campaign --json dropped `{key}`:\n{out}"
-        );
-    }
+    ]));
+    let health = out.get("health").expect("campaign --json has health");
     let bench = std::fs::read_to_string(metrics.join("BENCH_campaign.json"))
         .expect("campaign metrics artifact");
-    for key in [
-        "predict_candidates",
-        "predict_witnessed",
-        "predict_witness_rejected",
-        "predict_reversal_races",
-        "units_forked",
-        "prefix_steps_saved",
-        "schedules_deduped",
-        "snapshot_bytes",
-    ] {
-        assert!(bench.contains(key), "BENCH_campaign.json dropped `{key}`:\n{bench}");
+    let bench = parse_json(&bench);
+    let recorded = bench.get("counters").expect("BENCH_campaign.json counters");
+    for c in Counter::ALL {
+        assert_eq!(
+            uint(health, c.name(), "campaign --json"),
+            uint(recorded, c.metric_name(), "BENCH_campaign.json"),
+            "`{}`: journaled health and metrics disagree",
+            c.name()
+        );
     }
+    assert!(
+        Counter::ALL
+            .iter()
+            .any(|c| uint(health, c.name(), "campaign --json") > 0),
+        "every counter reads 0 — the comparison is inert"
+    );
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&metrics);
 }
@@ -235,24 +170,8 @@ fn status_report_round_trips_every_field() {
         stored: 9,
         recovery_discarded_bytes: 10,
         recovery_discarded_records: 11,
-        elision_sites_thread_local: 12,
-        elision_sites_lock_dominated: 13,
-        elision_sites_read_only: 14,
-        elision_events_elided: 15,
-        elision_solve_us: 16,
-        trace_spilled_bytes: 17,
-        trace_spill_segments: 18,
-        mem_pressure_events: 19,
-        shadow_cells_gced: 20,
-        units_aborted_mem_budget: 21,
-        predict_candidates: 22,
-        predict_witnessed: 23,
-        predict_witness_rejected: 24,
-        predict_reversal_races: 25,
-        units_forked: 26,
-        prefix_steps_saved: 27,
-        schedules_deduped: 28,
-        snapshot_bytes: 29,
+        elision_solve_us: 12,
+        counters: distinct_counters(),
     };
     let line = encode_response(&Response::Status(Box::new(report.clone())));
     match parse_response(&line).expect("parseable status") {
@@ -261,18 +180,30 @@ fn status_report_round_trips_every_field() {
     }
 }
 
-/// A live daemon configured with a predictive backend must surface the
-/// predict counters through `status`, matching a direct library run of
-/// the same program under the same configuration.
+/// A live daemon configured with a predictive backend must surface
+/// every counter through `status` — over the protocol and through
+/// `owl-cli status` — matching a direct library run of the same program
+/// under the same configuration.
 #[test]
 fn serve_status_carries_predict_counters_end_to_end() {
     let mut quick = OwlConfig::quick();
     quick.detect.hb_backend = owl::owl_race::HbBackend::SyncPreserving;
 
-    // Ground truth: the same program through the library pipeline.
+    // Ground truth: the same program through the library pipeline. The
+    // predictive backend must show in the counters, or a daemon that
+    // ignored its configuration would pass unnoticed.
     let p = owl::owl_corpus::program("SSDB").expect("corpus program");
-    let local = owl::Owl::new(&p.module, p.entry, quick.clone());
-    let expected = local.run(p.name, &p.workloads, &p.exploit_inputs).health;
+    let health = |cfg: OwlConfig| {
+        owl::Owl::new(&p.module, p.entry, cfg)
+            .run(p.name, &p.workloads, &p.exploit_inputs)
+            .health
+    };
+    let expected = health(quick.clone());
+    assert_ne!(
+        expected.counters,
+        health(OwlConfig::quick()).counters,
+        "syncp and epoch count alike on SSDB — the end-to-end check is inert"
+    );
 
     let dir = scratch_dir("serve");
     let mut cfg = ServeConfig::new(&dir);
@@ -294,7 +225,10 @@ fn serve_status_carries_predict_counters_end_to_end() {
         stream.write_all(line.as_bytes()).expect("write");
         loop {
             let mut resp = String::new();
-            assert!(reader.read_line(&mut resp).expect("read") > 0, "daemon died");
+            assert!(
+                reader.read_line(&mut resp).expect("read") > 0,
+                "daemon died"
+            );
             match parse_response(&resp).expect("parseable") {
                 Response::Accepted { .. } => continue,
                 terminal => return terminal,
@@ -318,15 +252,17 @@ fn serve_status_carries_predict_counters_end_to_end() {
         Response::Status(s) => s,
         other => panic!("expected status, got {other:?}"),
     };
-    assert_eq!(status.predict_candidates, expected.predict_candidates);
-    assert_eq!(status.predict_witnessed, expected.predict_witnessed);
-    assert_eq!(status.predict_witness_rejected, expected.predict_witness_rejected);
-    assert_eq!(status.predict_reversal_races, expected.predict_reversal_races);
-    assert!(
-        status.predict_candidates > 0,
-        "SSDB under syncp produced no prediction candidates — the \
-         end-to-end check is inert"
-    );
+    assert_eq!(status.counters, expected.counters);
+
+    let printed = parse_json(&run_ok(&["status", socket.to_str().unwrap()]));
+    for c in Counter::ALL {
+        assert_eq!(
+            uint(&printed, c.name(), "owl-cli status"),
+            status.counters[c],
+            "owl-cli status disagrees on `{}`",
+            c.name()
+        );
+    }
 
     match request(&Request::Shutdown) {
         Response::Bye => {}
@@ -334,4 +270,66 @@ fn serve_status_carries_predict_counters_end_to_end() {
     }
     handle.join().expect("daemon thread").expect("clean exit");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One hostile value shape for a counter key.
+fn hostile_value(kind: u8, n: u64) -> Json {
+    match kind {
+        0 => Json::UInt(n),
+        1 => Json::Int(-((n >> 2) as i64) - 1),
+        2 => Json::Float(n as f64 / 3.0),
+        3 => Json::str(n.to_string()),
+        4 => Json::Arr(vec![Json::UInt(n), Json::obj([("n", Json::UInt(n))])]),
+        _ => Json::Bool(n & 1 == 1),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Encode → canonical text → parse → decode is the identity.
+    #[test]
+    fn counters_round_trip_through_json_text(
+        values in prop::collection::vec(any::<u64>(), Counter::ALL.len())
+    ) {
+        let mut c = Counters::default();
+        for (counter, v) in Counter::ALL.into_iter().zip(values) {
+            c[counter] = v;
+        }
+        let text = c.to_json().to_json_string();
+        let parsed = json::parse(&text).expect("canonical JSON parses");
+        prop_assert_eq!(Counters::from_json(&parsed), c);
+    }
+
+    /// Objects with missing, unknown, duplicated, negative, float,
+    /// string, nested, or boolean values decode without panicking:
+    /// each counter reads its first value when that is a non-negative
+    /// integer, and 0 otherwise.
+    #[test]
+    fn hostile_counter_objects_decode_as_first_integer_or_zero(
+        entries in prop::collection::vec(
+            (0..Counter::ALL.len() + 3, 0u8..6, any::<u64>()),
+            0..48,
+        )
+    ) {
+        let pairs: Vec<(String, Json)> = entries
+            .iter()
+            .map(|&(key, kind, n)| {
+                let name = match Counter::ALL.get(key) {
+                    Some(c) => c.name().to_string(),
+                    None => format!("unknown_{key}"),
+                };
+                (name, hostile_value(kind, n))
+            })
+            .collect();
+        let text = Json::Obj(pairs.clone()).to_json_string();
+        let decoded = Counters::from_json(&json::parse(&text).expect("parses"));
+        for c in Counter::ALL {
+            let want = match pairs.iter().find(|(k, _)| k == c.name()) {
+                Some((_, Json::UInt(n))) => *n,
+                _ => 0,
+            };
+            prop_assert_eq!(decoded[c], want, "{}", c.name());
+        }
+    }
 }

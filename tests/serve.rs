@@ -25,7 +25,7 @@ use owl::serve::{
     encode_request, parse_response, serve, FailureKind, RejectReason, Request, Response,
     ResultStore, ServeConfig, ServeReport,
 };
-use owl::{JournalError, JournalKilled, OwlConfig};
+use owl::{Counter, JournalError, JournalKilled, OwlConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -360,7 +360,7 @@ fn torn_store_tail_truncates_at_restart_and_is_reported() {
     assert!(report.recovery.recovered());
     assert_eq!(report.stored, 2, "the store is whole again");
     assert_eq!(
-        report.health.journal_discarded_bytes,
+        report.health.counters[Counter::JournalDiscardedBytes],
         report.recovery.discarded_bytes,
         "recovery counters flow into the consolidated health"
     );
