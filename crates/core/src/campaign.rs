@@ -135,9 +135,9 @@ pub fn campaign_fingerprint(owl: &OwlConfig, programs: &[String]) -> String {
     // [`CampaignConfig::workers`].
     let mut owl = owl.clone();
     owl.detect.workers = 1;
-    // Streaming plumbing is scheduling-only too: channel capacity,
-    // spill directory, segment naming, and fault-injection switches
-    // never change results (reports are byte-identical at any setting),
+    // Spill plumbing is scheduling-only too: the spill directory,
+    // segment naming, and fault-injection switches never change
+    // results (reports are byte-identical at any setting),
     // so normalize them out as well. `max_trace_mem` stays — a unit
     // that blows the hard budget is *aborted*, which is an observable
     // result difference.

@@ -51,7 +51,7 @@ pub enum Counter {
     /// Data-access events whose epoch shadow-memory work was skipped at
     /// elided sites, summed over both detection sweeps.
     ElisionEventsElided,
-    /// Bytes of trace the streaming detection units spilled to segment
+    /// Bytes of trace the detection units spilled to segment
     /// files under memory pressure, summed over both sweeps.
     TraceSpilledBytes,
     /// Spill segments written (each verified by checksum on replay and

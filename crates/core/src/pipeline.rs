@@ -537,7 +537,7 @@ impl<'m> Owl<'m> {
         // are byte-identical with it on or off. It solves the run's
         // points-to analysis, which stage 4 then reuses.
         let mut detect_cfg = self.config.detect.clone();
-        detect_cfg.stream.tag_prefix = spill_tag(name);
+        detect_cfg.stream.tag_prefix = spill_tag(&detect_cfg.stream.tag_prefix, name);
         if self.config.elide {
             let t = Instant::now();
             let pts = self.points_to(pts_slot, health);
@@ -1650,11 +1650,12 @@ impl ResumeIndex {
     }
 }
 
-/// Sanitizes a program name into a spill-segment filename prefix so two
-/// programs sharing one spill directory can never collide (and a name
-/// with path separators cannot escape it).
-fn spill_tag(name: &str) -> String {
-    let mut tag: String = name
+/// The spill-segment filename prefix of one run: the caller's prefix,
+/// then the program name, so neither two programs nor two concurrent
+/// runs of one program sharing a spill directory can collide. Sanitized
+/// so a name with path separators cannot escape the directory.
+fn spill_tag(prefix: &str, name: &str) -> String {
+    format!("{prefix}-{name}")
         .chars()
         .map(|c| {
             if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
@@ -1663,11 +1664,7 @@ fn spill_tag(name: &str) -> String {
                 '-'
             }
         })
-        .collect();
-    if tag.is_empty() {
-        tag.push_str("unit");
-    }
-    tag
+        .collect()
 }
 
 /// Folds one detection sweep into the health report. A sweep with a

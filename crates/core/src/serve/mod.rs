@@ -333,7 +333,11 @@ fn execute_job(shared: &Arc<ServeShared>, job: Job, worker_id: usize) -> bool {
         if job.inject_panic {
             panic!("injected serve fault (request {})", job.id);
         }
-        let owl = Owl::new(&p.module, p.entry, job.owl.clone());
+        // The request id prefixes this run's spill segments: two
+        // in-flight runs of one program share the spill directory.
+        let mut cfg = job.owl.clone();
+        cfg.detect.stream.tag_prefix = format!("req{}", job.id);
+        let owl = Owl::new(&p.module, p.entry, cfg);
         owl.run(p.name, &p.workloads, &p.exploit_inputs)
     }));
 

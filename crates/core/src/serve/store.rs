@@ -400,6 +400,9 @@ mod tests {
         let mut pooled = OwlConfig::quick();
         pooled.detect.workers = 8;
         assert_eq!(fp, ResultStore::fingerprint(&pooled, "Libsafe"));
+        let mut tagged = OwlConfig::quick();
+        tagged.detect.stream.tag_prefix = "req7".to_string();
+        assert_eq!(fp, ResultStore::fingerprint(&tagged, "Libsafe"));
         assert_ne!(fp, ResultStore::fingerprint(&quick, "SSDB"));
         assert_ne!(fp, ResultStore::fingerprint(&OwlConfig::default(), "Libsafe"));
     }

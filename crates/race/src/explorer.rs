@@ -55,21 +55,28 @@
 //!
 //! None of this changes results — reports, outcomes, and every
 //! pre-existing counter are byte-identical fork on or off, at any
-//! worker count × channel capacity × spill budget (enforced by
-//! `tests/detector_equivalence.rs`). Only the four fork counters
-//! ([`ExploreResult::units_forked`], `prefix_steps_saved`,
-//! `schedules_deduped`, `snapshot_bytes`) and wall-clock time differ.
+//! worker count × spill budget (pinned by `tests/explore_pinned.rs`).
+//! Only the four fork counters ([`ExploreResult::units_forked`],
+//! `prefix_steps_saved`, `schedules_deduped`, `snapshot_bytes`) and
+//! wall-clock time differ.
+//!
+//! ## Detection inline
+//!
+//! Every unit runner — scratch (`run_unit`), shared prefix
+//! (`run_prefix`) and forked (`run_forked_unit`) — feeds its detector
+//! from the VM's emit hook, on the thread running the unit, through
+//! one `BudgetSink`. No unit spawns a thread; parallelism is per unit,
+//! via [`ExplorerConfig::workers`].
 
 use crate::hb::{HbAnnotation, HbBackend, HbConfig, HbDetector};
 use crate::report::RaceReport;
 use crate::spill::{self, SpillKillSwitch};
 use owl_ir::{FuncId, InstRef, Module};
 use owl_vm::{
-    event_channel, ChannelReceiver, ExecOutcome, PctScheduler, ProgramInput, RandomScheduler,
-    RunConfig, Scheduler, Snapshot, ThreadId, TraceEvent, TraceSink, Vm,
+    ExecOutcome, PctScheduler, ProgramInput, RandomScheduler, RunConfig, Scheduler, Snapshot,
+    ThreadId, TraceEvent, TraceSink, Vm,
 };
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -88,38 +95,36 @@ pub enum ExploreStrategy {
     },
 }
 
-/// Streaming hand-off and memory-governance parameters for the
-/// VM→detector pipeline.
+/// Memory governance of the VM → detector hand-off.
 ///
-/// With a non-zero `channel_capacity`, every `(input, seed)` unit runs
-/// its VM on a producer thread feeding a bounded event channel; the
-/// detector consumes on the claiming worker thread, and a full channel
-/// blocks the producer (backpressure) instead of growing a buffer.
-/// `max_trace_mem` adds a budget on the in-flight window: past the
-/// soft limit (half the budget) the window spills to checksummed
-/// segment files under `spill_dir` and is immediately replayed into
-/// the detector; past the hard limit with nowhere to spill, the unit
-/// aborts with a typed memory-budget verdict instead of OOMing.
+/// Every `(input, seed)` unit feeds its detector from the VM's emit
+/// hook, on the thread running the unit, through one budgeted sink.
+/// `max_trace_mem` bounds the event window that sink holds, and only
+/// that window: past the soft limit (half the budget) the window
+/// spills to a checksummed segment file under `spill_dir` and is
+/// immediately replayed into the detector; past the hard limit with
+/// nowhere to spill, the unit aborts with a typed memory-budget verdict
+/// instead of growing without bound. Without a budget no window is
+/// kept and every event goes straight to the detector.
 ///
-/// None of this changes results: report streams are byte-identical at
-/// any capacity and any spill threshold (enforced by
-/// `tests/detector_equivalence.rs`), because spill points depend only
-/// on event sizes, never on thread timing.
+/// None of this changes results: reports, outcomes and counters are
+/// byte-identical at any spill threshold (pinned by
+/// `tests/explore_pinned.rs`), because spill points depend only on
+/// event sizes.
 #[derive(Clone, Debug)]
 pub struct StreamConfig {
-    /// Bounded channel capacity in events. `0` disables streaming and
-    /// runs the VM inline on the worker thread (the legacy in-memory
-    /// path, kept as the equivalence baseline).
-    pub channel_capacity: usize,
     /// Hard cap, in bytes, on a unit's in-flight event window
     /// (`--max-trace-mem`). `None` = unbounded.
     pub max_trace_mem: Option<u64>,
     /// Where spill segments go. `None` with a budget set means the
     /// unit aborts as soon as the window crosses the hard limit.
     pub spill_dir: Option<PathBuf>,
-    /// Prefix for segment file names (campaigns set the program name,
-    /// the daemon a job id), keeping concurrent units collision-free
-    /// alongside the `-u<input>-s<seed>-<seq>.seg` suffix.
+    /// Leading part of every segment file name,
+    /// `<tag_prefix>-u<input>-s<seed>-<seq>.seg` (`-prefix` in place of
+    /// `-s<seed>` for a fork-mode shared prefix). The pipeline appends
+    /// the program name to it, so a caller running several pipelines
+    /// over one spill directory at once (the daemon) sets a distinct
+    /// prefix per run.
     pub tag_prefix: String,
     /// Crash-injection switch for the spill writer (tests only).
     pub spill_kill: Option<SpillKillSwitch>,
@@ -128,7 +133,6 @@ pub struct StreamConfig {
 impl Default for StreamConfig {
     fn default() -> Self {
         StreamConfig {
-            channel_capacity: 1024,
             max_trace_mem: None,
             spill_dir: None,
             tag_prefix: "unit".to_string(),
@@ -162,7 +166,8 @@ pub struct ExplorerConfig {
     /// not change any result — only how much shadow work the epoch
     /// backend performs.
     pub elided_sites: Option<Arc<HashSet<InstRef>>>,
-    /// Streaming hand-off and memory governance (see [`StreamConfig`]).
+    /// Memory budget and spill settings of each unit's detector sink
+    /// (see [`StreamConfig`]).
     pub stream: StreamConfig,
     /// Prefix-sharing fork mode (`--no-fork` clears it): run each
     /// input's single-threaded startup prefix once, snapshot the VM at
@@ -322,7 +327,7 @@ struct UnitOutput {
     snapshot_bytes: u64,
 }
 
-/// What the consuming side of one streamed unit did.
+/// What the memory budget did to one unit's event stream.
 #[derive(Clone, Debug, Default)]
 struct StreamStats {
     spilled_bytes: u64,
@@ -331,12 +336,10 @@ struct StreamStats {
     aborted: bool,
 }
 
-/// The in-flight event window and spill bookkeeping of one unit's
-/// stream under the memory budget. Extracted from the consume loop so
-/// fork mode can run the shared prefix inline through the identical
-/// logic, clone this state per unit, and have every unit's counters
-/// come out exactly as if it had streamed its whole trace from
-/// scratch.
+/// The event window and spill bookkeeping of one unit under the memory
+/// budget. `Clone` so fork mode can hand every unit the shared prefix's
+/// window, which makes each unit's counters come out exactly as if it
+/// had run its whole trace from scratch.
 #[derive(Clone, Default)]
 struct BudgetWindow {
     window: VecDeque<TraceEvent>,
@@ -349,26 +352,26 @@ impl BudgetWindow {
     /// Feeds one event toward `detector`, enforcing the budget. With
     /// no budget the event goes straight through; with one it buffers
     /// into the window, which spills (and immediately replays) whole
-    /// segments past the soft limit (half the budget). Returns `false`
-    /// — with `stats.aborted` set — when the budget cannot be honored:
-    /// the window crossed the hard limit with nowhere to spill, or the
-    /// spill itself failed with a typed [`spill::SpillError`].
+    /// segments past the soft limit (half the budget). Sets
+    /// `stats.aborted` when the budget cannot be honored: the window
+    /// crossed the hard limit with nowhere to spill, or the spill
+    /// itself failed with a typed [`spill::SpillError`].
     fn push(
         &mut self,
         ev: TraceEvent,
         detector: &mut HbDetector,
         stream: &StreamConfig,
         tag: &str,
-    ) -> bool {
+    ) {
         let Some(hard) = stream.max_trace_mem else {
             detector.on_event_owned(ev);
-            return true;
+            return;
         };
         let soft = (hard / 2).max(1);
         self.window_bytes += spill::approx_event_bytes(&ev) as u64;
         self.window.push_back(ev);
         if self.window_bytes <= soft {
-            return true;
+            return;
         }
         match &stream.spill_dir {
             Some(dir) => {
@@ -381,8 +384,11 @@ impl BudgetWindow {
                         // every-line-valid invariant before reuse.
                         let _ = spill::recover_segment(&path);
                     }
-                    let bytes =
-                        spill::write_segment(&path, self.window.iter(), stream.spill_kill.as_ref())?;
+                    let bytes = spill::write_segment(
+                        &path,
+                        self.window.iter(),
+                        stream.spill_kill.as_ref(),
+                    )?;
                     spill::replay_segment(&path, detector)?;
                     std::fs::remove_file(&path)?;
                     Ok(bytes)
@@ -394,50 +400,146 @@ impl BudgetWindow {
                         self.seq += 1;
                         self.window.clear();
                         self.window_bytes = 0;
-                        true
                     }
-                    Err(_) => {
-                        self.stats.aborted = true;
-                        false
-                    }
+                    Err(_) => self.stats.aborted = true,
                 }
             }
             None if self.window_bytes > hard => {
                 self.stats.pressure_events += 1;
                 self.stats.aborted = true;
-                false
             }
-            None => true,
+            None => {}
         }
-    }
-
-    /// End of stream: the trailing window drains into the detector.
-    fn drain(&mut self, detector: &mut HbDetector) {
-        for ev in self.window.drain(..) {
-            detector.on_event_owned(ev);
-        }
-        self.window_bytes = 0;
     }
 }
 
-/// Drains the event channel into the detector through `window`'s
-/// budget logic, stopping (with `window.stats.aborted` set) as soon as
-/// the budget cannot be honored.
-fn consume_stream(
-    rx: &ChannelReceiver,
-    detector: &mut HbDetector,
-    stream: &StreamConfig,
-    tag: &str,
-    window: &mut BudgetWindow,
-) {
-    while let Some(ev) = rx.recv() {
-        if !window.push(ev, detector, stream, tag) {
-            return;
-        }
-    }
-    window.drain(detector);
+/// The trace sink of every unit runner: the VM's emit hook feeds the
+/// unit's detector through it, on the calling thread, with the memory
+/// budget's window in between. Once the budget proves unsatisfiable
+/// the sink drops every further event but the VM runs on, so an
+/// aborted unit's outcome is the one a complete run has. A spill
+/// kill-switch panic unwinds straight out of the VM run.
+struct BudgetSink<'a> {
+    detector: HbDetector,
+    window: BudgetWindow,
+    stream: &'a StreamConfig,
+    tag: String,
 }
 
+impl<'a> BudgetSink<'a> {
+    /// A sink continuing `detector` and `window` for unit `unit` of
+    /// input `input_idx`, which names its spill segments.
+    fn new(
+        cfg: &'a ExplorerConfig,
+        input_idx: usize,
+        unit: &str,
+        detector: HbDetector,
+        window: BudgetWindow,
+    ) -> Self {
+        BudgetSink {
+            detector,
+            window,
+            stream: &cfg.stream,
+            tag: format!("{}-u{input_idx}-{unit}", cfg.stream.tag_prefix),
+        }
+    }
+
+    /// A sink with a fresh detector behind an empty window.
+    fn fresh(cfg: &'a ExplorerConfig, input_idx: usize, unit: &str) -> Self {
+        let detector = HbDetector::new(HbConfig {
+            annotations: cfg.annotations.clone(),
+            backend: cfg.hb_backend,
+            ..HbConfig::default()
+        });
+        Self::new(cfg, input_idx, unit, detector, BudgetWindow::default())
+    }
+
+    /// Ends the unit's run. Unless the budget aborted it, the trailing
+    /// window drains into the detector and the predictive pass runs
+    /// (before any counter is read, so its reports and stats land in
+    /// this output). An aborted unit saw only a prefix of its trace: it
+    /// skips prediction and its partial reports are discarded, so the
+    /// (quarantined) result never mixes complete and truncated
+    /// detection.
+    fn finish(self, module: &Module, outcome: ExecOutcome) -> UnitOutput {
+        let BudgetSink {
+            mut detector,
+            window,
+            ..
+        } = self;
+        let BudgetWindow {
+            window: trailing,
+            stats,
+            ..
+        } = window;
+        if !stats.aborted {
+            for ev in trailing {
+                detector.on_event_owned(ev);
+            }
+            detector.run_prediction();
+        }
+        UnitOutput {
+            suppressed: detector.suppressed(),
+            reports_dropped: detector.reports_dropped(),
+            events_elided: detector.epoch_stats().map_or(0, |s| s.events_elided()),
+            cells_gced: detector.shadow_cells_gced(),
+            predict: detector.predict_stats(),
+            reports: if stats.aborted {
+                Vec::new()
+            } else {
+                detector.finish(module)
+            },
+            outcome,
+            spilled_bytes: stats.spilled_bytes,
+            spill_segments: stats.spill_segments,
+            pressure_events: stats.pressure_events,
+            mem_budget_aborted: stats.aborted,
+            forked: false,
+            deduped: false,
+            prefix_steps_saved: 0,
+            snapshot_bytes: 0,
+        }
+    }
+}
+
+impl TraceSink for BudgetSink<'_> {
+    fn on_event(&mut self, ev: &TraceEvent) {
+        self.on_event_owned(ev.clone());
+    }
+
+    fn on_event_owned(&mut self, ev: TraceEvent) {
+        if !self.window.stats.aborted {
+            self.window
+                .push(ev, &mut self.detector, self.stream, &self.tag);
+        }
+    }
+}
+
+/// A seed-fresh scheduler for `cfg`'s strategy.
+fn build_sched(cfg: &ExplorerConfig, seed: u64) -> Box<dyn Scheduler> {
+    match cfg.strategy {
+        ExploreStrategy::Random => Box::new(RandomScheduler::new(seed)),
+        ExploreStrategy::Pct { depth } => {
+            Box::new(PctScheduler::new(seed, depth, cfg.expected_steps))
+        }
+    }
+}
+
+/// A VM at instruction zero of `input`, with `cfg`'s elided sites.
+fn build_vm<'m>(
+    module: &'m Module,
+    entry: FuncId,
+    input: &ProgramInput,
+    cfg: &ExplorerConfig,
+) -> Vm<'m> {
+    let vm = Vm::new(module, entry, input.clone(), cfg.run_config.clone());
+    match &cfg.elided_sites {
+        Some(elided) => vm.with_elided_sites(Arc::clone(elided)),
+        None => vm,
+    }
+}
+
+/// Runs one `(input, seed)` unit from instruction zero.
 fn run_unit(
     module: &Module,
     entry: FuncId,
@@ -446,111 +548,10 @@ fn run_unit(
     seed: u64,
     cfg: &ExplorerConfig,
 ) -> UnitOutput {
-    let mut detector = HbDetector::new(HbConfig {
-        annotations: cfg.annotations.clone(),
-        backend: cfg.hb_backend,
-        ..HbConfig::default()
-    });
-    let build_sched = || -> Box<dyn Scheduler> {
-        match cfg.strategy {
-            ExploreStrategy::Random => Box::new(RandomScheduler::new(seed)),
-            ExploreStrategy::Pct { depth } => {
-                Box::new(PctScheduler::new(seed, depth, cfg.expected_steps))
-            }
-        }
-    };
-    let build_vm = || {
-        let mut vm = Vm::new(module, entry, input.clone(), cfg.run_config.clone());
-        if let Some(elided) = &cfg.elided_sites {
-            vm = vm.with_elided_sites(Arc::clone(elided));
-        }
-        vm
-    };
-
-    let mut window = BudgetWindow::default();
-    let outcome = if cfg.stream.channel_capacity == 0 {
-        // Legacy inline path: the detector consumes directly inside
-        // the VM's emit hook. Baseline for the streaming equivalence
-        // tests; no budget applies (there is no in-flight window).
-        let mut sched = build_sched();
-        build_vm().run(sched.as_mut(), &mut detector)
-    } else {
-        let (tx, rx) = event_channel(cfg.stream.channel_capacity);
-        let tag = format!("{}-u{input_idx}-s{seed}", cfg.stream.tag_prefix);
-        std::thread::scope(|s| {
-            let producer = s.spawn(move || {
-                let mut tx = tx;
-                let mut sched = build_sched();
-                build_vm().run(sched.as_mut(), &mut tx)
-                // `tx` drops here, closing the channel.
-            });
-            // The consumer may panic (spill kill switch) while the
-            // producer is blocked on a full channel; catch it, release
-            // the producer by closing the receiver, join, and only
-            // then re-raise — otherwise the scope would deadlock and
-            // the crash payload would be lost.
-            let consumed = catch_unwind(AssertUnwindSafe(|| {
-                consume_stream(&rx, &mut detector, &cfg.stream, &tag, &mut window);
-            }));
-            rx.close();
-            let outcome = match producer.join() {
-                Ok(o) => o,
-                Err(p) => resume_unwind(p),
-            };
-            match consumed {
-                Ok(()) => outcome,
-                Err(p) => resume_unwind(p),
-            }
-        })
-    };
-    let stream_stats = window.stats;
-
-    // The predictive pass runs before any counter is read so its
-    // reports and stats land in this unit's output. An aborted unit
-    // saw only a trace prefix and reports nothing, so predicting on it
-    // would only waste time.
-    if !stream_stats.aborted {
-        detector.run_prediction();
-    }
-    let cells_gced = detector.shadow_cells_gced();
-    let predict = detector.predict_stats();
-    UnitOutput {
-        suppressed: detector.suppressed(),
-        reports_dropped: detector.reports_dropped(),
-        events_elided: detector.epoch_stats().map_or(0, |s| s.events_elided()),
-        // An aborted unit saw only a prefix of its trace: its partial
-        // reports are discarded so the (quarantined) result never
-        // mixes complete and truncated detection.
-        reports: if stream_stats.aborted {
-            Vec::new()
-        } else {
-            detector.finish(module)
-        },
-        outcome,
-        spilled_bytes: stream_stats.spilled_bytes,
-        spill_segments: stream_stats.spill_segments,
-        pressure_events: stream_stats.pressure_events,
-        cells_gced,
-        mem_budget_aborted: stream_stats.aborted,
-        predict,
-        forked: false,
-        deduped: false,
-        prefix_steps_saved: 0,
-        snapshot_bytes: 0,
-    }
-}
-
-/// Builds a seed-fresh scheduler for fork mode. Identical to the
-/// closure inside [`run_unit`] except for the `Send` bound: fork mode
-/// constructs (and fast-forwards) schedulers on the claiming thread
-/// before moving them into a producer thread.
-fn build_sched_send(cfg: &ExplorerConfig, seed: u64) -> Box<dyn Scheduler + Send> {
-    match cfg.strategy {
-        ExploreStrategy::Random => Box::new(RandomScheduler::new(seed)),
-        ExploreStrategy::Pct { depth } => {
-            Box::new(PctScheduler::new(seed, depth, cfg.expected_steps))
-        }
-    }
+    let mut sink = BudgetSink::fresh(cfg, input_idx, &format!("s{seed}"));
+    let outcome =
+        build_vm(module, entry, input, cfg).run(build_sched(cfg, seed).as_mut(), &mut sink);
+    sink.finish(module, outcome)
 }
 
 /// Inline capacity for recorded runnable sets. Corpus programs rarely
@@ -644,7 +645,7 @@ fn fnv1a_pick(hash: u64, chosen: ThreadId, step: u64) -> u64 {
 /// schedule) and folding the realized choices into an incremental
 /// FNV-1a signature.
 struct RecordingScheduler {
-    inner: Box<dyn Scheduler + Send>,
+    inner: Box<dyn Scheduler>,
     calls: Vec<PickCall>,
     cap: usize,
     truncated: bool,
@@ -652,7 +653,7 @@ struct RecordingScheduler {
 }
 
 impl RecordingScheduler {
-    fn new(inner: Box<dyn Scheduler + Send>, cap: usize, hint: usize) -> Self {
+    fn new(inner: Box<dyn Scheduler>, cap: usize, hint: usize) -> Self {
         RecordingScheduler {
             inner,
             // Reserving up to the sibling-trace length avoids the
@@ -918,31 +919,6 @@ impl TraceTrie {
     }
 }
 
-/// Sink for the shared prefix execution: feeds the prefix detector
-/// through the same budget logic a streamed unit applies. Once the
-/// budget proves unsatisfiable the rest of the prefix is discarded,
-/// mirroring a streamed unit whose consumer has aborted (its events
-/// vanish into the closed channel).
-struct PrefixSink<'a> {
-    detector: &'a mut HbDetector,
-    window: &'a mut BudgetWindow,
-    stream: &'a StreamConfig,
-    tag: String,
-}
-
-impl TraceSink for PrefixSink<'_> {
-    fn on_event(&mut self, ev: &TraceEvent) {
-        self.on_event_owned(ev.clone());
-    }
-
-    fn on_event_owned(&mut self, ev: TraceEvent) {
-        if self.window.stats.aborted {
-            return;
-        }
-        let _ = self.window.push(ev, self.detector, self.stream, &self.tag);
-    }
-}
-
 /// Everything one input's forked units share: the machine snapshot at
 /// the fork point, the recorded prefix pick calls, the in-flight
 /// budget window, and the detector state over the prefix events.
@@ -964,14 +940,14 @@ enum PrefixResult {
     /// Paused at the first concurrency point; the boxed scheduler is
     /// seed 0's continuation (already advanced past the prefix), which
     /// the pilot resumes with.
-    Forked(Box<ForkPrefix>, Box<dyn Scheduler + Send>),
+    Forked(Box<ForkPrefix>, Box<dyn Scheduler>),
 }
 
 /// Runs one input's shared prefix: a fresh VM under seed 0's scheduler
 /// (wrapped to record pick calls) up to the first point where ≥ 2
 /// threads could interleave, feeding the prefix events through the
-/// budget window into the prefix detector exactly as a scratch unit's
-/// stream would.
+/// budget window into the prefix detector exactly as a scratch unit
+/// would.
 fn run_prefix(
     module: &Module,
     entry: FuncId,
@@ -979,63 +955,11 @@ fn run_prefix(
     input_idx: usize,
     cfg: &ExplorerConfig,
 ) -> PrefixResult {
-    let mut detector = HbDetector::new(HbConfig {
-        annotations: cfg.annotations.clone(),
-        backend: cfg.hb_backend,
-        ..HbConfig::default()
-    });
-    let mut rec = RecordingScheduler::new(build_sched_send(cfg, cfg.base_seed), usize::MAX, 0);
-    let mut vm = Vm::new(module, entry, input.clone(), cfg.run_config.clone());
-    if let Some(elided) = &cfg.elided_sites {
-        vm = vm.with_elided_sites(Arc::clone(elided));
-    }
-    let mut window = BudgetWindow::default();
-    let inline = cfg.stream.channel_capacity == 0;
-    let finished = if inline {
-        // Inline mode feeds the detector directly (no budget applies),
-        // matching the scratch inline path.
-        vm.run_until_concurrent(&mut rec, &mut detector)
-    } else {
-        let mut sink = PrefixSink {
-            detector: &mut detector,
-            window: &mut window,
-            stream: &cfg.stream,
-            tag: format!("{}-u{input_idx}-prefix", cfg.stream.tag_prefix),
-        };
-        vm.run_until_concurrent(&mut rec, &mut sink)
-    };
-    match finished {
-        Some(outcome) => {
-            let aborted = window.stats.aborted;
-            if !aborted {
-                window.drain(&mut detector);
-                detector.run_prediction();
-            }
-            let stats = window.stats;
-            let cells_gced = detector.shadow_cells_gced();
-            let predict = detector.predict_stats();
-            PrefixResult::Finished(Box::new(UnitOutput {
-                suppressed: detector.suppressed(),
-                reports_dropped: detector.reports_dropped(),
-                events_elided: detector.epoch_stats().map_or(0, |s| s.events_elided()),
-                reports: if aborted {
-                    Vec::new()
-                } else {
-                    detector.finish(module)
-                },
-                outcome,
-                spilled_bytes: stats.spilled_bytes,
-                spill_segments: stats.spill_segments,
-                pressure_events: stats.pressure_events,
-                cells_gced,
-                mem_budget_aborted: aborted,
-                predict,
-                forked: false,
-                deduped: false,
-                prefix_steps_saved: 0,
-                snapshot_bytes: 0,
-            }))
-        }
+    let mut rec = RecordingScheduler::new(build_sched(cfg, cfg.base_seed), usize::MAX, 0);
+    let mut vm = build_vm(module, entry, input, cfg);
+    let mut sink = BudgetSink::fresh(cfg, input_idx, "prefix");
+    match vm.run_until_concurrent(&mut rec, &mut sink) {
+        Some(outcome) => PrefixResult::Finished(Box::new(sink.finish(module, outcome))),
         None => {
             let snap = vm.snapshot();
             PrefixResult::Forked(
@@ -1044,8 +968,8 @@ fn run_prefix(
                     bytes: snap.approx_bytes(),
                     snap,
                     calls: rec.calls,
-                    window,
-                    detector,
+                    window: sink.window,
+                    detector: sink.detector,
                 }),
                 rec.inner,
             )
@@ -1054,104 +978,44 @@ fn run_prefix(
 }
 
 /// Runs one unit from the fork point: forks the prefix detector,
-/// clones the budget window, resumes the snapshot under `sched`, and
-/// continues the stream exactly where the prefix left off. With
-/// `record` set (the pilot) the suffix decision trace comes back for
-/// dedup. The unit's counters equal a scratch run's because its stats
-/// are the shared prefix's stats plus its own suffix activity.
+/// clones the budget window, and resumes the snapshot under `sched`,
+/// continuing the event stream exactly where the prefix left off (a
+/// budget the prefix already broke keeps dropping events). With
+/// `record_hint` set (the pilot) the suffix decision trace comes back
+/// for dedup. The unit's counters equal a scratch run's because its
+/// stats are the shared prefix's stats plus its own suffix activity.
 fn run_forked_unit(
     module: &Module,
     prefix: &ForkPrefix,
-    sched: Box<dyn Scheduler + Send>,
+    mut sched: Box<dyn Scheduler>,
     record_hint: Option<usize>,
     input_idx: usize,
     seed: u64,
     cfg: &ExplorerConfig,
 ) -> (UnitOutput, Option<RealizedTrace>) {
-    let mut detector = prefix.detector.fork();
-    let mut window = prefix.window.clone();
+    let mut sink = BudgetSink::new(
+        cfg,
+        input_idx,
+        &format!("s{seed}"),
+        prefix.detector.fork(),
+        prefix.window.clone(),
+    );
     let vm = Vm::resume(module, prefix.snap.clone());
-    let run_suffix = |sched: Box<dyn Scheduler + Send>,
-                      vm: Vm<'_>,
-                      sink: &mut dyn TraceSink|
-     -> (ExecOutcome, Option<RealizedTrace>) {
-        if let Some(hint) = record_hint {
+    let (outcome, trace) = match record_hint {
+        Some(hint) => {
             let mut rec = RecordingScheduler::new(sched, DEDUP_TRACE_CAP, hint);
-            let outcome = vm.run(&mut rec, sink);
+            let outcome = vm.run(&mut rec, &mut sink);
             let trace = RealizedTrace {
                 calls: rec.calls,
                 signature: rec.signature,
                 truncated: rec.truncated,
             };
             (outcome, Some(trace))
-        } else {
-            let mut sched = sched;
-            (vm.run(sched.as_mut(), sink), None)
         }
+        None => (vm.run(sched.as_mut(), &mut sink), None),
     };
-
-    let (outcome, trace) = if cfg.stream.channel_capacity == 0 {
-        run_suffix(sched, vm, &mut detector)
-    } else {
-        let (tx, rx) = event_channel(cfg.stream.channel_capacity);
-        let tag = format!("{}-u{input_idx}-s{seed}", cfg.stream.tag_prefix);
-        let aborted_at_fork = window.stats.aborted;
-        std::thread::scope(|s| {
-            let producer = s.spawn(move || {
-                let mut tx = tx;
-                run_suffix(sched, vm, &mut tx)
-            });
-            // The budget already proved unsatisfiable during the
-            // shared prefix: a scratch unit's consumer would have
-            // aborted at that same prefix event, so the suffix events
-            // are dropped unseen (closing the receiver releases the
-            // producer, as in the scratch path).
-            let consumed = if aborted_at_fork {
-                Ok(())
-            } else {
-                catch_unwind(AssertUnwindSafe(|| {
-                    consume_stream(&rx, &mut detector, &cfg.stream, &tag, &mut window);
-                }))
-            };
-            rx.close();
-            let joined = match producer.join() {
-                Ok(v) => v,
-                Err(p) => resume_unwind(p),
-            };
-            match consumed {
-                Ok(()) => joined,
-                Err(p) => resume_unwind(p),
-            }
-        })
-    };
-
-    let stream_stats = window.stats;
-    if !stream_stats.aborted {
-        detector.run_prediction();
-    }
-    let cells_gced = detector.shadow_cells_gced();
-    let predict = detector.predict_stats();
-    let out = UnitOutput {
-        suppressed: detector.suppressed(),
-        reports_dropped: detector.reports_dropped(),
-        events_elided: detector.epoch_stats().map_or(0, |s| s.events_elided()),
-        reports: if stream_stats.aborted {
-            Vec::new()
-        } else {
-            detector.finish(module)
-        },
-        outcome,
-        spilled_bytes: stream_stats.spilled_bytes,
-        spill_segments: stream_stats.spill_segments,
-        pressure_events: stream_stats.pressure_events,
-        cells_gced,
-        mem_budget_aborted: stream_stats.aborted,
-        predict,
-        forked: true,
-        deduped: false,
-        prefix_steps_saved: 0,
-        snapshot_bytes: 0,
-    };
+    let mut out = sink.finish(module, outcome);
+    out.forked = true;
     (out, trace)
 }
 
@@ -1442,7 +1306,7 @@ fn explore_forked(
                     while let Some(i) = try_claim(limit) {
                         let (_, k) = units[i];
                         let seed = cfg.base_seed + k;
-                        let mut sk = build_sched_send(cfg, seed);
+                        let mut sk = build_sched(cfg, seed);
                         fast_forward(sk.as_mut(), &prefix.calls);
                         // One trie walk probes every recorded
                         // schedule at once: shared prefixes cost a
@@ -1463,7 +1327,7 @@ fn explore_forked(
                                 // scheduler (unless nothing probed and
                                 // nothing was consumed).
                                 let sched = if dedup_on && !trie.is_empty() {
-                                    let mut fresh = build_sched_send(cfg, seed);
+                                    let mut fresh = build_sched(cfg, seed);
                                     fast_forward(fresh.as_mut(), &prefix.calls);
                                     fresh
                                 } else {
@@ -1503,7 +1367,7 @@ fn explore_forked(
                         while let Some(i) = try_claim(limit) {
                             let (_, k) = units[i];
                             let seed = cfg.base_seed + k;
-                            let mut sk = build_sched_send(cfg, seed);
+                            let mut sk = build_sched(cfg, seed);
                             fast_forward(sk.as_mut(), &prefix.calls);
                             let deduped = !pilot.truncated && matches_trace(sk.as_mut(), &pilot);
                             let out = if deduped {
@@ -1518,7 +1382,7 @@ fn explore_forked(
                                 let sched = if pilot.truncated {
                                     sk
                                 } else {
-                                    let mut fresh = build_sched_send(cfg, seed);
+                                    let mut fresh = build_sched(cfg, seed);
                                     fast_forward(fresh.as_mut(), &prefix.calls);
                                     fresh
                                 };
@@ -1713,55 +1577,15 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_inline_at_any_capacity() {
-        let (m, main) = narrow_race();
-        let base = explore(
-            &m,
-            main,
-            &[],
-            &cfg_with_stream(StreamConfig {
-                channel_capacity: 0,
-                ..StreamConfig::default()
-            }),
-        );
-        for capacity in [1, 2, 7, 1024] {
-            let r = explore(
-                &m,
-                main,
-                &[],
-                &cfg_with_stream(StreamConfig {
-                    channel_capacity: capacity,
-                    ..StreamConfig::default()
-                }),
-            );
-            assert_eq!(r.reports, base.reports, "capacity {capacity}");
-            assert_eq!(
-                (r.runs, r.suppressed, r.reports_dropped),
-                (base.runs, base.suppressed, base.reports_dropped),
-                "capacity {capacity}"
-            );
-        }
-    }
-
-    #[test]
     fn budget_with_spill_dir_completes_and_matches_inline() {
         let (m, main) = narrow_race();
-        let base = explore(
-            &m,
-            main,
-            &[],
-            &cfg_with_stream(StreamConfig {
-                channel_capacity: 0,
-                ..StreamConfig::default()
-            }),
-        );
+        let base = explore(&m, main, &[], &cfg_with_stream(StreamConfig::default()));
         let dir = scratch_dir("spill");
         let r = explore(
             &m,
             main,
             &[],
             &cfg_with_stream(StreamConfig {
-                channel_capacity: 4,
                 max_trace_mem: Some(256),
                 spill_dir: Some(dir.clone()),
                 ..StreamConfig::default()
@@ -1783,12 +1607,12 @@ mod tests {
     #[test]
     fn budget_without_spill_dir_aborts_units_typed() {
         let (m, main) = narrow_race();
+        let base = explore(&m, main, &[], &cfg_with_stream(StreamConfig::default()));
         let r = explore(
             &m,
             main,
             &[],
             &cfg_with_stream(StreamConfig {
-                channel_capacity: 4,
                 max_trace_mem: Some(64),
                 spill_dir: None,
                 ..StreamConfig::default()
@@ -1801,6 +1625,9 @@ mod tests {
             "aborted units must not leak partial reports: {:?}",
             r.reports
         );
+        // The sink drops events after the abort, but the VM runs on:
+        // an aborted unit's outcome is the complete run's.
+        assert_eq!(r.outcomes, base.outcomes);
     }
 
     #[test]
@@ -1891,7 +1718,6 @@ mod tests {
                     runs_per_input: 12,
                     workers,
                     stream: StreamConfig {
-                        channel_capacity: 8,
                         max_trace_mem: Some(512),
                         spill_dir: Some(dir.clone()),
                         ..StreamConfig::default()

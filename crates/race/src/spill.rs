@@ -1,4 +1,4 @@
-//! Trace spill segments — the streaming pipeline's disk layer.
+//! Trace spill segments — the disk layer of the budgeted detector sink.
 //!
 //! When a unit's in-flight event window exceeds `--max-trace-mem`, the
 //! explorer writes the cold window to a *segment* file and immediately
@@ -15,7 +15,7 @@
 //! interpreted by humans, so the codec optimizes for size and
 //! deterministic byte layout. Encoding depends only on the event
 //! contents, never on thread timing, which keeps spill behavior (and
-//! therefore the whole streaming pipeline) reproducible for a given
+//! therefore a budgeted unit's detection) reproducible for a given
 //! schedule seed.
 //!
 //! Crash injection: a [`SpillKillSwitch`] armed with *kill after N
@@ -30,10 +30,10 @@ use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-/// Typed spill-layer failure. Everything here flows into the streaming
-/// pipeline's degradation ladder — the unit aborts with a typed
-/// verdict and the campaign quarantines-and-continues — instead of
-/// panicking in (and poisoning) the consumer thread.
+/// Typed spill-layer failure. Everything here flows into the memory
+/// budget's degradation ladder — the unit aborts with a typed verdict
+/// and the campaign quarantines-and-continues — instead of panicking
+/// mid-run.
 #[derive(Debug)]
 pub enum SpillError {
     /// An event's call stack exceeds the codec's `u32` frame-count
@@ -73,7 +73,7 @@ impl From<io::Error> for SpillError {
 }
 
 /// Approximate resident size of one in-flight event: the inline struct
-/// plus its share of the call-stack allocation. The streaming window
+/// plus its share of the call-stack allocation. The budget window
 /// accounts with this, so `--max-trace-mem` bounds the same quantity a
 /// materialized `VecSink` trace would occupy.
 pub fn approx_event_bytes(ev: &TraceEvent) -> usize {
@@ -355,12 +355,18 @@ fn format_line(ev: &TraceEvent) -> Result<String, SpillError> {
 }
 
 /// Parses one segment line; `None` on any damage (bad framing, CRC
-/// mismatch, undecodable payload).
+/// mismatch, undecodable payload). The CRC must be spelled exactly as
+/// [`format_line`] writes it — sixteen lowercase hex digits — so that
+/// every single-bit flip of a line is damage, including one that
+/// upper-cases a CRC digit.
 fn parse_line(line: &str) -> Option<TraceEvent> {
     let rest = line.strip_prefix(LINE_PREFIX)?;
     let (crc_hex, rest) = rest.split_at_checked(16)?;
     let rest = rest.strip_prefix(LINE_MID)?;
     let hex = rest.strip_suffix(LINE_SUFFIX)?;
+    if !crc_hex.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) {
+        return None;
+    }
     let crc = u64::from_str_radix(crc_hex, 16).ok()?;
     if fnv1a64(hex.as_bytes()) != crc {
         return None;
@@ -437,7 +443,7 @@ impl SpillKillSwitch {
 /// Writes `events` as one segment at `path` (truncating any previous
 /// content) and returns the bytes written. Failures — I/O or an
 /// uncodable event — come back as a typed [`SpillError`] so the
-/// streaming consumer can abort the unit gracefully. With an armed
+/// budgeted sink can abort the unit gracefully. With an armed
 /// `kill`, the write may instead panic with [`JournalKilled`] partway
 /// through, leaving a torn tail for [`recover_segment`].
 pub fn write_segment<'a, I>(
@@ -540,6 +546,7 @@ pub fn recover_segment(path: &Path) -> io::Result<SegmentRecovery> {
 mod tests {
     use super::*;
     use owl_vm::VecSink;
+    use proptest::prelude::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
@@ -725,5 +732,138 @@ mod tests {
             approx_event_bytes(&events[0]),
             base + 2 * std::mem::size_of::<InstRef>()
         );
+    }
+
+    fn kind_strategy() -> impl Strategy<Value = EventKind> {
+        prop_oneof![
+            (any::<u64>(), any::<i64>(), 0u8..3, any::<bool>()).prop_map(
+                |(addr, value, ty, atomic)| EventKind::Read {
+                    addr,
+                    value,
+                    ty: decode_type(ty).expect("type tag in range"),
+                    atomic,
+                }
+            ),
+            (any::<u64>(), any::<i64>(), any::<i64>(), any::<bool>()).prop_map(
+                |(addr, value, old, atomic)| EventKind::Write {
+                    addr,
+                    value,
+                    old,
+                    atomic,
+                }
+            ),
+            any::<u64>().prop_map(|addr| EventKind::Lock { addr }),
+            any::<u64>().prop_map(|addr| EventKind::Unlock { addr }),
+            any::<u32>().prop_map(|c| EventKind::Fork { child: ThreadId(c) }),
+            any::<u32>().prop_map(|c| EventKind::Join { child: ThreadId(c) }),
+            (any::<u64>(), any::<u64>()).prop_map(|(addr, size)| EventKind::Malloc { addr, size }),
+            any::<u64>().prop_map(|addr| EventKind::Free { addr }),
+            (0u8..6).prop_map(|k| EventKind::Fault {
+                kind: decode_fault(k).expect("fault tag in range"),
+            }),
+        ]
+    }
+
+    fn site((f, i): (u32, u32)) -> InstRef {
+        InstRef::new(FuncId(f), InstId(i))
+    }
+
+    /// Arbitrary events of every kind, with stacks of 0 to
+    /// `max_frames` frames.
+    fn event_strategy(max_frames: usize) -> impl Strategy<Value = TraceEvent> {
+        (
+            any::<u64>(),
+            any::<u32>(),
+            (any::<u32>(), any::<u32>()),
+            any::<bool>(),
+            kind_strategy(),
+            prop::collection::vec((any::<u32>(), any::<u32>()), 0..=max_frames),
+        )
+            .prop_map(|(step, tid, at, no_shadow, kind, frames)| TraceEvent {
+                step,
+                tid: ThreadId(tid),
+                site: site(at),
+                stack: Arc::from(frames.into_iter().map(site).collect::<Vec<_>>()),
+                kind,
+                no_shadow,
+            })
+    }
+
+    /// Recovers the segment at `path`, then replays what recovery
+    /// kept; returns both views of the surviving events.
+    fn recover_then_replay(path: &Path) -> (SegmentRecovery, Vec<TraceEvent>) {
+        let rec = recover_segment(path).expect("recovery reads the segment");
+        let mut sink = VecSink::default();
+        let n = replay_segment(path, &mut sink).expect("a recovered segment replays");
+        assert_eq!(n, rec.valid_events);
+        (rec, sink.events)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn format_line_parse_line_roundtrips(ev in event_strategy(64)) {
+            let line = format_line(&ev).expect("at most 64 frames encode");
+            prop_assert_eq!(line.matches('\n').count(), 1);
+            let body = line.strip_suffix('\n').expect("one record per line");
+            prop_assert_eq!(parse_line(body), Some(ev));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Arbitrary bytes after `events.len()` intact records: recovery
+        /// keeps exactly the intact records, and the recovered segment
+        /// replays them.
+        #[test]
+        fn arbitrary_bytes_never_panic(
+            events in prop::collection::vec(event_strategy(4), 0..3),
+            garbage in prop::collection::vec(any::<u8>(), 1..256),
+        ) {
+            let path = scratch("garbage.seg");
+            write_segment(&path, &events, None).expect("segment writes");
+            let mut data = std::fs::read(&path).expect("segment reads");
+            data.extend_from_slice(&garbage);
+            std::fs::write(&path, &data).expect("segment rewrites");
+            let line = String::from_utf8_lossy(&garbage);
+            prop_assert!(parse_line(&line).is_none());
+            let (rec, replayed) = recover_then_replay(&path);
+            prop_assert_eq!(rec.valid_events, events.len() as u64);
+            prop_assert!(rec.torn);
+            prop_assert_eq!(rec.discarded_bytes, garbage.len() as u64);
+            prop_assert_eq!(replayed, events);
+            std::fs::remove_file(&path).expect("segment removes");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// Every single-bit flip of a written segment: recovery keeps
+        /// exactly the lines before the flipped one, and the recovered
+        /// segment replays exactly their events.
+        #[test]
+        fn every_bit_flip_keeps_the_lines_before_it(
+            events in prop::collection::vec(event_strategy(4), 1..4),
+        ) {
+            let path = scratch("flip.seg");
+            write_segment(&path, &events, None).expect("segment writes");
+            let clean = std::fs::read(&path).expect("segment reads");
+            for byte in 0..clean.len() {
+                let line = clean[..byte].iter().filter(|&&b| b == b'\n').count();
+                for bit in 0..8 {
+                    let mut data = clean.clone();
+                    data[byte] ^= 1 << bit;
+                    std::fs::write(&path, &data).expect("segment rewrites");
+                    let (rec, replayed) = recover_then_replay(&path);
+                    prop_assert!(rec.torn, "byte {byte} bit {bit}");
+                    prop_assert_eq!(rec.valid_events, line as u64, "byte {byte} bit {bit}");
+                    prop_assert_eq!(&replayed[..], &events[..line]);
+                }
+            }
+            std::fs::remove_file(&path).expect("segment removes");
+        }
     }
 }

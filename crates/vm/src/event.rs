@@ -160,9 +160,9 @@ pub trait TraceSink {
 
     /// By-value variant of [`TraceSink::on_event`]. The VM constructs
     /// every event it emits, so it hands the sink ownership through
-    /// this method; sinks that store or forward events (`VecSink`, the
-    /// streaming channel) override it to move the event instead of
-    /// cloning. The default delegates to `on_event`, so borrowing
+    /// this method; sinks that store or forward events (`VecSink`, a
+    /// budgeted detector sink) override it to move the event instead
+    /// of cloning. The default delegates to `on_event`, so borrowing
     /// sinks only implement the by-reference method.
     fn on_event_owned(&mut self, ev: TraceEvent) {
         self.on_event(&ev);

@@ -55,7 +55,6 @@ mod input;
 pub mod mem;
 mod sched;
 mod sites;
-pub mod stream;
 mod violation;
 mod vm;
 
@@ -64,7 +63,6 @@ pub use breakpoint::{
 };
 pub use event::{CallStack, EventKind, NullSink, ThreadId, TraceEvent, TraceSink, VecSink};
 pub use fault::{FaultKind, FaultPlan, FaultRecord, JournalKilled};
-pub use stream::{event_channel, ChannelReceiver, ChannelSender};
 pub use input::ProgramInput;
 pub use mem::Memory;
 pub use sched::{PctScheduler, RandomScheduler, ReplayScheduler, RoundRobin, Scheduler};

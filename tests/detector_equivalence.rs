@@ -131,11 +131,10 @@ fn scratch_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("owl-eq-spill-{}-{tag}", std::process::id()))
 }
 
-fn sweep_streamed(
+fn sweep_budgeted(
     p: &owl_corpus::CorpusProgram,
     backend: HbBackend,
     workers: usize,
-    capacity: usize,
     budget: Option<u64>,
     spill_dir: Option<PathBuf>,
 ) -> ExploreResult {
@@ -144,7 +143,6 @@ fn sweep_streamed(
         workers,
         hb_backend: backend,
         stream: StreamConfig {
-            channel_capacity: capacity,
             max_trace_mem: budget,
             spill_dir,
             ..StreamConfig::default()
@@ -154,41 +152,23 @@ fn sweep_streamed(
     explore(&p.module, p.entry, &p.workloads, &cfg)
 }
 
-/// The streaming hand-off and the spill layer are only allowed to
-/// bound *memory* — never to change results. Across the corpus, every
-/// channel capacity (including the inline capacity-0 baseline), spill
-/// threshold, and worker count must produce byte-identical report
-/// streams.
+/// The spill layer is only allowed to bound *memory* — never to
+/// change results. Across the corpus, a spilling budget must produce
+/// the unbounded run's report stream at every worker count.
 #[test]
 fn streaming_and_spill_never_change_report_streams() {
     for p in owl_corpus::all_programs() {
-        // Capacity 0 is the materialized (inline, no channel) path.
-        let baseline = sweep_streamed(&p, HbBackend::Epoch, 1, 0, None, None);
-        for capacity in [1usize, 4, 1024] {
-            let s = sweep_streamed(&p, HbBackend::Epoch, 1, capacity, None, None);
-            assert_eq!(
-                s.reports, baseline.reports,
-                "{} (capacity={capacity}): streaming diverges from inline",
-                p.name
-            );
-            assert_eq!(s.suppressed, baseline.suppressed, "{}", p.name);
-            assert_eq!(s.reports_dropped, baseline.reports_dropped, "{}", p.name);
-        }
+        let baseline = sweep_budgeted(&p, HbBackend::Epoch, 1, None, None);
         let dir = scratch_dir(p.name);
         for workers in [1usize, 2, 4] {
-            let s = sweep_streamed(
-                &p,
-                HbBackend::Epoch,
-                workers,
-                4,
-                Some(512),
-                Some(dir.clone()),
-            );
+            let s = sweep_budgeted(&p, HbBackend::Epoch, workers, Some(512), Some(dir.clone()));
             assert_eq!(
                 s.reports, baseline.reports,
                 "{} (workers={workers}): spilling changed the report stream",
                 p.name
             );
+            assert_eq!(s.suppressed, baseline.suppressed, "{}", p.name);
+            assert_eq!(s.reports_dropped, baseline.reports_dropped, "{}", p.name);
             assert_eq!(
                 s.units_aborted_mem_budget, 0,
                 "{} (workers={workers}): spill path aborted despite a spill dir",
@@ -207,10 +187,10 @@ fn streaming_and_spill_never_change_report_streams() {
 fn trace_ten_times_budget_completes_with_identical_reports() {
     let p = owl_corpus::program("MySQL").expect("corpus program");
     let budget = 256u64;
-    let baseline = sweep_streamed(&p, HbBackend::Epoch, 1, 0, None, None);
+    let baseline = sweep_budgeted(&p, HbBackend::Epoch, 1, None, None);
 
     let dir = scratch_dir("tenx-epoch");
-    let epoch = sweep_streamed(&p, HbBackend::Epoch, 1, 4, Some(budget), Some(dir.clone()));
+    let epoch = sweep_budgeted(&p, HbBackend::Epoch, 1, Some(budget), Some(dir.clone()));
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(epoch.reports, baseline.reports, "bounded epoch diverges");
     assert_eq!(epoch.units_aborted_mem_budget, 0);
@@ -223,8 +203,7 @@ fn trace_ten_times_budget_completes_with_identical_reports() {
     assert!(epoch.trace_spill_segments > 0);
 
     let dir = scratch_dir("tenx-ref");
-    let reference =
-        sweep_streamed(&p, HbBackend::Reference, 1, 4, Some(budget), Some(dir.clone()));
+    let reference = sweep_budgeted(&p, HbBackend::Reference, 1, Some(budget), Some(dir.clone()));
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(
         reference.reports, epoch.reports,
@@ -271,7 +250,6 @@ fn sweep_forked(
     backend: HbBackend,
     fork: bool,
     workers: usize,
-    capacity: usize,
     budget: Option<u64>,
     spill_dir: Option<PathBuf>,
 ) -> ExploreResult {
@@ -281,7 +259,6 @@ fn sweep_forked(
         hb_backend: backend,
         fork,
         stream: StreamConfig {
-            channel_capacity: capacity,
             max_trace_mem: budget,
             spill_dir,
             ..StreamConfig::default()
@@ -352,36 +329,22 @@ fn assert_fork_equivalent(forked: &ExploreResult, scratch: &ExploreResult, ctx: 
 
 /// Prefix-sharing fork mode is only allowed to *skip re-execution* —
 /// never to change results. Fork-on must match fork-off byte-for-byte
-/// across the corpus, under all four backends, at every worker count
-/// and channel capacity, and under a spill budget. The fork counters
-/// must also show the machinery actually engaged somewhere, or this
-/// test proves nothing.
+/// across the corpus, under all four backends, at every worker count,
+/// and under a spill budget. The fork counters must also show the
+/// machinery actually engaged somewhere, or this test proves nothing.
 #[test]
 fn fork_mode_never_changes_results() {
     let mut total_forked = 0u64;
     let mut total_prefix_saved = 0u64;
     for p in owl_corpus::all_programs() {
-        for backend in [
-            HbBackend::Reference,
-            HbBackend::Epoch,
-            HbBackend::SyncPreserving,
-            HbBackend::SyncReversal,
-        ] {
-            let scratch = sweep_forked(&p, backend, false, 1, 1024, None, None);
+        for backend in HbBackend::ALL {
+            let scratch = sweep_forked(&p, backend, false, 1, None, None);
             for workers in [1usize, 2, 4] {
-                for capacity in [0usize, 1, 1024] {
-                    let scratch_cap = sweep_forked(&p, backend, false, 1, capacity, None, None);
-                    let forked = sweep_forked(&p, backend, true, workers, capacity, None, None);
-                    let ctx =
-                        format!("{} ({backend:?}, workers={workers}, capacity={capacity})", p.name);
-                    assert_fork_equivalent(&forked, &scratch_cap, &ctx);
-                    assert_eq!(
-                        forked.reports, scratch.reports,
-                        "{ctx}: capacity changed reports"
-                    );
-                    total_forked += forked.units_forked;
-                    total_prefix_saved += forked.prefix_steps_saved;
-                }
+                let forked = sweep_forked(&p, backend, true, workers, None, None);
+                let ctx = format!("{} ({backend:?}, workers={workers})", p.name);
+                assert_fork_equivalent(&forked, &scratch, &ctx);
+                total_forked += forked.units_forked;
+                total_prefix_saved += forked.prefix_steps_saved;
             }
         }
         // Under a spill budget the per-unit spill/pressure counters
@@ -395,7 +358,6 @@ fn fork_mode_never_changes_results() {
             HbBackend::Epoch,
             false,
             1,
-            4,
             Some(512),
             Some(dir_scratch.clone()),
         );
@@ -405,7 +367,6 @@ fn fork_mode_never_changes_results() {
                 HbBackend::Epoch,
                 true,
                 workers,
-                4,
                 Some(512),
                 Some(dir_forked.clone()),
             );

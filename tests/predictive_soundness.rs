@@ -11,8 +11,7 @@
 //!   predict_witnessed`), and the witness counters are internally
 //!   consistent;
 //! * **determinism** — reports and predict counters are byte-identical
-//!   at any worker count and any streaming channel capacity, spilled
-//!   or not;
+//!   at any worker count, spilled or not;
 //! * **lock discipline** — a program whose shared accesses are all
 //!   protected by one mutex predicts nothing, even though the
 //!   candidate enumerator considers its conflicting pairs.
@@ -34,14 +33,13 @@ use std::path::PathBuf;
 const PREDICTIVE: [HbBackend; 2] = [HbBackend::SyncPreserving, HbBackend::SyncReversal];
 
 fn sweep(p: &owl_corpus::CorpusProgram, backend: HbBackend, workers: usize) -> ExploreResult {
-    sweep_streamed(p, backend, workers, 0, None, None)
+    sweep_budgeted(p, backend, workers, None, None)
 }
 
-fn sweep_streamed(
+fn sweep_budgeted(
     p: &owl_corpus::CorpusProgram,
     backend: HbBackend,
     workers: usize,
-    capacity: usize,
     budget: Option<u64>,
     spill_dir: Option<PathBuf>,
 ) -> ExploreResult {
@@ -50,7 +48,6 @@ fn sweep_streamed(
         workers,
         hb_backend: backend,
         stream: StreamConfig {
-            channel_capacity: capacity,
             max_trace_mem: budget,
             spill_dir,
             ..StreamConfig::default()
@@ -127,13 +124,15 @@ fn scratch_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("owl-predict-spill-{}-{tag}", std::process::id()))
 }
 
+/// Predictions are byte-identical at any worker count and under a
+/// spilling memory budget (the trace window's capacity).
 #[test]
 fn predictive_reports_identical_at_any_worker_count_and_capacity() {
     for p in owl_corpus::all_programs() {
         for backend in PREDICTIVE {
-            let baseline = sweep_streamed(&p, backend, 1, 0, None, None);
+            let baseline = sweep(&p, backend, 1);
             for workers in [2usize, 4] {
-                let r = sweep_streamed(&p, backend, workers, 0, None, None);
+                let r = sweep(&p, backend, workers);
                 assert_eq!(
                     r.reports, baseline.reports,
                     "{} ({backend:?}, workers={workers}): reports diverge",
@@ -141,19 +140,10 @@ fn predictive_reports_identical_at_any_worker_count_and_capacity() {
                 );
                 assert_eq!(predict_counters(&r), predict_counters(&baseline), "{}", p.name);
             }
-            for capacity in [1usize, 1024] {
-                let r = sweep_streamed(&p, backend, 1, capacity, None, None);
-                assert_eq!(
-                    r.reports, baseline.reports,
-                    "{} ({backend:?}, capacity={capacity}): streaming diverges",
-                    p.name
-                );
-                assert_eq!(predict_counters(&r), predict_counters(&baseline), "{}", p.name);
-            }
             // Spilled replay must reconstruct the same trace and
             // therefore the same predictions.
             let dir = scratch_dir(&format!("{}-{}", p.name, backend.name()));
-            let r = sweep_streamed(&p, backend, 2, 4, Some(512), Some(dir.clone()));
+            let r = sweep_budgeted(&p, backend, 2, Some(512), Some(dir.clone()));
             let _ = std::fs::remove_dir_all(&dir);
             assert_eq!(
                 r.reports, baseline.reports,

@@ -510,3 +510,42 @@ fn endless_request_line_is_rejected_too_large() {
     daemon.join().expect("daemon thread").expect("drained");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Concurrent daemon runs of one program share `<dir>/trace-spill`, so
+/// a run's spill segments carry its caller-set prefix (the daemon uses
+/// the request id) ahead of the program name. An armed kill switch
+/// freezes the run inside its first segment write, which leaves that
+/// segment's name on disk without depending on timing.
+#[test]
+fn spill_segments_carry_the_caller_prefix() {
+    quiet_intentional_panics();
+    let p = owl_corpus::program("MySQL").expect("corpus program");
+    let dir = scratch_dir("spill-prefix");
+    let mut cfg = OwlConfig::quick();
+    cfg.detect.stream.max_trace_mem = Some(1024);
+    cfg.detect.stream.spill_dir = Some(dir.clone());
+    cfg.detect.stream.tag_prefix = "req7".to_string();
+    let switch = owl::owl_race::SpillKillSwitch::new();
+    switch.arm(1);
+    cfg.detect.stream.spill_kill = Some(switch);
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        owl::Owl::new(&p.module, p.entry, cfg).run(p.name, &p.workloads, &p.exploit_inputs)
+    }))
+    .expect_err("the armed spill kill must fire");
+    assert!(payload.downcast_ref::<JournalKilled>().is_some());
+    let segments: Vec<String> = std::fs::read_dir(&dir)
+        .expect("spill dir exists after the kill")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    assert_eq!(segments.len(), 1, "{segments:?}");
+    assert!(
+        segments[0].starts_with("req7-MySQL-u0-"),
+        "torn segment lost the caller prefix: {segments:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
