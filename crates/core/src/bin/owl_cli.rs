@@ -230,22 +230,6 @@ fn config(args: &[String]) -> Result<OwlConfig, String> {
     Ok(cfg)
 }
 
-fn load(name: &str) -> Option<owl_corpus::CorpusProgram> {
-    if name.eq_ignore_ascii_case("bank") {
-        return Some(owl_corpus::extensions::bank_atomicity());
-    }
-    if name.eq_ignore_ascii_case("heaprelay") || name.eq_ignore_ascii_case("heap-relay") {
-        return Some(owl_corpus::extensions::heap_relay());
-    }
-    if name.eq_ignore_ascii_case("cacherelay") || name.eq_ignore_ascii_case("cache-relay") {
-        return Some(owl_corpus::extensions::cache_relay());
-    }
-    // Accept case-insensitive names.
-    owl_corpus::all_programs()
-        .into_iter()
-        .find(|p| p.name.eq_ignore_ascii_case(name))
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
@@ -254,30 +238,23 @@ fn main() -> ExitCode {
     match cmd.as_str() {
         "list" => {
             println!("corpus programs:");
-            for p in owl_corpus::all_programs() {
-                println!(
-                    "  {:10} {:5} IR insts, {} attack(s)",
-                    p.name,
-                    p.loc(),
-                    p.attacks.len()
-                );
+            for e in &owl_corpus::PROGRAMS {
+                let line = match e.extension {
+                    Some(desc) => format!("extension: {desc}"),
+                    None => {
+                        let p = e.build();
+                        format!("{:5} IR insts, {} attack(s)", p.loc(), p.attacks.len())
+                    }
+                };
+                println!("  {:10} {line}", e.name);
             }
-            println!("  {:10} extension: atomicity-violation demo", "Bank");
-            println!(
-                "  {:10} extension: corruption relayed through a heap buffer",
-                "HeapRelay"
-            );
-            println!(
-                "  {:10} extension: corrupted pointer through a global cache",
-                "CacheRelay"
-            );
             ExitCode::SUCCESS
         }
         "run" | "hints" | "audit" => {
             let Some(name) = args.get(1) else {
                 return usage();
             };
-            let Some(p) = load(name) else {
+            let Some(p) = owl_corpus::program(name) else {
                 eprintln!("unknown program `{name}` (try `owl-cli list`)");
                 return ExitCode::FAILURE;
             };

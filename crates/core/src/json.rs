@@ -499,6 +499,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn canonical_round_trip() {
@@ -559,6 +560,126 @@ mod tests {
         let e = parse(&"[{\"a\":".repeat(100_000)).unwrap_err();
         assert_eq!((e.kind, e.pos), (JsonErrorKind::TooDeep, 6 * MAX_DEPTH / 2));
         assert_eq!(parse("[1,]").unwrap_err().kind, JsonErrorKind::Syntax);
+    }
+
+    /// A word stream that tree shapes are read off; zeros once it runs
+    /// dry.
+    struct Words<'a>(std::slice::Iter<'a, u64>);
+
+    impl Words<'_> {
+        fn next(&mut self) -> u64 {
+            self.0.next().copied().unwrap_or(0)
+        }
+    }
+
+    /// Text mixing what the writer escapes (quotes, backslashes, control
+    /// characters) with printable ASCII and arbitrary non-ASCII.
+    fn text(w: &mut Words) -> String {
+        (0..w.next() % 8)
+            .map(|_| {
+                let x = w.next();
+                let pick = (x >> 2) as u32;
+                match x % 4 {
+                    0 => ['"', '\\', '\n', '\r', '\t', '\u{0}', '\u{1f}', '/'][pick as usize % 8],
+                    1 => char::from(b' ' + (pick % 95) as u8),
+                    _ => char::from_u32(pick % 0x11_0000).unwrap_or('\u{fffd}'),
+                }
+            })
+            .collect()
+    }
+
+    /// One scalar, numbers in their canonical shape: non-negative
+    /// integers are `UInt`, only negative ones `Int`, and every float is
+    /// finite (the writer turns the others into `null`).
+    fn leaf(w: &mut Words) -> Json {
+        let x = w.next();
+        match x % 6 {
+            0 => Json::Null,
+            1 => Json::Bool(x & 8 != 0),
+            2 => Json::UInt(w.next()),
+            3 => Json::Int(-1 - (w.next() >> 1) as i64),
+            4 => Json::Float(
+                Some(f64::from_bits(w.next()))
+                    .filter(|v| v.is_finite())
+                    .unwrap_or(0.5),
+            ),
+            _ => Json::Str(text(w)),
+        }
+    }
+
+    /// A tree nesting exactly `depth` arrays and objects along one spine,
+    /// with shallow subtrees beside it.
+    fn tree(w: &mut Words, depth: usize) -> Json {
+        if depth == 0 {
+            return leaf(w);
+        }
+        let width = 1 + w.next() % 3;
+        let spine = w.next() % width;
+        let object = w.next() & 1 == 1;
+        let items: Vec<Json> = (0..width)
+            .map(|i| {
+                let d = if i == spine {
+                    depth - 1
+                } else {
+                    (w.next() % 3) as usize
+                };
+                tree(w, d.min(depth - 1))
+            })
+            .collect();
+        if object {
+            Json::Obj(items.into_iter().map(|v| (text(w), v)).collect())
+        } else {
+            Json::Arr(items)
+        }
+    }
+
+    /// JSON's own punctuation, so that random input gets past the first
+    /// token.
+    const TOKENS: &[u8] = b"{}[]\":,\\-+.0123456789eEtrufalsn u\"";
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every tree the writer emits, nested up to `MAX_DEPTH`, parses
+        /// back to itself.
+        #[test]
+        fn parse_inverts_the_writer(
+            v in (0..=MAX_DEPTH, prop::collection::vec(any::<u64>(), 0..512))
+                .prop_map(|(depth, words)| tree(&mut Words(words.iter()), depth)),
+        ) {
+            let line = v.to_json_string();
+            prop_assert_eq!(parse(&line).expect("the writer's output parses"), v);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Arbitrary bytes read as lossy UTF-8 parse or are rejected;
+        /// nothing panics. Bytes below 128 stand for JSON tokens.
+        #[test]
+        fn arbitrary_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
+            let bytes: Vec<u8> = bytes
+                .iter()
+                .map(|&b| if b < 128 { TOKENS[b as usize % TOKENS.len()] } else { b })
+                .collect();
+            let _ = parse(&String::from_utf8_lossy(&bytes));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Every prefix of a valid document, read as lossy UTF-8, parses
+        /// or is rejected; nothing panics, not even a cut inside a
+        /// literal, an escape or a number.
+        #[test]
+        fn truncated_documents_never_panic(words in prop::collection::vec(any::<u64>(), 0..64)) {
+            let line = tree(&mut Words(words.iter()), 4).to_json_string().into_bytes();
+            for cut in 0..line.len() {
+                let _ = parse(&String::from_utf8_lossy(&line[..cut]));
+            }
+        }
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! * **Crash-safe result store** ([`store`]): results are group-
 //!   committed to an append-only journal keyed by the `(program,
 //!   config)` fingerprint. Duplicate submissions — across restarts too
-//!   — are answered from the store without executing any pipeline
-//!   stage.
+//!   — are answered from the store by name, without building a model
+//!   or executing any pipeline stage.
 //! * **Observability**: a watchdog samples queue depth, active
 //!   workers, and in-flight bytes into [`MetricsRecorder`] gauges;
 //!   `serve()` writes `spans.jsonl` + `BENCH_serve.json` on exit.
@@ -52,7 +52,7 @@ use crate::journal::{JournalError, JournalKilled, ProgramSummary, RecoveryReport
 use crate::metrics::MetricsRecorder;
 use crate::pipeline::{Owl, PipelineHealth};
 use crate::queue::{DeadlineQueue, Pop};
-use owl_corpus::CorpusProgram;
+use owl_corpus::ProgramEntry;
 use std::any::Any;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -130,23 +130,10 @@ pub struct ServeReport {
     pub peak_running: u64,
 }
 
-/// Resolves a submitted program name: the corpus programs
-/// (case-insensitive) plus the extension models, the same names
-/// `owl-cli run` accepts.
-pub fn resolve_program(name: &str) -> Option<CorpusProgram> {
-    if name.eq_ignore_ascii_case("bank") {
-        return Some(owl_corpus::extensions::bank_atomicity());
-    }
-    if name.eq_ignore_ascii_case("heaprelay") || name.eq_ignore_ascii_case("heap-relay") {
-        return Some(owl_corpus::extensions::heap_relay());
-    }
-    if name.eq_ignore_ascii_case("cacherelay") || name.eq_ignore_ascii_case("cache-relay") {
-        return Some(owl_corpus::extensions::cache_relay());
-    }
-    owl_corpus::all_programs()
-        .into_iter()
-        .find(|p| p.name.eq_ignore_ascii_case(name))
-}
+/// Resolves a submitted program name, as `owl-cli run` does, to its
+/// [`owl_corpus::PROGRAMS`] entry without building a model: a cache hit
+/// needs only the display name, and a worker builds a miss's model.
+pub use owl_corpus::lookup as resolve_program;
 
 /// Daemon lifecycle phase, advanced monotonically.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -165,7 +152,7 @@ enum Phase {
 /// worker.
 struct Job {
     id: u64,
-    program: CorpusProgram,
+    program: &'static ProgramEntry,
     owl: OwlConfig,
     fingerprint: String,
     bytes: u64,
@@ -327,8 +314,10 @@ fn execute_job(shared: &Arc<ServeShared>, job: Job, worker_id: usize) -> bool {
         ));
     }
 
+    // Built before the clock starts: the `program` span times the
+    // pipeline alone.
+    let p = job.program.build();
     let started = Instant::now();
-    let p = &job.program;
     let run = catch_unwind(AssertUnwindSafe(|| {
         if job.inject_panic {
             panic!("injected serve fault (request {})", job.id);
@@ -464,9 +453,9 @@ fn execute_job(shared: &Arc<ServeShared>, job: Job, worker_id: usize) -> bool {
 }
 
 /// Handles one request line on a connection thread. A submit is
-/// resolved, admitted (or shed), answered from cache, or enqueued for a
-/// worker. Returns whether the line was a `shutdown`, which ends the
-/// connection once answered.
+/// resolved by name (no model is built here), admitted (or shed),
+/// answered from cache, or enqueued for a worker. Returns whether the
+/// line was a `shutdown`, which ends the connection once answered.
 fn handle_request(shared: &Arc<ServeShared>, conn: &Arc<Mutex<UnixStream>>, line: &str) -> bool {
     let req = match parse_request(line) {
         Ok(req) => req,

@@ -407,6 +407,11 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counters::Counter;
+    use crate::journal::{FindingSummary, HintSummary};
+    use owl_ir::VulnClass;
+    use owl_static::DepKind;
+    use proptest::prelude::*;
 
     #[test]
     fn requests_round_trip() {
@@ -488,5 +493,185 @@ mod tests {
         assert!(parse_request(r#"{"op":"launch"}"#).is_err());
         assert!(parse_request(r#"{"op":"submit"}"#).is_err());
         assert!(parse_response(r#"{"resp":"rejected"}"#).is_err());
+    }
+
+    /// Program names and messages with quotes, backslashes, control
+    /// characters and non-ASCII.
+    fn text() -> impl Strategy<Value = String> {
+        prop::collection::vec(any::<u32>(), 0..12).prop_map(|cs| {
+            cs.into_iter()
+                .map(|c| match c % 4 {
+                    0 => ['"', '\\', '\n', '\u{0}', '\u{1b}', '{', '/'][(c >> 2) as usize % 7],
+                    1 => char::from(b' ' + ((c >> 2) % 95) as u8),
+                    _ => char::from_u32((c >> 2) % 0x11_0000).unwrap_or('\u{fffd}'),
+                })
+                .collect()
+        })
+    }
+
+    /// Every request shape; `sleep_ms` is half the time beyond the clamp.
+    fn request() -> impl Strategy<Value = Request> {
+        (text(), any::<u64>(), any::<u64>(), any::<u64>()).prop_map(
+            |(program, bits, deadline, sleep)| match bits % 4 {
+                0 => Request::Status,
+                1 => Request::Shutdown,
+                _ => Request::Submit {
+                    program,
+                    quick: bits & 4 != 0,
+                    deadline_ms: (bits & 8 != 0).then_some(deadline),
+                    sleep_ms: if bits & 16 != 0 {
+                        sleep
+                    } else {
+                        sleep % (2 * MAX_SLEEP_MS)
+                    },
+                    inject_panic: bits & 32 != 0,
+                },
+            },
+        )
+    }
+
+    /// A summary whose counts and findings are read off `words`.
+    fn summary(words: &[u64], global: &str) -> ProgramSummary {
+        let w = |i: usize| words.get(i).copied().unwrap_or(0);
+        let findings = (0..w(0) % 3)
+            .map(|f| FindingSummary {
+                global: format!("{global}{f}"),
+                hints: (0..w(1 + f as usize) % 4)
+                    .map(|h| {
+                        let x = w(4 + h as usize) >> f;
+                        HintSummary {
+                            class: [
+                                VulnClass::MemoryOp,
+                                VulnClass::NullDeref,
+                                VulnClass::PrivilegeOp,
+                                VulnClass::FileOp,
+                                VulnClass::ExecOp,
+                            ][x as usize % 5],
+                            dep: if x & 8 != 0 {
+                                DepKind::DataDep
+                            } else {
+                                DepKind::CtrlDep
+                            },
+                            reached: x & 16 != 0,
+                        }
+                    })
+                    .collect(),
+            })
+            .collect();
+        ProgramSummary {
+            raw_reports: w(8) as usize,
+            adhoc_syncs: w(9) as usize,
+            post_annotation_reports: w(10) as usize,
+            verifier_eliminated: w(11) as usize,
+            remaining: w(12) as usize,
+            vulnerable: w(13) as usize,
+            injected_faults: w(14),
+            quarantined: w(15),
+            findings,
+        }
+    }
+
+    /// A status report whose every field is read off `words`.
+    fn status(words: &[u64]) -> StatusReport {
+        let w = |i: usize| words.get(i).copied().unwrap_or(0);
+        let mut counters = Counters::default();
+        for (i, c) in Counter::ALL.into_iter().enumerate() {
+            counters[c] = w(16 + i);
+        }
+        StatusReport {
+            queue_depth: w(0),
+            active: w(1),
+            inflight_bytes: w(2),
+            draining: w(3) & 1 == 1,
+            executed: w(4),
+            cache_hits: w(5),
+            shed_queue_full: w(6),
+            shed_too_large: w(7),
+            shed_draining: w(8),
+            stored: w(9),
+            recovery_discarded_bytes: w(10),
+            recovery_discarded_records: w(11),
+            elision_solve_us: w(12),
+            counters,
+        }
+    }
+
+    /// Every response shape.
+    fn response() -> impl Strategy<Value = Response> {
+        let words = prop::collection::vec(any::<u64>(), 0..48);
+        (text(), text(), any::<u64>(), words).prop_map(|(text, global, bits, words)| {
+            let id = words.first().copied().unwrap_or(bits);
+            match bits % 7 {
+                0 => Response::Accepted { id },
+                1 => Response::Rejected {
+                    reason: [
+                        RejectReason::QueueFull,
+                        RejectReason::TooLarge,
+                        RejectReason::Draining,
+                        RejectReason::UnknownProgram,
+                    ][(bits >> 3) as usize % 4],
+                },
+                2 => Response::Result {
+                    id,
+                    program: text,
+                    cached: bits & 8 != 0,
+                    summary: summary(&words, &global),
+                },
+                3 => Response::Failed {
+                    id,
+                    kind: if bits & 8 != 0 {
+                        FailureKind::DeadlineExceeded
+                    } else {
+                        FailureKind::Quarantined
+                    },
+                    message: text,
+                },
+                4 => Response::Status(Box::new(status(&words))),
+                5 => Response::Bye,
+                _ => Response::Error { message: text },
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Encode then parse returns the request, with `sleep_ms` clamped
+        /// to [`MAX_SLEEP_MS`].
+        #[test]
+        fn any_request_round_trips_with_sleep_clamped(req in request()) {
+            let mut want = req.clone();
+            if let Request::Submit { sleep_ms, .. } = &mut want {
+                *sleep_ms = (*sleep_ms).min(MAX_SLEEP_MS);
+            }
+            prop_assert_eq!(parse_request(&encode_request(&req)), Ok(want));
+        }
+
+        /// Encode then parse returns the response.
+        #[test]
+        fn any_response_round_trips(resp in response()) {
+            prop_assert_eq!(parse_response(&encode_response(&resp)), Ok(resp));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// Every single-bit flip of a valid request or response line,
+        /// read as lossy UTF-8, is parsed or rejected by both decoders;
+        /// nothing panics.
+        #[test]
+        fn bit_flipped_lines_never_panic(req in request(), resp in response()) {
+            for line in [encode_request(&req), encode_response(&resp)] {
+                let clean = line.into_bytes();
+                for bit in 0..clean.len() * 8 {
+                    let mut bytes = clean.clone();
+                    bytes[bit / 8] ^= 1 << (bit % 8);
+                    let flipped = String::from_utf8_lossy(&bytes);
+                    let _ = parse_request(&flipped);
+                    let _ = parse_response(&flipped);
+                }
+            }
+        }
     }
 }

@@ -19,11 +19,12 @@
 //! ## Example
 //!
 //! ```
-//! use owl_corpus::{all_programs, program};
+//! use owl_corpus::{all_programs, lookup, program};
 //!
-//! let libsafe = program("Libsafe").expect("corpus program");
+//! let libsafe = program("libsafe").expect("corpus program");
 //! assert_eq!(libsafe.attacks.len(), 1);
-//! assert!(all_programs().len() >= 6);
+//! assert_eq!(lookup("heap-relay").map(|e| e.name), Some("HeapRelay"));
+//! assert_eq!(all_programs().len(), 7);
 //! ```
 
 #![warn(missing_docs)]
@@ -42,32 +43,63 @@ mod ssdb;
 
 pub use spec::{AttackOracle, AttackSpec, CorpusProgram};
 
-/// Builds every corpus program (the six studied programs plus the
-/// memcached noise baseline of Table 3).
-pub fn all_programs() -> Vec<CorpusProgram> {
-    vec![
-        apache::build(),
-        chrome::build(),
-        libsafe::build(),
-        linux::build(),
-        memcached::build(),
-        mysql::build(),
-        ssdb::build(),
-    ]
+/// One program a name resolves to.
+#[derive(Debug)]
+pub struct ProgramEntry {
+    /// Display name: the model's [`CorpusProgram::name`], which results
+    /// and result-store fingerprints carry.
+    pub name: &'static str,
+    /// Spellings accepted besides the name; matching ignores ASCII case.
+    aliases: &'static [&'static str],
+    /// `None` for the paper's programs; an extension's `list` line.
+    pub extension: Option<&'static str>,
+    build: fn() -> CorpusProgram,
 }
 
-/// Builds one corpus program by its display name.
-pub fn program(name: &str) -> Option<CorpusProgram> {
-    match name {
-        "Apache" => Some(apache::build()),
-        "Chrome" => Some(chrome::build()),
-        "Libsafe" => Some(libsafe::build()),
-        "Linux" => Some(linux::build()),
-        "Memcached" => Some(memcached::build()),
-        "MySQL" => Some(mysql::build()),
-        "SSDB" => Some(ssdb::build()),
-        _ => None,
+impl ProgramEntry {
+    /// Builds this program's model.
+    pub fn build(&self) -> CorpusProgram {
+        (self.build)()
     }
+}
+
+/// Every named program in `owl-cli list` order: the six studied
+/// programs and the memcached noise baseline of Table 3, then the
+/// extensions. [`extensions::kernel_double_fetch`] stays unnamed.
+#[rustfmt::skip]
+pub static PROGRAMS: [ProgramEntry; 10] = [
+    ProgramEntry { name: "Apache", aliases: &[], extension: None, build: apache::build },
+    ProgramEntry { name: "Chrome", aliases: &[], extension: None, build: chrome::build },
+    ProgramEntry { name: "Libsafe", aliases: &[], extension: None, build: libsafe::build },
+    ProgramEntry { name: "Linux", aliases: &[], extension: None, build: linux::build },
+    ProgramEntry { name: "Memcached", aliases: &[], extension: None, build: memcached::build },
+    ProgramEntry { name: "MySQL", aliases: &[], extension: None, build: mysql::build },
+    ProgramEntry { name: "SSDB", aliases: &[], extension: None, build: ssdb::build },
+    ProgramEntry { name: "Bank", aliases: &[], build: extensions::bank_atomicity,
+        extension: Some("atomicity-violation demo") },
+    ProgramEntry { name: "HeapRelay", aliases: &["heap-relay"], build: extensions::heap_relay,
+        extension: Some("corruption relayed through a heap buffer") },
+    ProgramEntry { name: "CacheRelay", aliases: &["cache-relay"], build: extensions::cache_relay,
+        extension: Some("corrupted pointer through a global cache") },
+];
+
+/// The entry a name or alias (any ASCII case) resolves to; builds nothing.
+pub fn lookup(name: &str) -> Option<&'static ProgramEntry> {
+    let accepts = |n: &&str| n.eq_ignore_ascii_case(name);
+    PROGRAMS
+        .iter()
+        .find(|e| accepts(&e.name) || e.aliases.iter().any(accepts))
+}
+
+/// Builds the program a name resolves to ([`lookup`]).
+pub fn program(name: &str) -> Option<CorpusProgram> {
+    lookup(name).map(ProgramEntry::build)
+}
+
+/// Builds the paper's programs, in [`PROGRAMS`] order.
+pub fn all_programs() -> Vec<CorpusProgram> {
+    let paper = PROGRAMS.iter().filter(|e| e.extension.is_none());
+    paper.map(ProgramEntry::build).collect()
 }
 
 #[cfg(test)]
@@ -87,8 +119,40 @@ mod tests {
     #[test]
     fn lookup_by_name() {
         assert!(program("Libsafe").is_some());
-        assert!(program("SSDB").is_some());
+        assert_eq!(program("ssdb").map(|p| p.name), Some("SSDB"));
+        assert_eq!(program("BANK").map(|p| p.name), Some("Bank"));
+        assert_eq!(program("Cache-Relay").map(|p| p.name), Some("CacheRelay"));
         assert!(program("nope").is_none());
+        assert!(program("DoubleFetch").is_none());
+    }
+
+    #[test]
+    fn every_entry_builds_its_own_name() {
+        for e in &PROGRAMS {
+            assert_eq!(e.build().name, e.name);
+            assert!(
+                std::ptr::eq(lookup(e.name).unwrap(), e),
+                "{} is shadowed",
+                e.name
+            );
+            for alias in e.aliases {
+                assert!(
+                    std::ptr::eq(lookup(alias).unwrap(), e),
+                    "{alias} is shadowed"
+                );
+            }
+        }
+        let names: Vec<_> = all_programs().iter().map(|p| p.name).collect();
+        let paper = [
+            "Apache",
+            "Chrome",
+            "Libsafe",
+            "Linux",
+            "Memcached",
+            "MySQL",
+            "SSDB",
+        ];
+        assert_eq!(names, paper, "all_programs() keeps its names and order");
     }
 
     #[test]

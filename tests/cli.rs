@@ -19,9 +19,20 @@ fn run_ok(args: &[&str]) -> String {
 #[test]
 fn list_shows_all_programs() {
     let out = run_ok(&["list"]);
-    for name in ["Apache", "Chrome", "Libsafe", "Linux", "Memcached", "MySQL", "SSDB", "Bank"] {
-        assert!(out.contains(name), "missing {name} in:\n{out}");
-    }
+    assert_eq!(
+        out,
+        "corpus programs:\n\
+         \x20 Apache       544 IR insts, 3 attack(s)\n\
+         \x20 Chrome       535 IR insts, 1 attack(s)\n\
+         \x20 Libsafe      103 IR insts, 1 attack(s)\n\
+         \x20 Linux       1837 IR insts, 2 attack(s)\n\
+         \x20 Memcached    374 IR insts, 0 attack(s)\n\
+         \x20 MySQL        572 IR insts, 2 attack(s)\n\
+         \x20 SSDB         117 IR insts, 1 attack(s)\n\
+         \x20 Bank       extension: atomicity-violation demo\n\
+         \x20 HeapRelay  extension: corruption relayed through a heap buffer\n\
+         \x20 CacheRelay extension: corrupted pointer through a global cache\n"
+    );
 }
 
 #[test]
