@@ -3,9 +3,9 @@
 //! A campaign sweeps a list of corpus programs through the full
 //! pipeline against one durable [`Journal`]:
 //!
-//! * every completed pipeline unit is journaled (see
-//!   [`crate::journal`]), so killing the process loses at most the
-//!   unit in flight;
+//! * every completed pipeline unit is journaled, one group commit per
+//!   program-stage (see [`crate::journal`]), so killing the process
+//!   loses at most the program-stage in flight;
 //! * each program runs under `catch_unwind` isolation with a bounded
 //!   retry budget and seeded exponential backoff + jitter
 //!   ([`backoff_delay`]);
@@ -914,6 +914,7 @@ pub fn run_campaign(
     let health = health_from_records(&records, &recovery);
     if let Some(m) = &cfg.metrics {
         m.counter("journal_appends", journal.appends());
+        m.counter("journal_fsyncs", journal.fsyncs());
         for c in [
             Counter::JournalDiscardedBytes,
             Counter::JournalDiscardedRecords,

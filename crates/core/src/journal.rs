@@ -2,11 +2,21 @@
 //!
 //! Detection campaigns are long and crash-prone — a panic, a deadline
 //! abort, or a plain `kill -9` must not cost hours of completed
-//! verification work. The journal records one fsync'd line per
-//! *completed pipeline unit* (a report verified, a finding analyzed, a
-//! report quarantined, a program finished or given up on), so a killed
-//! run can resume from the last durably-recorded unit instead of
-//! starting over.
+//! verification work. The journal records one line per *completed
+//! pipeline unit* (a report verified, a finding analyzed, a report
+//! quarantined, a program finished or given up on), so a killed run can
+//! resume from the last durable unit instead of starting over.
+//!
+//! ## Commit policy
+//!
+//! Every append is a group commit ([`Journal::append_batch`]): one
+//! `write + flush + sync_data` for the whole batch. A campaign commits
+//! each program's stage-3 records as one batch and its stage-4–5
+//! records as a second ([`JournalSink::commit`]); the campaign header
+//! and each program's terminal record are batches of one
+//! ([`Journal::append`]). A kill therefore loses at most the
+//! program-stage in flight, which re-executes deterministically on
+//! resume.
 //!
 //! ## Line format
 //!
@@ -16,8 +26,10 @@
 //!
 //! The checksum is FNV-1a/64 over the exact bytes of the record JSON
 //! (the canonical form emitted by [`crate::json`]). It is verified
-//! byte-for-byte on open, so any in-place corruption — not just torn
-//! writes — is detected.
+//! byte-for-byte on open and must be spelled exactly as written, so any
+//! in-place corruption — not just torn writes — is detected. The frame
+//! and the torn-tail scan are shared with trace spill segments
+//! ([`owl_race::spill::LineFrame`], [`owl_race::spill::valid_prefix`]).
 //!
 //! ## Recovery policy
 //!
@@ -34,16 +46,17 @@
 //! ## Kill points
 //!
 //! For crash testing, [`Journal::set_kill_after`] arms a hard kill
-//! point: after the `n`-th successful append the journal panics with a
-//! [`JournalKilled`] payload (tagged [`owl_vm::FaultKind::JournalKill`]).
-//! The campaign supervisor deliberately re-raises this payload instead
-//! of catching it, so it behaves like a real `SIGKILL` landing right
-//! after an fsync — the worst moment that still must lose nothing.
+//! point: after the `n`-th record appended the journal panics with a
+//! [`JournalKilled`] payload (tagged [`owl_vm::FaultKind::JournalKill`]),
+//! having fsync'd exactly the first `n` records, even when the `n`-th
+//! sits inside a batch. The campaign supervisor deliberately re-raises
+//! this payload instead of catching it, so it behaves like a real
+//! `SIGKILL` landing right after an fsync.
 
 use crate::counters::Counters;
 use crate::json::{self, Json};
 use crate::pipeline::{PipelineError, PipelineResult, Stage};
-use owl_race::spill::fnv1a64;
+use owl_race::spill::{valid_prefix, LineFrame};
 use owl_race::RaceReport;
 use owl_static::{DepKind, VulnReport};
 use owl_verify::{AbortCause, VerifyOutcome};
@@ -846,44 +859,18 @@ fn decode_record(v: &Json) -> Option<JournalRecord> {
     })
 }
 
-const LINE_PREFIX: &[u8] = b"{\"crc\":\"";
-const LINE_MID: &[u8] = b"\",\"rec\":";
+const FRAME: LineFrame = LineFrame::new("\",\"rec\":", "}");
 
-/// Formats one journal line (without the trailing newline the writer
-/// appends).
+/// Formats one journal line, trailing newline included.
 fn format_line(rec: &JournalRecord) -> String {
-    let payload = encode_record(rec).to_json_string();
-    let crc = fnv1a64(payload.as_bytes());
-    format!("{{\"crc\":\"{crc:016x}\",\"rec\":{payload}}}")
+    FRAME.line(&encode_record(rec).to_json_string())
 }
 
-/// Validates one newline-stripped journal line: prefix shape, checksum
+/// Validates one newline-stripped journal line: frame and checksum
 /// over the exact payload bytes, then record decode.
-fn parse_line(line: &[u8]) -> Result<JournalRecord, String> {
-    if !line.starts_with(LINE_PREFIX) {
-        return Err("missing crc prefix".to_string());
-    }
-    let rest = &line[LINE_PREFIX.len()..];
-    if rest.len() < 16 + LINE_MID.len() + 1 {
-        return Err("line too short".to_string());
-    }
-    let (crc_hex, rest) = rest.split_at(16);
-    let crc_hex = std::str::from_utf8(crc_hex).map_err(|_| "crc not ASCII".to_string())?;
-    let crc = u64::from_str_radix(crc_hex, 16).map_err(|_| "crc not hex".to_string())?;
-    if !rest.starts_with(LINE_MID) {
-        return Err("malformed line frame".to_string());
-    }
-    let rest = &rest[LINE_MID.len()..];
-    if rest.last() != Some(&b'}') {
-        return Err("missing closing brace".to_string());
-    }
-    let payload = &rest[..rest.len() - 1];
-    if fnv1a64(payload) != crc {
-        return Err("checksum mismatch".to_string());
-    }
-    let payload = std::str::from_utf8(payload).map_err(|_| "payload not UTF-8".to_string())?;
-    let value = json::parse(payload).map_err(|e| e.to_string())?;
-    decode_record(&value).ok_or_else(|| "unknown or malformed record".to_string())
+fn parse_line(line: &[u8]) -> Option<JournalRecord> {
+    let payload = std::str::from_utf8(FRAME.payload(line)?).ok()?;
+    decode_record(&json::parse(payload).ok()?)
 }
 
 /// An open, recovered, append-only run journal.
@@ -894,6 +881,7 @@ pub struct Journal {
     records: Vec<JournalRecord>,
     recovery: RecoveryReport,
     appends: u64,
+    fsyncs: u64,
     kill_after: Option<u64>,
     killed: bool,
 }
@@ -913,25 +901,7 @@ impl Journal {
             .open(&path)?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
-
-        let mut records = Vec::new();
-        let mut pos = 0usize;
-        let mut valid_end = 0usize;
-        while pos < bytes.len() {
-            let Some(nl) = bytes[pos..].iter().position(|&b| b == b'\n') else {
-                break; // torn tail: no newline before EOF
-            };
-            let line = &bytes[pos..pos + nl];
-            match parse_line(line) {
-                Ok(rec) => {
-                    records.push(rec);
-                    pos += nl + 1;
-                    valid_end = pos;
-                }
-                Err(_) => break, // first corrupt line: discard the rest
-            }
-        }
-
+        let (records, valid_end) = valid_prefix(&bytes, parse_line);
         let discarded = &bytes[valid_end..];
         let discarded_records = if discarded.is_empty() {
             0
@@ -957,6 +927,7 @@ impl Journal {
             records,
             recovery,
             appends: 0,
+            fsyncs: 0,
             kill_after: None,
             killed: false,
         })
@@ -989,53 +960,31 @@ impl Journal {
         self.kill_after = n;
     }
 
-    /// Durably appends one record: write, flush, fsync — the record is
-    /// on disk before this returns.
-    ///
-    /// Once the armed kill point has fired, the journal is dead: any
-    /// later append panics with [`JournalKilled`] *before* touching the
-    /// file, so concurrent workers racing past a kill cannot write a
-    /// single byte beyond the `n`-th record. That is what keeps "kill
-    /// after n appends" meaning *exactly n records on disk* even under
-    /// a multi-worker campaign.
+    /// Fsyncs done by appends through this handle.
+    pub fn fsyncs(&self) -> u64 {
+        self.fsyncs
+    }
+
+    /// Durably appends one record: a batch of one, so one fsync.
     pub fn append(&mut self, rec: JournalRecord) -> Result<(), JournalError> {
-        if self.killed {
-            std::panic::panic_any(JournalKilled {
-                appends: self.appends,
-                kind: FaultKind::JournalKill,
-            });
-        }
-        let mut line = format_line(&rec);
-        line.push('\n');
-        self.file.write_all(line.as_bytes())?;
-        self.file.flush()?;
-        self.file.sync_data()?;
-        self.records.push(rec);
-        self.appends += 1;
-        if self.kill_after == Some(self.appends) {
-            self.killed = true;
-            std::panic::panic_any(JournalKilled {
-                appends: self.appends,
-                kind: FaultKind::JournalKill,
-            });
-        }
-        Ok(())
+        self.append_batch(vec![rec])
     }
 
     /// Durably appends a batch of records with **one** fsync — the
-    /// group-commit path. Every record still occupies its own
-    /// checksummed line (the on-disk format is identical to repeated
-    /// [`Journal::append`] calls), but the batch shares a single
-    /// `write + flush + sync_data`, so a committer paying one fsync
-    /// latency can persist every record queued behind it.
+    /// group commit every append goes through. Every record occupies its
+    /// own checksummed line, but the batch shares a single
+    /// `write + flush + sync_data`: the records are on disk before this
+    /// returns. An empty batch writes nothing.
     ///
-    /// The armed kill point keeps its exact semantics: if the `n`-th
+    /// The armed kill point counts records, not batches: if the `n`-th
     /// append lands *inside* this batch, only the records up to and
-    /// including the `n`-th are written (each one whole), the prefix is
-    /// fsync'd, and the journal panics with [`JournalKilled`] — so
-    /// "kill after n appends" still means *exactly n records on disk*,
-    /// and a batch interrupted by the kill recovers to a clean
-    /// record boundary, never a torn line.
+    /// including the `n`-th are written (each one whole), that prefix is
+    /// fsync'd, and the journal panics with [`JournalKilled`]. Once the
+    /// kill point has fired the journal is dead: any later batch panics
+    /// *before* touching the file, so concurrent workers racing past a
+    /// kill cannot write a single byte beyond the `n`-th record. So
+    /// "kill after n appends" means *exactly n records on disk*, on a
+    /// clean record boundary, even under a multi-worker campaign.
     pub fn append_batch(&mut self, recs: Vec<JournalRecord>) -> Result<(), JournalError> {
         if recs.is_empty() {
             return Ok(());
@@ -1052,17 +1001,12 @@ impl Journal {
             .and_then(|n| n.checked_sub(self.appends))
             .filter(|&k| k >= 1 && k <= recs.len() as u64);
         let write_n = kill_at.map_or(recs.len(), |k| k as usize);
-        let mut buf = String::new();
-        for rec in &recs[..write_n] {
-            buf.push_str(&format_line(rec));
-            buf.push('\n');
-        }
+        let buf: String = recs[..write_n].iter().map(format_line).collect();
         self.file.write_all(buf.as_bytes())?;
         self.file.flush()?;
         self.file.sync_data()?;
-        for rec in recs.into_iter().take(write_n) {
-            self.records.push(rec);
-        }
+        self.fsyncs += 1;
+        self.records.extend(recs.into_iter().take(write_n));
         self.appends += write_n as u64;
         if kill_at.is_some() {
             self.killed = true;
@@ -1093,19 +1037,11 @@ impl Journal {
 /// the record stream because a shared sink's records live behind a
 /// lock that cannot be held across a whole pipeline run.
 pub trait JournalSink {
-    /// Durably appends one record (write, flush, fsync), same contract
-    /// as [`Journal::append`] — including the armed kill point.
-    fn append_record(&mut self, rec: JournalRecord) -> Result<(), JournalError>;
-
-    /// Durably appends a batch of records. The default implementation
-    /// falls back to per-record appends (one fsync each); sinks with a
-    /// real group-commit path override it.
-    fn append_batch_records(&mut self, recs: Vec<JournalRecord>) -> Result<(), JournalError> {
-        for rec in recs {
-            self.append_record(rec)?;
-        }
-        Ok(())
-    }
+    /// Durably appends one program-stage's records as one group commit,
+    /// same contract as [`Journal::append_batch`]: one fsync, the armed
+    /// kill point cutting on a record boundary, nothing written for an
+    /// empty batch.
+    fn commit(&mut self, recs: Vec<JournalRecord>) -> Result<(), JournalError>;
 
     /// Snapshot of the records already journaled for `program`, in
     /// file order.
@@ -1113,11 +1049,7 @@ pub trait JournalSink {
 }
 
 impl JournalSink for Journal {
-    fn append_record(&mut self, rec: JournalRecord) -> Result<(), JournalError> {
-        self.append(rec)
-    }
-
-    fn append_batch_records(&mut self, recs: Vec<JournalRecord>) -> Result<(), JournalError> {
+    fn commit(&mut self, recs: Vec<JournalRecord>) -> Result<(), JournalError> {
         self.append_batch(recs)
     }
 
@@ -1163,12 +1095,6 @@ impl SharedJournal {
         self.lock().append(rec)
     }
 
-    /// Serialized [`Journal::append_batch`] — one fsync for the whole
-    /// batch.
-    pub fn append_batch(&self, recs: Vec<JournalRecord>) -> Result<(), JournalError> {
-        self.lock().append_batch(recs)
-    }
-
     /// Snapshot of every record, in file order.
     pub fn records(&self) -> Vec<JournalRecord> {
         self.lock().records().to_vec()
@@ -1183,24 +1109,20 @@ impl SharedJournal {
     pub fn appends(&self) -> u64 {
         self.lock().appends()
     }
+
+    /// Fsyncs done by appends through this shared handle.
+    pub fn fsyncs(&self) -> u64 {
+        self.lock().fsyncs()
+    }
 }
 
 impl JournalSink for SharedJournal {
-    fn append_record(&mut self, rec: JournalRecord) -> Result<(), JournalError> {
-        self.append(rec)
-    }
-
-    fn append_batch_records(&mut self, recs: Vec<JournalRecord>) -> Result<(), JournalError> {
-        self.append_batch(recs)
+    fn commit(&mut self, recs: Vec<JournalRecord>) -> Result<(), JournalError> {
+        self.lock().append_batch(recs)
     }
 
     fn program_records(&self, program: &str) -> Vec<JournalRecord> {
-        self.lock()
-            .records()
-            .iter()
-            .filter(|r| r.program() == Some(program))
-            .cloned()
-            .collect()
+        self.lock().program_records(program)
     }
 }
 
@@ -1208,6 +1130,7 @@ impl JournalSink for SharedJournal {
 mod tests {
     use super::*;
     use crate::counters::Counter;
+    use proptest::prelude::*;
 
     fn tmp_path(tag: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -1474,6 +1397,308 @@ mod tests {
                 assert_eq!(*counters, Counters::default());
             }
             other => panic!("expected program-finished, got {other:?}"),
+        }
+    }
+
+    /// A word stream that records are read off; zeros once it runs dry.
+    struct Words<'a>(std::slice::Iter<'a, u64>);
+
+    impl Words<'_> {
+        fn next(&mut self) -> u64 {
+            self.0.next().copied().unwrap_or(0)
+        }
+
+        fn pick<T: Copy>(&mut self, options: &[T]) -> T {
+            options[self.next() as usize % options.len()]
+        }
+    }
+
+    /// Names, keys and messages with what the JSON writer escapes
+    /// (quotes, backslashes, control characters), printable ASCII and
+    /// arbitrary non-ASCII.
+    fn text(w: &mut Words) -> String {
+        (0..w.next() % 8)
+            .map(|_| {
+                let x = w.next();
+                let pick = (x >> 2) as u32;
+                match x % 4 {
+                    0 => ['"', '\\', '\n', '\r', '\u{0}', '\u{1f}', '}', '|'][pick as usize % 8],
+                    1 => char::from(b' ' + (pick % 95) as u8),
+                    _ => char::from_u32(pick % 0x11_0000).unwrap_or('\u{fffd}'),
+                }
+            })
+            .collect()
+    }
+
+    fn opt_text(w: &mut Words) -> Option<String> {
+        (w.next() & 1 == 1).then(|| text(w))
+    }
+
+    fn iref(w: &mut Words) -> InstRef {
+        InstRef {
+            func: FuncId(w.next() as u32),
+            inst: InstId(w.next() as u32),
+        }
+    }
+
+    fn irefs(w: &mut Words) -> Vec<InstRef> {
+        (0..w.next() % 4).map(|_| iref(w)).collect()
+    }
+
+    fn stage(w: &mut Words) -> Stage {
+        w.pick(&[
+            Stage::Detect,
+            Stage::AdhocSync,
+            Stage::RaceVerify,
+            Stage::VulnAnalyze,
+            Stage::VulnVerify,
+        ])
+    }
+
+    fn cause(w: &mut Words) -> AbortCause {
+        w.pick(&[
+            AbortCause::DeadlineExceeded,
+            AbortCause::StepBudgetExhausted,
+            AbortCause::Panicked,
+            AbortCause::MemoryBudget,
+        ])
+    }
+
+    fn class(w: &mut Words) -> VulnClass {
+        w.pick(&[
+            VulnClass::MemoryOp,
+            VulnClass::NullDeref,
+            VulnClass::PrivilegeOp,
+            VulnClass::FileOp,
+            VulnClass::ExecOp,
+        ])
+    }
+
+    fn dep(w: &mut Words) -> DepKind {
+        w.pick(&[DepKind::DataDep, DepKind::CtrlDep])
+    }
+
+    /// Every `PipelineError` kind.
+    fn error(w: &mut Words) -> PipelineError {
+        match w.next() % 4 {
+            0 => PipelineError::Panicked {
+                stage: stage(w),
+                message: text(w),
+            },
+            1 => PipelineError::StageDeadline { stage: stage(w) },
+            2 => PipelineError::VerifierAborted {
+                stage: stage(w),
+                cause: cause(w),
+                attempts: w.next(),
+            },
+            _ => PipelineError::InvalidEntry { reason: text(w) },
+        }
+    }
+
+    fn vuln(w: &mut Words) -> RecordedVuln {
+        RecordedVuln {
+            report: VulnReport {
+                site: iref(w),
+                class: class(w),
+                dep: dep(w),
+                source: iref(w),
+                branches: irefs(w),
+                path_branches: irefs(w),
+                chain: irefs(w),
+            },
+            reached: w.next() & 1 == 1,
+            verdict: match w.next() % 3 {
+                0 => VerifyOutcome::Confirmed,
+                1 => VerifyOutcome::Unconfirmed,
+                _ => VerifyOutcome::Aborted {
+                    cause: cause(w),
+                    attempts: w.next(),
+                },
+            },
+            attempts: w.next(),
+            injected_faults: w.next(),
+        }
+    }
+
+    fn summary(w: &mut Words) -> ProgramSummary {
+        ProgramSummary {
+            raw_reports: w.next() as usize,
+            adhoc_syncs: w.next() as usize,
+            post_annotation_reports: w.next() as usize,
+            verifier_eliminated: w.next() as usize,
+            remaining: w.next() as usize,
+            vulnerable: w.next() as usize,
+            injected_faults: w.next(),
+            quarantined: w.next(),
+            findings: (0..w.next() % 3)
+                .map(|_| FindingSummary {
+                    global: text(w),
+                    hints: (0..w.next() % 3)
+                        .map(|_| HintSummary {
+                            class: class(w),
+                            dep: dep(w),
+                            reached: w.next() & 1 == 1,
+                        })
+                        .collect(),
+                })
+                .collect(),
+        }
+    }
+
+    /// A record of any variant, every field read off `w`.
+    fn record(w: &mut Words) -> JournalRecord {
+        match w.next() % 7 {
+            0 => JournalRecord::CampaignStarted {
+                fingerprint: text(w),
+                programs: (0..w.next() % 4).map(|_| text(w)).collect(),
+            },
+            1 => JournalRecord::ReportVerified {
+                program: text(w),
+                key: text(w),
+                global: opt_text(w),
+                confirmed: w.next() & 1 == 1,
+                attempts: w.next(),
+                injected_faults: w.next(),
+            },
+            2 => JournalRecord::FindingAnalyzed {
+                program: text(w),
+                key: text(w),
+                global: opt_text(w),
+                vulns: (0..w.next() % 3).map(|_| vuln(w)).collect(),
+            },
+            3 => JournalRecord::Quarantined {
+                program: text(w),
+                key: opt_text(w),
+                global: opt_text(w),
+                error: error(w),
+                attempts: w.next(),
+                injected_faults: w.next(),
+            },
+            4 => JournalRecord::ProgramFinished {
+                program: text(w),
+                attempts: w.next(),
+                summary: summary(w),
+                counters: Box::new({
+                    let mut c = Counters::default();
+                    for counter in Counter::ALL {
+                        c[counter] = w.next();
+                    }
+                    c
+                }),
+            },
+            5 => JournalRecord::ProgramQuarantined {
+                program: text(w),
+                attempts: w.next(),
+                error: error(w),
+            },
+            _ => JournalRecord::ResultCached {
+                fingerprint: text(w),
+                program: text(w),
+                summary: summary(w),
+            },
+        }
+    }
+
+    fn records(words: &[u64], n: u64) -> Vec<JournalRecord> {
+        let mut w = Words(words.iter());
+        (0..n).map(|_| record(&mut w)).collect()
+    }
+
+    /// Writes `recs` as one batch to a fresh journal at `path` and
+    /// returns the file's bytes.
+    fn write_journal(path: &Path, recs: &[JournalRecord]) -> Vec<u8> {
+        let _ = std::fs::remove_file(path);
+        Journal::open(path)
+            .and_then(|mut j| j.append_batch(recs.to_vec()))
+            .expect("journal writes");
+        std::fs::read(path).expect("journal reads")
+    }
+
+    /// JSON's and the frame's punctuation, so that random payloads get
+    /// past the first token.
+    const TOKENS: &[u8] = b"{}[]\":,\\-0123456789tfn crecprogramkeyt";
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Every record of every variant formats to one line that parses
+        /// back to itself.
+        #[test]
+        fn any_record_round_trips(words in prop::collection::vec(any::<u64>(), 0..128)) {
+            let rec = records(&words, 1).remove(0);
+            let line = format_line(&rec);
+            prop_assert_eq!(line.matches('\n').count(), 1);
+            let body = line.strip_suffix('\n').expect("one record per line");
+            prop_assert_eq!(parse_line(body.as_bytes()), Some(rec));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Arbitrary bytes, bare or framed under a correct checksum so
+        /// they reach the record decoder, never panic `parse_line`; after
+        /// intact records, `Journal::open` keeps exactly those records
+        /// and truncates the bytes away.
+        #[test]
+        fn arbitrary_bytes_never_panic(
+            words in prop::collection::vec(any::<u64>(), 0..64),
+            n in 0u64..3,
+            garbage in prop::collection::vec(any::<u8>(), 1..256),
+        ) {
+            let tokens: Vec<u8> = garbage
+                .iter()
+                .map(|&b| if b < 128 { TOKENS[b as usize % TOKENS.len()] } else { b })
+                .collect();
+            let framed = FRAME.line(&String::from_utf8_lossy(&tokens));
+            let _ = parse_line(framed.trim_end_matches('\n').as_bytes());
+            prop_assert!(parse_line(&garbage).is_none());
+
+            let path = tmp_path("garbage");
+            let recs = records(&words, n);
+            let mut data = write_journal(&path, &recs);
+            let clean = data.len();
+            data.extend_from_slice(&garbage);
+            std::fs::write(&path, &data).expect("journal rewrites");
+            let j = Journal::open(&path).expect("recovery opens any bytes");
+            prop_assert_eq!(j.records(), recs.as_slice());
+            prop_assert_eq!(j.recovery().discarded_bytes, garbage.len() as u64);
+            prop_assert_eq!(std::fs::read(&path).expect("journal reads").len(), clean);
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        /// Every single-bit flip of a valid multi-record journal opens to
+        /// exactly the records before the flipped line, and the file is
+        /// truncated at the start of that line. A flip that upper-cases a
+        /// CRC digit is damage too.
+        #[test]
+        fn every_bit_flip_keeps_the_records_before_it(
+            words in prop::collection::vec(any::<u64>(), 0..48),
+        ) {
+            let path = tmp_path("flip");
+            let recs = records(&words, 3);
+            let clean = write_journal(&path, &recs);
+            let mut line_start = 0;
+            for byte in 0..clean.len() {
+                let line = clean[..byte].iter().filter(|&&b| b == b'\n').count();
+                if byte > 0 && clean[byte - 1] == b'\n' {
+                    line_start = byte;
+                }
+                for bit in 0..8 {
+                    let mut data = clean.clone();
+                    data[byte] ^= 1 << bit;
+                    std::fs::write(&path, &data).expect("journal rewrites");
+                    let j = Journal::open(&path).expect("recovery opens any bytes");
+                    prop_assert_eq!(j.records(), &recs[..line], "byte {} bit {}", byte, bit);
+                    let kept = std::fs::metadata(&path).expect("journal stats").len();
+                    prop_assert_eq!(kept, line_start as u64, "byte {} bit {}", byte, bit);
+                }
+            }
+            let _ = std::fs::remove_file(&path);
         }
     }
 }

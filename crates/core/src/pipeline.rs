@@ -596,13 +596,16 @@ impl<'m> Owl<'m> {
     /// dynamic verifiers, so they re-execute on every call; stages 3–5
     /// are journaled per unit. A unit whose record is already in the
     /// journal is **replayed** — its recorded verdict and health
-    /// contribution are restored without executing anything — and a
-    /// unit computed live is appended (write + flush + fsync) the
-    /// moment it completes. Killing the process at any point therefore
-    /// loses at most the one unit that was in flight; a rerun with the
-    /// same journal picks up exactly where the record stream ends and
-    /// produces the same deterministic summary an uninterrupted run
-    /// would have.
+    /// contribution are restored without executing anything. The units
+    /// computed live are collected in processing order and committed
+    /// when their stage ends, one group commit ([`JournalSink::commit`],
+    /// one fsync) for stage 3 and one for stages 4–5, inside the stage's
+    /// own timing. Killing the process at any point therefore loses at
+    /// most the program-stage that was in flight; a rerun with the same
+    /// journal replays what was committed, re-executes the rest
+    /// deterministically, and produces the same summary an
+    /// uninterrupted run would have. A fully journaled program commits
+    /// nothing and does no fsync.
     ///
     /// The journal's open-time recovery counters describe the journal,
     /// not this program, so the result's health leaves them at 0; a
@@ -661,10 +664,11 @@ impl<'m> Owl<'m> {
         let t3 = Instant::now();
 
         // Stage 3, journaled: replay recorded verdicts, verify the
-        // rest live and journal each verdict as it lands.
+        // rest live and commit their records when the stage ends.
         let primary = workloads[0].clone();
         let race_verifier = RaceVerifier::new(self.module, self.config.race_verify.clone());
         let mut verified: Vec<(RaceReport, RaceVerification)> = Vec::new();
+        let mut live = Vec::new();
         for report in &reports {
             let key = unit_key(report);
             if let Some(replay) = index.next_verify(&key) {
@@ -713,14 +717,14 @@ impl<'m> Owl<'m> {
                     match v.verdict {
                         VerifyOutcome::Confirmed | VerifyOutcome::Unconfirmed => {
                             let confirmed = v.verdict == VerifyOutcome::Confirmed;
-                            journal.append_record(JournalRecord::ReportVerified {
+                            live.push(JournalRecord::ReportVerified {
                                 program: name.to_string(),
                                 key,
                                 global: report.global_name.clone(),
                                 confirmed,
                                 attempts: v.attempts,
                                 injected_faults: v.injected_faults,
-                            })?;
+                            });
                             if confirmed {
                                 verified.push((report.clone(), v));
                             } else {
@@ -733,14 +737,14 @@ impl<'m> Owl<'m> {
                                 cause,
                                 attempts,
                             };
-                            journal.append_record(JournalRecord::Quarantined {
+                            live.push(JournalRecord::Quarantined {
                                 program: name.to_string(),
                                 key: Some(key),
                                 global: report.global_name.clone(),
                                 error: error.clone(),
                                 attempts: v.attempts,
                                 injected_faults: v.injected_faults,
-                            })?;
+                            });
                             apply_quarantine_health(&mut health.race_verify, &error);
                             quarantined.push(Quarantined {
                                 race: report.clone(),
@@ -754,14 +758,14 @@ impl<'m> Owl<'m> {
                         stage: Stage::RaceVerify,
                         message: panic_message(payload),
                     };
-                    journal.append_record(JournalRecord::Quarantined {
+                    live.push(JournalRecord::Quarantined {
                         program: name.to_string(),
                         key: Some(key),
                         global: report.global_name.clone(),
                         error: error.clone(),
                         attempts: 0,
                         injected_faults: 0,
-                    })?;
+                    });
                     apply_quarantine_health(&mut health.race_verify, &error);
                     quarantined.push(Quarantined {
                         race: report.clone(),
@@ -770,12 +774,14 @@ impl<'m> Owl<'m> {
                 }
             }
         }
+        journal.commit(std::mem::take(&mut live))?;
         stats.remaining = verified.len();
         stats.race_verify_time += t3.elapsed();
 
         // Stages 4–5, journaled per confirmed report: static analysis
         // plus dynamic vulnerability verification form one unit, so a
         // finding is either fully recorded or re-derived from scratch.
+        // Live units are committed together when the stages end.
         let needs_live = verified
             .iter()
             .any(|(race, _)| !index.has_analyze(&unit_key(race)));
@@ -866,14 +872,14 @@ impl<'m> Owl<'m> {
                                 stage: Stage::VulnAnalyze,
                                 message: panic_message(payload),
                             };
-                            journal.append_record(JournalRecord::Quarantined {
+                            live.push(JournalRecord::Quarantined {
                                 program: name.to_string(),
                                 key: Some(key),
                                 global: race.global_name.clone(),
                                 error: error.clone(),
                                 attempts: 0,
                                 injected_faults: 0,
-                            })?;
+                            });
                             apply_quarantine_health(&mut health.vuln_analyze, &error);
                             quarantined.push(Quarantined { race, error });
                             continue;
@@ -932,12 +938,12 @@ impl<'m> Owl<'m> {
                 verifications.push(v);
             }
             stats.vuln_verify_time += t5.elapsed();
-            journal.append_record(JournalRecord::FindingAnalyzed {
+            live.push(JournalRecord::FindingAnalyzed {
                 program: name.to_string(),
                 key,
                 global: race.global_name.clone(),
                 vulns: recorded,
-            })?;
+            });
             findings.push(Finding {
                 race,
                 verification,
@@ -945,6 +951,7 @@ impl<'m> Owl<'m> {
                 vuln_verifications: verifications,
             });
         }
+        journal.commit(live)?;
         stats.vulnerable = findings.iter().filter(|f| !f.vulns.is_empty()).count();
         stats.verify_time += tv.elapsed();
 

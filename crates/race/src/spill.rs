@@ -3,12 +3,13 @@
 //! When a unit's in-flight event window exceeds `--max-trace-mem`, the
 //! explorer writes the cold window to a *segment* file and immediately
 //! replays it into the detector, bounding resident memory by the spill
-//! threshold instead of the trace length. Segments use the same
-//! checksummed line discipline as `owl::journal` — one
+//! threshold instead of the trace length. Segments and `owl::journal`
+//! share one checksummed line frame, [`LineFrame`] — here one
 //! `{"crc":"<16 hex>","rec":"<payload>"}` record per line, FNV-1a/64
-//! over the payload — so a process death mid-write leaves at most one
-//! torn tail line, which [`recover_segment`] truncates on reopen
-//! exactly like the campaign journal does.
+//! over the payload — and one torn-tail scan, [`valid_prefix`], so a
+//! process death mid-write leaves at most one torn tail line, which
+//! [`recover_segment`] truncates on reopen exactly like the campaign
+//! journal does.
 //!
 //! The record payload is a hex-encoded fixed-width binary event (not
 //! JSON): segments are written and read back within one unit and never
@@ -330,48 +331,90 @@ fn hex_encode(bytes: &[u8]) -> String {
     s
 }
 
-fn hex_decode(s: &str) -> Option<Vec<u8>> {
+fn hex_decode(s: &[u8]) -> Option<Vec<u8>> {
     if !s.len().is_multiple_of(2) {
         return None;
     }
-    s.as_bytes()
-        .chunks(2)
+    s.chunks(2)
         .map(|c| u8::from_str_radix(std::str::from_utf8(c).ok()?, 16).ok())
         .collect()
 }
 
 // ---------------------------------------------------------------------
-// Line discipline (mirrors owl::journal)
+// Checksummed line frame (shared with owl::journal)
 // ---------------------------------------------------------------------
 
-const LINE_PREFIX: &str = "{\"crc\":\"";
-const LINE_MID: &str = "\",\"rec\":\"";
-const LINE_SUFFIX: &str = "\"}";
+/// How every checksummed line starts.
+const CRC_PREFIX: &str = "{\"crc\":\"";
 
-fn format_line(ev: &TraceEvent) -> Result<String, SpillError> {
-    let hex = hex_encode(&encode_event(ev)?);
-    let crc = fnv1a64(hex.as_bytes());
-    Ok(format!("{LINE_PREFIX}{crc:016x}{LINE_MID}{hex}{LINE_SUFFIX}\n"))
+/// The line layout of spill segments and of the run journal:
+/// `{"crc":"<16 lowercase hex>"`, then `mid`, the payload and `suffix`,
+/// then a newline. The CRC is [`fnv1a64`] over the payload bytes.
+#[derive(Clone, Copy, Debug)]
+pub struct LineFrame {
+    mid: &'static str,
+    suffix: &'static str,
 }
 
-/// Parses one segment line; `None` on any damage (bad framing, CRC
-/// mismatch, undecodable payload). The CRC must be spelled exactly as
-/// [`format_line`] writes it — sixteen lowercase hex digits — so that
-/// every single-bit flip of a line is damage, including one that
-/// upper-cases a CRC digit.
-fn parse_line(line: &str) -> Option<TraceEvent> {
-    let rest = line.strip_prefix(LINE_PREFIX)?;
-    let (crc_hex, rest) = rest.split_at_checked(16)?;
-    let rest = rest.strip_prefix(LINE_MID)?;
-    let hex = rest.strip_suffix(LINE_SUFFIX)?;
-    if !crc_hex.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) {
-        return None;
+impl LineFrame {
+    /// A frame that puts the payload between `mid` and `suffix`.
+    pub const fn new(mid: &'static str, suffix: &'static str) -> Self {
+        LineFrame { mid, suffix }
     }
-    let crc = u64::from_str_radix(crc_hex, 16).ok()?;
-    if fnv1a64(hex.as_bytes()) != crc {
-        return None;
+
+    /// The framed line for `payload`, trailing newline included.
+    pub fn line(&self, payload: &str) -> String {
+        let crc = fnv1a64(payload.as_bytes());
+        format!(
+            "{CRC_PREFIX}{crc:016x}{}{payload}{}\n",
+            self.mid, self.suffix
+        )
     }
-    decode_event(&hex_decode(hex)?)
+
+    /// The checksummed payload of one newline-stripped line, or `None`
+    /// on any damage. The CRC must be spelled exactly as
+    /// [`LineFrame::line`] writes it — sixteen lowercase hex digits — so
+    /// that every single-bit flip of a line is damage, including one
+    /// that upper-cases a CRC digit.
+    pub fn payload<'a>(&self, line: &'a [u8]) -> Option<&'a [u8]> {
+        let (crc, rest) = line
+            .strip_prefix(CRC_PREFIX.as_bytes())?
+            .split_at_checked(16)?;
+        let payload = rest
+            .strip_prefix(self.mid.as_bytes())?
+            .strip_suffix(self.suffix.as_bytes())?;
+        (crc == format!("{:016x}", fnv1a64(payload)).as_bytes()).then_some(payload)
+    }
+}
+
+/// The torn-tail scan of every checksummed file: decodes the
+/// newline-terminated lines at the start of `data` and stops at the
+/// first one that is torn (no newline before EOF) or that `decode`
+/// rejects. Returns the decoded values and the length of that valid
+/// prefix, which is where a recovering reader truncates the file.
+pub fn valid_prefix<T>(data: &[u8], mut decode: impl FnMut(&[u8]) -> Option<T>) -> (Vec<T>, usize) {
+    let mut values = Vec::new();
+    let mut end = 0;
+    for line in data.split_inclusive(|&b| b == b'\n') {
+        let Some(value) = line.strip_suffix(b"\n").and_then(&mut decode) else {
+            break;
+        };
+        values.push(value);
+        end += line.len();
+    }
+    (values, end)
+}
+
+const FRAME: LineFrame = LineFrame::new("\",\"rec\":\"", "\"}");
+
+fn format_line(ev: &TraceEvent) -> Result<String, SpillError> {
+    Ok(FRAME.line(&hex_encode(&encode_event(ev)?)))
+}
+
+/// Parses one newline-stripped segment line; `None` on any damage (bad
+/// framing, CRC mismatch, undecodable payload).
+fn parse_line(line: &[u8]) -> Option<TraceEvent> {
+    decode_event(&hex_decode(FRAME.payload(line)?)?)
 }
 
 // ---------------------------------------------------------------------
@@ -425,7 +468,7 @@ impl SpillKillSwitch {
             drop(g);
             // A real SIGKILL can land mid-`write(2)`: leave a torn,
             // checksummed-looking tail with no newline.
-            let _ = out.write_all(LINE_PREFIX.as_bytes());
+            let _ = out.write_all(CRC_PREFIX.as_bytes());
             let _ = out.write_all(b"dead");
             let _ = out.flush();
             std::panic::panic_any(JournalKilled {
@@ -475,14 +518,14 @@ where
 /// lied and the unit must abort rather than silently drop events.
 pub fn replay_segment<S: TraceSink + ?Sized>(path: &Path, sink: &mut S) -> io::Result<u64> {
     let mut rd = BufReader::new(File::open(path)?);
-    let mut line = String::new();
+    let mut line = Vec::new();
     let mut n = 0u64;
     loop {
         line.clear();
-        if rd.read_line(&mut line)? == 0 {
+        if rd.read_until(b'\n', &mut line)? == 0 {
             break;
         }
-        let ev = parse_line(line.trim_end_matches('\n')).ok_or_else(|| {
+        let ev = parse_line(line.strip_suffix(b"\n").unwrap_or(&line)).ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("corrupt spill record {n} in {}", path.display()),
@@ -511,34 +554,18 @@ pub struct SegmentRecovery {
 /// campaign journal applies on reopen.
 pub fn recover_segment(path: &Path) -> io::Result<SegmentRecovery> {
     let data = std::fs::read(path)?;
-    let mut offset = 0usize;
-    let mut valid = 0u64;
-    while offset < data.len() {
-        let rest = &data[offset..];
-        let Some(nl) = rest.iter().position(|&b| b == b'\n') else {
-            break; // no terminator: torn mid-write
-        };
-        let ok = std::str::from_utf8(&rest[..nl])
-            .ok()
-            .and_then(parse_line)
-            .is_some();
-        if !ok {
-            break;
-        }
-        offset += nl + 1;
-        valid += 1;
-    }
-    let torn = offset < data.len();
+    let (valid, end) = valid_prefix(&data, |line| parse_line(line).map(drop));
+    let torn = end < data.len();
     if torn {
         OpenOptions::new()
             .write(true)
             .open(path)?
-            .set_len(offset as u64)?;
+            .set_len(end as u64)?;
     }
     Ok(SegmentRecovery {
-        valid_events: valid,
+        valid_events: valid.len() as u64,
         torn,
-        discarded_bytes: (data.len() - offset) as u64,
+        discarded_bytes: (data.len() - end) as u64,
     })
 }
 
@@ -807,7 +834,7 @@ mod tests {
             let line = format_line(&ev).expect("at most 64 frames encode");
             prop_assert_eq!(line.matches('\n').count(), 1);
             let body = line.strip_suffix('\n').expect("one record per line");
-            prop_assert_eq!(parse_line(body), Some(ev));
+            prop_assert_eq!(parse_line(body.as_bytes()), Some(ev));
         }
     }
 
@@ -827,8 +854,7 @@ mod tests {
             let mut data = std::fs::read(&path).expect("segment reads");
             data.extend_from_slice(&garbage);
             std::fs::write(&path, &data).expect("segment rewrites");
-            let line = String::from_utf8_lossy(&garbage);
-            prop_assert!(parse_line(&line).is_none());
+            prop_assert!(parse_line(&garbage).is_none());
             let (rec, replayed) = recover_then_replay(&path);
             prop_assert_eq!(rec.valid_events, events.len() as u64);
             prop_assert!(rec.torn);
