@@ -17,7 +17,7 @@ use owl_bench::harness::{criterion_group, criterion_main, Criterion};
 use owl::json::Json;
 use owl_bench::harness::metric;
 use owl_ir::analysis::ElisionMap;
-use owl_ir::{FuncId, InstRef, ModuleBuilder, Module, Type};
+use owl_ir::{FuncId, FxHashSet, InstRef, ModuleBuilder, Module, Type};
 use owl_race::{explore, ExplorerConfig, HbBackend, HbConfig, HbDetector, StreamConfig};
 use owl_vm::{ProgramInput, RandomScheduler, RunConfig, TraceEvent, TraceSink, VecSink, Vm};
 use std::collections::HashSet;
@@ -93,7 +93,7 @@ fn capture_trace(module: &Module, entry: FuncId) -> Vec<TraceEvent> {
 fn capture_trace_elided(
     module: &Module,
     entry: FuncId,
-    elided: Option<Arc<HashSet<InstRef>>>,
+    elided: Option<Arc<FxHashSet<InstRef>>>,
 ) -> Vec<TraceEvent> {
     let mut sink = VecSink::default();
     let mut sched = RandomScheduler::new(11);

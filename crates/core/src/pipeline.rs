@@ -32,7 +32,7 @@ use crate::config::OwlConfig;
 use crate::counters::{Counter, Counters};
 use crate::journal::{unit_key, JournalError, JournalRecord, JournalSink, RecordedVuln};
 use owl_ir::analysis::{CallGraph, PointsTo};
-use owl_ir::{FuncId, InstRef, Module};
+use owl_ir::{FuncId, FxHashSet, InstRef, Module};
 use owl_race::{explore_with_deadline, ExplorerConfig, HbAnnotation, RaceReport};
 use owl_static::{
     AdhocSyncDetector, ElisionPrepass, SummaryCache, VulnAnalyzer, VulnReport, VulnStats,
@@ -41,7 +41,7 @@ use owl_verify::{
     AbortCause, RaceVerification, RaceVerifier, VerifyOutcome, VulnVerification, VulnVerifier,
 };
 use owl_vm::ProgramInput;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -1031,7 +1031,7 @@ impl<'m> Owl<'m> {
         let mut stage_expired = false;
         let primary = workloads[0].clone();
         type AtomicityKey = (InstRef, InstRef, InstRef);
-        let mut runs: Vec<Result<(HashSet<AtomicityKey>, u64), String>> = Vec::new();
+        let mut runs: Vec<Result<(FxHashSet<AtomicityKey>, u64), String>> = Vec::new();
         let mut verified: Vec<(RaceReport, RaceVerification)> = Vec::new();
         for report in &atomicity_reports {
             if let Some(d) = self.config.stage_deadline {
@@ -1573,6 +1573,8 @@ enum AnalyzeReplay {
 /// program. Records for equal unit keys are consumed in journal order,
 /// which matches processing order because reports are handled in
 /// deterministic detector order on every run.
+/// Keyed by unit keys read back from the journal file, so these maps
+/// keep std's seeded hasher.
 struct ResumeIndex {
     verify: HashMap<String, VecDeque<VerifyReplay>>,
     analyze: HashMap<String, VecDeque<AnalyzeReplay>>,

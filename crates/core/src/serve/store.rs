@@ -55,7 +55,9 @@ struct Pending {
     next_ticket: u64,
     /// Highest ticket durably flushed (0 = none yet).
     flushed_ticket: u64,
-    /// Fingerprint → (program, summary), durable entries only.
+    /// Fingerprint → (program, summary), durable entries only. Keyed
+    /// by strings read from the store file and the socket, so it keeps
+    /// std's seeded hasher.
     index: HashMap<String, (String, ProgramSummary)>,
     /// Set when a kill point or I/O error tore down a flush; every
     /// later commit fails fast instead of waiting forever.

@@ -45,11 +45,12 @@ use super::cfg::Cfg;
 use super::dom::DomTree;
 use super::loops::LoopInfo;
 use super::pointsto::{AbsLoc, PointsTo};
+use crate::hash::FxHashSet;
 use crate::ids::{FuncId, GlobalId, InstId, InstRef};
 use crate::inst::{Callee, Inst, Operand};
 use crate::module::Module;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
 /// Why a site's shadow-memory work can be skipped.
@@ -187,7 +188,7 @@ impl ElisionMap {
     }
 
     /// The elided sites as a lookup set (for the VM's event stamping).
-    pub fn elided_set(&self) -> HashSet<InstRef> {
+    pub fn elided_set(&self) -> FxHashSet<InstRef> {
         self.classes.keys().copied().collect()
     }
 

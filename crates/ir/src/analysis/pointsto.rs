@@ -38,11 +38,12 @@
 //! flowing into the callee operand, which is also what
 //! [`super::CallGraph`] consumes to refine its arity-based fallback.
 
+use crate::hash::FxHashMap;
 use crate::ids::{FuncId, GlobalId, InstId, InstRef};
 use crate::inst::{Callee, Inst, Operand};
 use crate::module::Module;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// An abstract memory location: one per static allocation site.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -115,7 +116,7 @@ enum Deferred {
 /// The solved points-to relation over one module.
 #[derive(Debug)]
 pub struct PointsTo {
-    index: HashMap<Node, usize>,
+    index: FxHashMap<Node, usize>,
     /// Each node's points-to set, as an index into `sets`.
     set_ids: Vec<usize>,
     /// The distinct points-to sets, one copy each. Most nodes share a
@@ -131,7 +132,7 @@ pub struct PointsTo {
 
 /// Constraint-graph state used only while solving.
 struct Solver {
-    index: HashMap<Node, usize>,
+    index: FxHashMap<Node, usize>,
     nodes: Vec<Node>,
     sets: Vec<BTreeSet<AbsLoc>>,
     /// Copy edges: successors per node (`dst ⊇ src`).
@@ -151,7 +152,7 @@ struct Solver {
 impl Solver {
     fn new() -> Self {
         Solver {
-            index: HashMap::new(),
+            index: FxHashMap::default(),
             nodes: Vec::new(),
             sets: Vec::new(),
             succs: Vec::new(),
@@ -437,7 +438,7 @@ impl PointsTo {
         // Free the constraint graph first, so that deduplicating the
         // sets does not add to the solve's peak memory.
         drop((s.nodes, s.succs, s.deferred, s.work, s.queued, s.wired_calls));
-        let mut ids: HashMap<BTreeSet<AbsLoc>, usize> = HashMap::new();
+        let mut ids: FxHashMap<BTreeSet<AbsLoc>, usize> = FxHashMap::default();
         let set_ids = s
             .sets
             .into_iter()

@@ -36,6 +36,7 @@
 
 pub mod analysis;
 mod builder;
+mod hash;
 mod ids;
 mod inst;
 mod module;
@@ -45,6 +46,7 @@ mod types;
 mod verify;
 
 pub use builder::{FunctionBuilder, ModuleBuilder};
+pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{BlockId, FuncId, GlobalId, InstId, InstRef};
 pub use inst::{BinOp, Callee, Inst, Operand, Pred, VulnClass};
 pub use module::{Block, Function, Global, Loc, Module};

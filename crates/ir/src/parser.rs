@@ -62,6 +62,8 @@ fn parse_type(s: &str, line: usize) -> Result<Type, ParseError> {
     }
 }
 
+// Keyed by names and numbers read from the text: these maps keep std's
+// seeded hasher (see `crate::hash`).
 struct FuncRefs {
     funcs: HashMap<String, FuncId>,
     globals: HashMap<String, GlobalId>,
@@ -585,6 +587,15 @@ pub fn parse_module(text: &str) -> Result<Module, ParseError> {
         }
         if let Some(bb) = line.strip_suffix(':') {
             cur_block = ctx.block(bb)?;
+            // Each block has a label line of its own, so a label past
+            // the line count names no block; refusing it keeps the
+            // block table within the input's size.
+            if cur_block.index() >= lines.len() {
+                return err(
+                    n,
+                    format!("block `{bb}` beyond the text's {} lines", lines.len()),
+                );
+            }
             let Some(f) = cur_func else {
                 return err(n, "block label outside a function");
             };
@@ -734,6 +745,18 @@ extern func @write(%arg0, %arg1)
         verify_module(&m).expect("verifies");
         let f = m.func_by_name("f").unwrap();
         assert_eq!(m.func(f).insts.len(), 3);
+    }
+
+    #[test]
+    fn block_label_past_the_text_is_rejected() {
+        // Would otherwise grow the function's block table to 4·10⁹
+        // entries from one line of input.
+        let bad = "module x\nfunc @f() {\nbb4000000000:\n  ret\n}\n";
+        let e = parse_module(bad).unwrap_err();
+        assert_eq!(e.line, 3, "{e}");
+        // A sparse label within the text's line count still parses.
+        let ok = "module x\nfunc @f() {\nbb0:\n  jmp bb5\nbb5:\n  ret\n}\n";
+        assert_eq!(parse_module(ok).expect("parse").funcs[0].blocks.len(), 6);
     }
 
     #[test]

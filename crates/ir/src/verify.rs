@@ -120,6 +120,7 @@ pub fn verify_module(m: &Module) -> Result<(), Vec<VerifyError>> {
 
         // Operand sanity.
         let mut ops = Vec::new();
+        let mut targets_ok = true;
         for (ii, inst) in f.insts.iter().enumerate() {
             inst.operands(&mut ops);
             for op in &ops {
@@ -158,6 +159,7 @@ pub fn verify_module(m: &Module) -> Result<(), Vec<VerifyError>> {
                 } => {
                     for t in [then_bb, else_bb] {
                         if t.index() >= f.blocks.len() {
+                            targets_ok = false;
                             err(
                                 &mut errors,
                                 Some(fid),
@@ -167,6 +169,7 @@ pub fn verify_module(m: &Module) -> Result<(), Vec<VerifyError>> {
                     }
                 }
                 Inst::Jmp(t) if t.index() >= f.blocks.len() => {
+                    targets_ok = false;
                     err(
                         &mut errors,
                         Some(fid),
@@ -228,7 +231,11 @@ pub fn verify_module(m: &Module) -> Result<(), Vec<VerifyError>> {
             }
         }
 
-        // Phi incoming blocks must be actual predecessors.
+        // Phi incoming blocks must be actual predecessors. The CFG
+        // indexes blocks by branch target, so it needs them in range.
+        if !targets_ok {
+            continue;
+        }
         let cfg = Cfg::new(f);
         let owner = f.inst_blocks();
         for (ii, inst) in f.insts.iter().enumerate() {
@@ -343,6 +350,26 @@ mod tests {
         });
         let errs = verify_module(&m).unwrap_err();
         assert!(errs.iter().any(|e| e.message.contains("out-of-range")));
+    }
+
+    #[test]
+    fn branch_to_missing_block_is_an_error_not_a_panic() {
+        let mut m = Module::new("t");
+        m.funcs.push(Function {
+            name: "f".into(),
+            num_params: 0,
+            insts: vec![Inst::Jmp(crate::ids::BlockId(5))],
+            locs: vec![crate::module::Loc::UNKNOWN],
+            blocks: vec![Block {
+                insts: vec![InstId(0)],
+            }],
+            is_internal: true,
+        });
+        let errs = verify_module(&m).unwrap_err();
+        assert!(
+            errs.iter().any(|e| e.message.contains("missing bb5")),
+            "{errs:?}"
+        );
     }
 
     #[test]

@@ -257,3 +257,159 @@ fn printer_roundtrips_every_opcode_textually() {
         assert!(text.contains(needle), "missing `{needle}` in:\n{text}");
     }
 }
+
+/// Hostile input for the IR parser: arbitrary bytes, every truncation
+/// point, and single-byte corruptions of printed corpus programs. The
+/// parser must return a module or a [`owl_ir::ParseError`] naming one of
+/// the input's lines, and never panic; the verifier must then accept or
+/// reject what it returned, and never panic either.
+mod hostile_input {
+    use owl_ir::{module_to_string, parse_module, verify_module};
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
+
+    /// Every corpus program, printed, smallest first.
+    fn corpus() -> &'static [String] {
+        static TEXTS: OnceLock<Vec<String>> = OnceLock::new();
+        TEXTS.get_or_init(|| {
+            let mut texts: Vec<String> = owl_corpus::PROGRAMS
+                .iter()
+                .map(|e| module_to_string(&e.build().module))
+                .collect();
+            texts.sort_by_key(String::len);
+            texts
+        })
+    }
+
+    /// Parses `bytes` (lossily decoded) and checks the failure contract.
+    fn parse_cleanly(bytes: &[u8]) {
+        let text = String::from_utf8_lossy(bytes);
+        match parse_module(&text) {
+            Ok(m) => {
+                let _ = verify_module(&m);
+            }
+            Err(e) => {
+                let lines = text.lines().count();
+                assert!(
+                    (1..=lines).contains(&e.line),
+                    "error on line {} of {lines}: {e}\n{text}",
+                    e.line
+                );
+            }
+        }
+    }
+
+    /// Pieces of the IR grammar, so random sequences reach past the
+    /// first token of a line.
+    const TOKENS: &[&str] = &[
+        "\n",
+        "\n",
+        " ",
+        ",",
+        ":",
+        "=",
+        "(",
+        ")",
+        "[",
+        "]",
+        "{",
+        "}",
+        ";",
+        "module m",
+        "global",
+        "@g",
+        ":",
+        "1 x i64",
+        "4294967295 x ptr",
+        "func",
+        "extern func",
+        "@f",
+        "@main",
+        "bb0:",
+        "bb1",
+        "bb4000000000:",
+        "%0",
+        "%1",
+        "%4294967295",
+        "%arg0",
+        "%arg9",
+        "=",
+        "add",
+        "load",
+        "i64",
+        "store",
+        "br",
+        "jmp",
+        "ret",
+        "phi",
+        "[bb0: 1]",
+        "call",
+        "thread_create",
+        "thread_join",
+        "globaladdr",
+        "mutex_lock",
+        "cond_wait",
+        "malloc",
+        "free",
+        "memcpy",
+        "0",
+        "-1",
+        "99999999999999999999",
+        "f.c:3",
+    ];
+
+    #[test]
+    fn every_truncation_parses_or_fails_cleanly() {
+        // The smallest program at every byte, then every line boundary
+        // of the other programs under 10 KB. Cuts elsewhere in the large
+        // ones are left to the single-byte corruptions below: parsing
+        // every prefix costs the square of the text's length.
+        let texts = corpus();
+        let small = texts[0].as_bytes();
+        for cut in 0..=small.len() {
+            parse_cleanly(&small[..cut]);
+        }
+        for text in texts[1..].iter().filter(|t| t.len() < 10_000) {
+            let ends = text.match_indices('\n').map(|(i, _)| i);
+            for cut in ends {
+                parse_cleanly(&text.as_bytes()[..cut]);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn arbitrary_bytes_parse_or_fail_cleanly(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
+            parse_cleanly(&bytes);
+        }
+
+        #[test]
+        fn token_soup_parses_or_fails_cleanly(
+            picks in prop::collection::vec(0..TOKENS.len(), 0..96),
+        ) {
+            let text: String = picks.iter().map(|&k| TOKENS[k]).collect::<Vec<_>>().join(" ");
+            parse_cleanly(text.as_bytes());
+        }
+
+        #[test]
+        fn corrupted_corpus_programs_parse_or_fail_cleanly(
+            program in any::<usize>(),
+            at in any::<usize>(),
+            bit in 0..8u32,
+            substitute in any::<u8>(),
+            flip in any::<bool>(),
+        ) {
+            let texts = corpus();
+            let mut bytes = texts[program % texts.len()].clone().into_bytes();
+            let at = at % bytes.len();
+            if flip {
+                bytes[at] ^= 1 << bit;
+            } else {
+                bytes[at] = substitute;
+            }
+            parse_cleanly(&bytes);
+        }
+    }
+}

@@ -20,10 +20,9 @@
 //! Algorithm 1, vulnerability verification — consumes them unchanged.
 
 use crate::report::{Access, RaceReport};
-use owl_ir::{InstRef, Module, Type};
+use owl_ir::{FxHashMap, FxHashSet, InstRef, Module, Type};
 use owl_vm::{EventKind, ThreadId, TraceEvent, TraceSink};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
 
 /// The four unserializable interleaving patterns.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -121,8 +120,8 @@ struct LocalState {
 #[derive(Clone, Debug, Default)]
 pub struct AtomicityDetector {
     /// (thread, addr) -> local window state.
-    windows: HashMap<(ThreadId, u64), LocalState>,
-    reported: HashSet<(InstRef, InstRef, InstRef)>,
+    windows: FxHashMap<(ThreadId, u64), LocalState>,
+    reported: FxHashSet<(InstRef, InstRef, InstRef)>,
     reports: Vec<AtomicityReport>,
 }
 

@@ -33,9 +33,8 @@
 
 use crate::report::Access;
 use crate::vc::VectorClock;
-use owl_ir::{InstRef, Type};
+use owl_ir::{FxHashMap, InstRef, Type};
 use owl_vm::{CallStack, ThreadId};
-use std::collections::HashMap;
 
 /// Interns call stacks by `Arc` pointer identity.
 ///
@@ -48,7 +47,7 @@ use std::collections::HashMap;
 #[derive(Clone, Debug, Default)]
 struct StackInterner {
     stacks: Vec<CallStack>,
-    by_ptr: HashMap<(usize, usize), u32>,
+    by_ptr: FxHashMap<(usize, usize), u32>,
     /// Per-thread cache, indexed by thread: each VM thread reuses one
     /// `Arc` between call-stack changes, but threads interleave in the
     /// trace, so a single shared entry would thrash on every switch.

@@ -71,12 +71,12 @@
 use crate::hb::{HbAnnotation, HbBackend, HbConfig, HbDetector};
 use crate::report::RaceReport;
 use crate::spill::{self, SpillKillSwitch};
-use owl_ir::{FuncId, InstRef, Module};
+use owl_ir::{FuncId, FxHashMap, FxHashSet, InstRef, Module};
 use owl_vm::{
     ExecOutcome, PctScheduler, ProgramInput, RandomScheduler, RunConfig, Scheduler, Snapshot,
     ThreadId, TraceEvent, TraceSink, Vm,
 };
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -165,7 +165,7 @@ pub struct ExplorerConfig {
     /// installed in every per-unit VM (`None` disables stamping). Does
     /// not change any result — only how much shadow work the epoch
     /// backend performs.
-    pub elided_sites: Option<Arc<HashSet<InstRef>>>,
+    pub elided_sites: Option<Arc<FxHashSet<InstRef>>>,
     /// Memory budget and spill settings of each unit's detector sink
     /// (see [`StreamConfig`]).
     pub stream: StreamConfig,
@@ -1100,7 +1100,7 @@ pub fn explore_with_deadline(
     // Deterministic merge, in unit order. Claims are a prefix, so the
     // first empty slot ends the completed range.
     let mut reports: Vec<RaceReport> = Vec::new();
-    let mut by_key: HashMap<(InstRef, InstRef), usize> = HashMap::new();
+    let mut by_key: FxHashMap<(InstRef, InstRef), usize> = FxHashMap::default();
     let mut outcomes = Vec::new();
     let mut runs = 0u64;
     let mut suppressed = 0usize;
@@ -1439,7 +1439,7 @@ pub fn executions_until(
 
 /// Returns the set of distinct racy site pairs, useful for comparing
 /// strategies.
-pub fn site_pairs(reports: &[RaceReport]) -> HashSet<(InstRef, InstRef)> {
+pub fn site_pairs(reports: &[RaceReport]) -> FxHashSet<(InstRef, InstRef)> {
     reports.iter().map(RaceReport::key).collect()
 }
 

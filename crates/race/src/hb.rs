@@ -27,10 +27,11 @@ use crate::epoch::{EpochShadow, EpochStats};
 use crate::predict::{PredictMode, PredictStats, Predictor};
 use crate::report::{Access, RaceReport};
 use crate::vc::VectorClock;
-use owl_ir::{InstRef, Module, Type};
+use owl_ir::{FxHashMap, FxHashSet, InstRef, Module, Type};
 use owl_vm::{EventKind, ThreadId, TraceEvent, TraceSink};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::BTreeMap;
 
 /// Which detection backend the detector runs. The first two are
 /// interchangeable shadow-memory representations of the same
@@ -163,26 +164,26 @@ enum ShadowState {
 pub struct HbDetector {
     cfg: HbConfig,
     clocks: Vec<VectorClock>,
-    lock_clocks: HashMap<u64, VectorClock>,
-    atomic_clocks: HashMap<u64, VectorClock>,
-    ann_clocks: HashMap<u64, VectorClock>,
+    lock_clocks: FxHashMap<u64, VectorClock>,
+    atomic_clocks: FxHashMap<u64, VectorClock>,
+    ann_clocks: FxHashMap<u64, VectorClock>,
     shadow: ShadowState,
-    reported: HashSet<(InstRef, InstRef)>,
+    reported: FxHashSet<(InstRef, InstRef)>,
     reports: Vec<RaceReport>,
     /// Report indices awaiting a post-race read of the key address.
-    pending_hint: HashMap<u64, Vec<usize>>,
-    ann_write_sites: HashSet<InstRef>,
-    ann_read_sites: HashSet<InstRef>,
-    ann_pairs: HashSet<(InstRef, InstRef)>,
+    pending_hint: FxHashMap<u64, Vec<usize>>,
+    ann_write_sites: FxHashSet<InstRef>,
+    ann_read_sites: FxHashSet<InstRef>,
+    ann_pairs: FxHashSet<(InstRef, InstRef)>,
     suppressed: usize,
     reports_dropped: usize,
     /// Threads that have not yet been joined. Shadow-state GC prunes
     /// against the pointwise minimum of their clocks: an access every
     /// live thread already knows can never race again.
-    live: HashSet<ThreadId>,
+    live: FxHashSet<ThreadId>,
     /// Heap allocation sizes (in words), so a `Free` event can sweep
     /// exactly the dying region.
-    malloc_sizes: HashMap<u64, u64>,
+    malloc_sizes: FxHashMap<u64, u64>,
     shadow_cells_gced: u64,
     /// Trace recorder for the predictive backends; `None` otherwise
     /// and after the prediction pass has run.
@@ -219,20 +220,20 @@ impl HbDetector {
         HbDetector {
             cfg,
             clocks: vec![initial_clock(ThreadId::MAIN)],
-            lock_clocks: HashMap::new(),
-            atomic_clocks: HashMap::new(),
-            ann_clocks: HashMap::new(),
+            lock_clocks: FxHashMap::default(),
+            atomic_clocks: FxHashMap::default(),
+            ann_clocks: FxHashMap::default(),
             shadow,
-            reported: HashSet::new(),
+            reported: FxHashSet::default(),
             reports: Vec::new(),
-            pending_hint: HashMap::new(),
+            pending_hint: FxHashMap::default(),
             ann_write_sites,
             ann_read_sites,
             ann_pairs,
             suppressed: 0,
             reports_dropped: 0,
-            live: HashSet::from([ThreadId::MAIN]),
-            malloc_sizes: HashMap::new(),
+            live: FxHashSet::from_iter([ThreadId::MAIN]),
+            malloc_sizes: FxHashMap::default(),
             shadow_cells_gced: 0,
             predictor,
             predict_stats: PredictStats::default(),
@@ -438,11 +439,7 @@ impl HbDetector {
     }
 
     fn clock_mut(&mut self, t: ThreadId) -> &mut VectorClock {
-        while self.clocks.len() <= t.index() {
-            let t2 = ThreadId(self.clocks.len() as u32);
-            self.clocks.push(initial_clock(t2));
-        }
-        &mut self.clocks[t.index()]
+        clock_of(&mut self.clocks, t)
     }
 
     fn record(&mut self, addr: u64, prior: &Access, current: &Access) {
@@ -503,9 +500,9 @@ impl HbDetector {
         }
         // Annotated release.
         if self.ann_write_sites.contains(&ev.site) {
-            let tc = self.clock_mut(ev.tid).clone();
-            self.ann_clocks.entry(addr).or_default().join(&tc);
-            self.clock_mut(ev.tid).tick(ev.tid);
+            let tc = clock_of(&mut self.clocks, ev.tid);
+            self.ann_clocks.entry(addr).or_default().join(tc);
+            tc.tick(ev.tid);
         }
     }
 
@@ -593,8 +590,8 @@ impl HbDetector {
         }
         // Annotated acquire.
         if !self.ann_read_sites.is_empty() && self.ann_read_sites.contains(&ev.site) {
-            if let Some(rc) = self.ann_clocks.get(&addr).cloned() {
-                self.clock_mut(ev.tid).join(&rc);
+            if let Some(rc) = self.ann_clocks.get(&addr) {
+                clock_of(&mut self.clocks, ev.tid).join(rc);
             }
         }
         // Statically elided site: the pre-pass proved no access through
@@ -687,8 +684,8 @@ impl TraceSink for HbDetector {
                 atomic,
             } => {
                 if atomic {
-                    if let Some(rc) = self.atomic_clocks.get(&addr).cloned() {
-                        self.clock_mut(ev.tid).join(&rc);
+                    if let Some(rc) = self.atomic_clocks.get(&addr) {
+                        clock_of(&mut self.clocks, ev.tid).join(rc);
                     }
                 } else {
                     self.on_read(ev, addr, value, ty);
@@ -701,22 +698,29 @@ impl TraceSink for HbDetector {
                 ..
             } => {
                 if atomic {
-                    let tc = self.clock_mut(ev.tid).clone();
-                    self.atomic_clocks.entry(addr).or_default().join(&tc);
-                    self.clock_mut(ev.tid).tick(ev.tid);
+                    let tc = clock_of(&mut self.clocks, ev.tid);
+                    self.atomic_clocks.entry(addr).or_default().join(tc);
+                    tc.tick(ev.tid);
                 } else {
                     self.on_write(ev, addr, value);
                 }
             }
             EventKind::Lock { addr } => {
-                if let Some(lc) = self.lock_clocks.get(&addr).cloned() {
-                    self.clock_mut(ev.tid).join(&lc);
+                if let Some(lc) = self.lock_clocks.get(&addr) {
+                    clock_of(&mut self.clocks, ev.tid).join(lc);
                 }
             }
             EventKind::Unlock { addr } => {
-                let tc = self.clock_mut(ev.tid).clone();
-                self.lock_clocks.insert(addr, tc);
-                self.clock_mut(ev.tid).tick(ev.tid);
+                // The release clock is overwritten in place: a lock's
+                // stored clock keeps its allocation across releases.
+                let tc = clock_of(&mut self.clocks, ev.tid);
+                match self.lock_clocks.entry(addr) {
+                    Entry::Occupied(e) => e.into_mut().clone_from(tc),
+                    Entry::Vacant(e) => {
+                        e.insert(tc.clone());
+                    }
+                }
+                tc.tick(ev.tid);
             }
             EventKind::Fork { child } => {
                 let parent = self.clock_mut(ev.tid).clone();
@@ -751,6 +755,17 @@ impl TraceSink for HbDetector {
             }
         }
     }
+}
+
+/// Thread `t`'s clock, growing the table to it first. A free function
+/// over the one field, so a caller can join from a borrowed sync clock
+/// in another field without cloning it.
+fn clock_of(clocks: &mut Vec<VectorClock>, t: ThreadId) -> &mut VectorClock {
+    while clocks.len() <= t.index() {
+        let t2 = ThreadId(clocks.len() as u32);
+        clocks.push(initial_clock(t2));
+    }
+    &mut clocks[t.index()]
 }
 
 fn initial_clock(t: ThreadId) -> VectorClock {

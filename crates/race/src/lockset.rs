@@ -10,9 +10,9 @@
 //! on perfectly ordered programs.
 
 use crate::report::{Access, RaceReport};
-use owl_ir::{InstRef, Type};
+use owl_ir::{FxHashMap, FxHashSet, InstRef, Type};
 use owl_vm::{EventKind, ThreadId, TraceEvent, TraceSink};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 
 #[derive(Clone, Debug, PartialEq)]
 enum VarState {
@@ -35,9 +35,9 @@ enum VarState {
 /// Eraser-like detector over VM traces.
 #[derive(Clone, Debug, Default)]
 pub struct LocksetDetector {
-    held: HashMap<ThreadId, BTreeSet<u64>>,
-    vars: HashMap<u64, VarState>,
-    reported: HashSet<(InstRef, InstRef)>,
+    held: FxHashMap<ThreadId, BTreeSet<u64>>,
+    vars: FxHashMap<u64, VarState>,
+    reported: FxHashSet<(InstRef, InstRef)>,
     reports: Vec<RaceReport>,
 }
 

@@ -55,7 +55,9 @@
 //! Both gates 1 and 2 work on dense ids: the closure is kept as one
 //! program-order prefix length per thread (it is closed under program
 //! order), and the scheduler's per-step state lives in id-indexed
-//! tables reset in O(1) between strategies.
+//! tables reset in O(1) between strategies. The index they read is
+//! built while the trace is recorded, one event at a time, so the pass
+//! after the run starts at the candidate loop.
 //!
 //! Prediction is strictly additive: it runs after the normal HB sweep
 //! and routes its pairs through the same report path (annotation
@@ -71,9 +73,8 @@
 //! unit rather than risk an unrealizable witness.
 
 use crate::report::Access;
-use owl_ir::{InstRef, Type};
+use owl_ir::{FxHashMap, FxHashSet, InstRef, Type};
 use owl_vm::{CallStack, EventKind, ThreadId, TraceEvent};
-use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Outcome counters of one unit's prediction pass, the predictive
 /// analogue of `EpochStats`: threaded through `ExploreResult` into
@@ -95,9 +96,9 @@ pub struct PredictStats {
     pub reversal_races: u64,
     /// 1 when a cost ceiling cut this unit's pass short: the trace
     /// exceeded `MAX_TRACE_EVENTS` (nothing predicted), an access list
-    /// was truncated to `MAX_LIST`, or the pass spent
-    /// `MAX_TOTAL_ATTEMPTS` with candidates left. Sums to a count of
-    /// capped units.
+    /// was truncated to `MAX_LIST`, a candidate's closure passed
+    /// `MAX_CLOSURE`, or the pass spent `MAX_TOTAL_ATTEMPTS` with
+    /// candidates left. Sums to a count of capped units.
     pub capped: u64,
 }
 
@@ -167,14 +168,20 @@ const MAX_ATTEMPTS_PER_PAIR: u32 = 4;
 const MAX_TOTAL_ATTEMPTS: u64 = 4_000;
 const MAX_LIST: usize = 512;
 
-/// Records a unit's trace and predicts races from it once the run is
-/// over. Owned by `HbDetector` when a predictive backend is selected.
+/// Records a unit's trace, indexing each event as it arrives, and
+/// predicts races from it once the run is over. Owned by `HbDetector`
+/// when a predictive backend is selected; forking the detector clones
+/// the partial index with it.
 #[derive(Clone, Debug)]
 pub(crate) struct Predictor {
     mode: PredictMode,
     events: Vec<PEvent>,
+    idx: TraceIndex,
+    /// Events offered to the recorder (`Malloc` and `Fault` are not
+    /// events here). Past `MAX_TRACE_EVENTS` nothing more is kept.
+    offered: usize,
     /// Live heap regions (base → words), so `Free` records its extent.
-    regions: HashMap<u64, u64>,
+    regions: FxHashMap<u64, u64>,
     pub(crate) stats: PredictStats,
 }
 
@@ -183,7 +190,9 @@ impl Predictor {
         Predictor {
             mode,
             events: Vec::new(),
-            regions: HashMap::new(),
+            idx: TraceIndex::new(),
+            offered: 0,
+            regions: FxHashMap::default(),
             stats: PredictStats::default(),
         }
     }
@@ -234,7 +243,7 @@ impl Predictor {
             // Faults carry no ordering or memory information.
             EventKind::Fault { .. } => return,
         };
-        self.events.push(PEvent {
+        self.push(PEvent {
             tid: ev.tid,
             site: ev.site,
             stack: ev.stack.clone(),
@@ -243,39 +252,56 @@ impl Predictor {
         });
     }
 
+    /// Appends one event to the trace and its index. Once the pass is
+    /// known to predict nothing — the trace is over `MAX_TRACE_EVENTS`
+    /// or shows a cond re-acquire — it only counts.
+    fn push(&mut self, e: PEvent) {
+        self.offered += 1;
+        if self.offered > MAX_TRACE_EVENTS || self.idx.has_cond_reacquire {
+            return;
+        }
+        self.idx.push(&e, self.events.len());
+        self.events.push(e);
+    }
+
     /// Runs prediction over the recorded trace. `already` holds site
     /// pairs the HB sweep has reported — those need no witness.
     /// Deterministic: candidates walk addresses in order, occurrences
     /// in trace order, and every scheduler decision is index-based.
-    pub(crate) fn predict(&mut self, already: &HashSet<(InstRef, InstRef)>) -> Vec<PredictedRace> {
-        if self.events.len() > MAX_TRACE_EVENTS {
+    pub(crate) fn predict(&mut self, already: &FxHashSet<(InstRef, InstRef)>) -> Vec<PredictedRace> {
+        if self.offered > MAX_TRACE_EVENTS {
             self.stats.capped = 1;
             return Vec::new();
         }
-        let idx = TraceIndex::build(&self.events);
+        let idx = &self.idx;
         if idx.has_cond_reacquire {
             // See the module docs: the wait-for-signal edge is not in
             // the trace, so any witness could be unrealizable.
             return Vec::new();
         }
-        let mut scratch = Scratch::new(&idx);
+        let mut scratch = Scratch::new(idx);
         let mut out = Vec::new();
-        let mut done: HashSet<(InstRef, InstRef)> = already.clone();
-        let mut attempts: HashMap<(InstRef, InstRef), u32> = HashMap::new();
+        let mut done = already.clone();
+        let mut attempts: FxHashMap<(InstRef, InstRef), u32> = FxHashMap::default();
         let mut total = 0u64;
-        'all: for (&(addr, _gen), accs) in &idx.lists {
-            if accs.len() < 2 {
+        // Addresses ascending; an address's generations were opened in
+        // trace order.
+        let mut order: Vec<usize> = (0..idx.lists.len()).collect();
+        order.sort_unstable_by_key(|&l| (idx.lists[l].addr, l));
+        'all: for l in order {
+            let (addr, list) = (idx.lists[l].addr, &idx.lists[l].accs);
+            if list.len() < 2 {
                 continue;
             }
             // Cheap pre-filter: single-thread lists cannot conflict.
-            let first_tid = self.events[accs[0]].tid;
-            if accs.iter().all(|&i| self.events[i].tid == first_tid) {
+            let first_tid = self.events[list[0]].tid;
+            if list.iter().all(|&i| self.events[i].tid == first_tid) {
                 continue;
             }
-            if accs.len() > MAX_LIST {
+            if list.len() > MAX_LIST {
                 self.stats.capped = 1;
             }
-            let accs = &accs[..accs.len().min(MAX_LIST)];
+            let accs = &list[..list.len().min(MAX_LIST)];
             for (jj, &j) in accs.iter().enumerate() {
                 for &i in &accs[..jj] {
                     let (e1, e2) = (&self.events[i], &self.events[j]);
@@ -307,7 +333,14 @@ impl Predictor {
                     let witness = if idx.hold_common_lock(i, j) {
                         None
                     } else {
-                        try_witness(&self.events, &idx, &mut scratch, i, j, self.mode)
+                        match closure(idx, i, j) {
+                            Ok(cl) => try_witness(&self.events, idx, &mut scratch, &cl, i, j, self.mode),
+                            Err(NoClosure::Ordered) => None,
+                            Err(NoClosure::Capped) => {
+                                self.stats.capped = 1;
+                                None
+                            }
+                        }
                     };
                     match witness {
                         Some(reversal) => {
@@ -316,7 +349,7 @@ impl Predictor {
                                 self.stats.reversal_races += 1;
                             }
                             done.insert(key);
-                            let hint = idx.lists[&(addr, _gen)]
+                            let hint = list
                                 .iter()
                                 .copied()
                                 .filter(|&r| r > j)
@@ -405,13 +438,30 @@ impl Op {
     }
 }
 
-/// Numbers keys densely in order of first appearance.
-fn intern<K: std::hash::Hash + Eq>(ids: &mut HashMap<K, u32>, key: K) -> u32 {
-    let next = ids.len() as u32;
-    *ids.entry(key).or_insert(next)
+/// A memory location's recording state.
+#[derive(Clone, Copy, Debug)]
+struct LocState {
+    addr: u64,
+    /// The last write (plain or atomic) so far; `NONE` before any.
+    last_writer: u32,
+    /// The access list the location's next plain access joins; `NONE`
+    /// before its first one and after a `Free` of it.
+    open_list: u32,
 }
 
-/// Everything the witness machinery needs, built once per trace.
+/// Plain, un-elided accesses to one address within one heap
+/// generation: a `Free` of the address closes its list, so a recycled
+/// address never pairs accesses to different objects.
+#[derive(Clone, Debug)]
+struct AccessList {
+    addr: u64,
+    /// Event indices, in trace order.
+    accs: Vec<usize>,
+}
+
+/// Everything the witness machinery needs, extended by
+/// [`TraceIndex::push`] as each event is recorded.
+#[derive(Clone, Debug, Default)]
 struct TraceIndex {
     /// Each event over dense ids.
     ops: Vec<Op>,
@@ -425,152 +475,192 @@ struct TraceIndex {
     /// The locks each event's thread holds at it, as an id into
     /// `locksets` (0 = none held).
     held: Vec<u32>,
-    /// Interned held-lock sets, sorted lock-object ids.
+    /// Interned held-lock sets, sorted lock-object ids; the first is
+    /// the empty set.
     locksets: Vec<Vec<u32>>,
     /// Event indices per dense thread, in program (= trace) order.
     thread_events: Vec<Vec<usize>>,
     /// The `Fork` event that created each dense thread (`NONE` if
     /// recording began after it).
     forker: Vec<u32>,
-    /// Dense thread of each recorded thread id.
-    thread_ids: HashMap<ThreadId, u32>,
-    /// Dense thread of [`ThreadId::MAIN`] (`NONE` if it never appears).
-    main: u32,
+    /// Dense thread of each recorded thread id (by [`ThreadId::index`],
+    /// `NONE` if it never appeared).
+    thread_ids: Vec<u32>,
     /// Per sync object: an atomic address (always order-constrained)
     /// rather than a lock.
     atomic_obj: Vec<bool>,
-    /// Number of distinct memory locations.
-    locs: usize,
-    /// Plain, un-elided accesses per `(address, heap generation)` —
-    /// the generation splits candidate lists across `Free`/reuse so a
-    /// recycled address never pairs accesses to different objects.
-    lists: BTreeMap<(u64, u64), Vec<usize>>,
+    /// Per dense memory location.
+    locs: Vec<LocState>,
+    /// Access lists in order of their first access.
+    lists: Vec<AccessList>,
     /// Whether any site emitted both `Lock` and `Unlock` events — the
     /// trace signature of a `CondWait` re-acquire.
     has_cond_reacquire: bool,
+    // Recording state, read by `push` only.
+    loc_ids: FxHashMap<u64, u32>,
+    sync_ids: FxHashMap<SyncObj, u32>,
+    /// Per dense thread: the locks it holds now, and that set's id.
+    held_now: Vec<(Vec<u32>, u32)>,
+    lockset_ids: FxHashMap<Vec<u32>, u32>,
+    lock_sites: FxHashSet<InstRef>,
+    unlock_sites: FxHashSet<InstRef>,
 }
 
 impl TraceIndex {
-    fn build(events: &[PEvent]) -> Self {
-        let n = events.len();
-        // Dense ids for threads, memory locations and sync objects, in
-        // order of first appearance.
-        let mut thread_ids: HashMap<ThreadId, u32> = HashMap::new();
-        let mut loc_ids: HashMap<u64, u32> = HashMap::new();
-        let mut sync_ids: HashMap<SyncObj, u32> = HashMap::new();
-        let mut thread = Vec::with_capacity(n);
-        let mut ops = Vec::with_capacity(n);
-        for e in events {
-            thread.push(intern(&mut thread_ids, e.tid));
-            let mut loc = |addr| intern(&mut loc_ids, addr);
-            let mut sync = |o| intern(&mut sync_ids, o);
-            ops.push(match e.kind {
-                PKind::Read { addr, .. } => Op::Read { loc: loc(addr) },
-                PKind::Write { addr, .. } => Op::Write { loc: loc(addr) },
-                PKind::AtomicRead { addr } => Op::AtomicRead {
-                    loc: loc(addr),
-                    obj: sync(SyncObj::AtomicAddr(addr)),
-                },
-                PKind::AtomicWrite { addr } => Op::AtomicWrite {
-                    loc: loc(addr),
-                    obj: sync(SyncObj::AtomicAddr(addr)),
-                },
-                PKind::Lock { addr } => Op::Lock {
-                    obj: sync(SyncObj::LockAddr(addr)),
-                },
-                PKind::Unlock { addr } => Op::Unlock {
-                    obj: sync(SyncObj::LockAddr(addr)),
-                },
-                PKind::Fork { child } => Op::Fork {
-                    child: intern(&mut thread_ids, child),
-                },
-                PKind::Join { child } => Op::Join {
-                    child: intern(&mut thread_ids, child),
-                },
-                PKind::Free { .. } => Op::Free,
-            });
-        }
-        let threads = thread_ids.len();
-        let mut atomic_obj = vec![false; sync_ids.len()];
-        for (o, &id) in &sync_ids {
-            atomic_obj[id as usize] = matches!(o, SyncObj::AtomicAddr(_));
-        }
-
-        let mut pos = Vec::with_capacity(n);
-        let mut rf = vec![NONE; n];
-        let mut held = Vec::with_capacity(n);
-        let mut thread_events: Vec<Vec<usize>> = vec![Vec::new(); threads];
-        let mut forker = vec![NONE; threads];
-        // Per thread: the locks it holds now, and that set's id.
-        let mut held_now: Vec<(Vec<u32>, u32)> = vec![(Vec::new(), 0); threads];
-        let mut lockset_ids: HashMap<Vec<u32>, u32> = HashMap::from([(Vec::new(), 0)]);
-        let mut locksets: Vec<Vec<u32>> = vec![Vec::new()];
-        let mut last_writer = vec![NONE; loc_ids.len()];
-        let mut lists: BTreeMap<(u64, u64), Vec<usize>> = BTreeMap::new();
-        let mut gen: BTreeMap<u64, u64> = BTreeMap::new();
-        let mut lock_sites: HashSet<InstRef> = HashSet::new();
-        let mut unlock_sites: HashSet<InstRef> = HashSet::new();
-        for (i, (e, &op)) in events.iter().zip(&ops).enumerate() {
-            let t = thread[i] as usize;
-            pos.push(thread_events[t].len() as u32);
-            thread_events[t].push(i);
-            match op {
-                Op::Read { loc } | Op::AtomicRead { loc, .. } => rf[i] = last_writer[loc as usize],
-                Op::Write { loc } | Op::AtomicWrite { loc, .. } => {
-                    last_writer[loc as usize] = i as u32;
-                }
-                Op::Lock { obj } => {
-                    lock_sites.insert(e.site);
-                    let set = &mut held_now[t].0;
-                    if let Err(k) = set.binary_search(&obj) {
-                        set.insert(k, obj);
-                    }
-                }
-                Op::Unlock { obj } => {
-                    unlock_sites.insert(e.site);
-                    held_now[t].0.retain(|&o| o != obj);
-                }
-                Op::Fork { child } => forker[child as usize] = i as u32,
-                Op::Join { .. } | Op::Free => {}
-            }
-            if let Op::Lock { .. } | Op::Unlock { .. } = op {
-                let (set, id) = &mut held_now[t];
-                *id = intern(&mut lockset_ids, set.clone());
-                if *id as usize == locksets.len() {
-                    locksets.push(set.clone());
-                }
-            }
-            held.push(held_now[t].1);
-            match e.kind {
-                PKind::Free { start, end } => {
-                    for (_, g) in gen.range_mut(start..end) {
-                        *g += 1;
-                    }
-                }
-                PKind::Read { addr, .. } | PKind::Write { addr, .. } if !e.elided => {
-                    let g = *gen.entry(addr).or_insert(0);
-                    lists.entry((addr, g)).or_default().push(i);
-                }
-                _ => {}
-            }
-        }
-        let has_cond_reacquire = lock_sites.iter().any(|s| unlock_sites.contains(s));
-        let main = thread_ids.get(&ThreadId::MAIN).copied().unwrap_or(NONE);
+    fn new() -> Self {
         TraceIndex {
-            ops,
-            thread,
-            pos,
-            rf,
-            held,
-            locksets,
-            thread_events,
-            forker,
-            thread_ids,
-            main,
-            atomic_obj,
-            locs: loc_ids.len(),
-            lists,
-            has_cond_reacquire,
+            locksets: vec![Vec::new()],
+            lockset_ids: FxHashMap::from_iter([(Vec::new(), 0)]),
+            ..TraceIndex::default()
+        }
+    }
+
+    /// Indexes event `i` of the trace, `e`.
+    fn push(&mut self, e: &PEvent, i: usize) {
+        let t = self.dense_thread(e.tid);
+        let op = match e.kind {
+            PKind::Read { addr, .. } => Op::Read { loc: self.loc(addr) },
+            PKind::Write { addr, .. } => Op::Write { loc: self.loc(addr) },
+            PKind::AtomicRead { addr } => Op::AtomicRead {
+                loc: self.loc(addr),
+                obj: self.sync(SyncObj::AtomicAddr(addr)),
+            },
+            PKind::AtomicWrite { addr } => Op::AtomicWrite {
+                loc: self.loc(addr),
+                obj: self.sync(SyncObj::AtomicAddr(addr)),
+            },
+            PKind::Lock { addr } => Op::Lock {
+                obj: self.sync(SyncObj::LockAddr(addr)),
+            },
+            PKind::Unlock { addr } => Op::Unlock {
+                obj: self.sync(SyncObj::LockAddr(addr)),
+            },
+            PKind::Fork { child } => Op::Fork {
+                child: self.dense_thread(child),
+            },
+            PKind::Join { child } => Op::Join {
+                child: self.dense_thread(child),
+            },
+            PKind::Free { .. } => Op::Free,
+        };
+        self.ops.push(op);
+        self.thread.push(t);
+        let tu = t as usize;
+        self.pos.push(self.thread_events[tu].len() as u32);
+        self.thread_events[tu].push(i);
+        let mut rf = NONE;
+        match op {
+            Op::Read { loc } | Op::AtomicRead { loc, .. } => rf = self.locs[loc as usize].last_writer,
+            Op::Write { loc } | Op::AtomicWrite { loc, .. } => self.locs[loc as usize].last_writer = i as u32,
+            Op::Lock { obj } => {
+                self.lock_sites.insert(e.site);
+                self.has_cond_reacquire |= self.unlock_sites.contains(&e.site);
+                let set = &mut self.held_now[tu].0;
+                if let Err(k) = set.binary_search(&obj) {
+                    set.insert(k, obj);
+                }
+                self.intern_held(tu);
+            }
+            Op::Unlock { obj } => {
+                self.unlock_sites.insert(e.site);
+                self.has_cond_reacquire |= self.lock_sites.contains(&e.site);
+                self.held_now[tu].0.retain(|&o| o != obj);
+                self.intern_held(tu);
+            }
+            Op::Fork { child } => self.forker[child as usize] = i as u32,
+            Op::Join { .. } | Op::Free => {}
+        }
+        self.rf.push(rf);
+        self.held.push(self.held_now[tu].1);
+        match (op, &e.kind) {
+            (Op::Read { loc } | Op::Write { loc }, _) if !e.elided => {
+                let state = &mut self.locs[loc as usize];
+                if state.open_list == NONE {
+                    state.open_list = self.lists.len() as u32;
+                    self.lists.push(AccessList {
+                        addr: state.addr,
+                        accs: Vec::new(),
+                    });
+                }
+                self.lists[state.open_list as usize].accs.push(i);
+            }
+            (Op::Free, &PKind::Free { start, end }) => self.close_lists(start, end),
+            _ => {}
+        }
+    }
+
+    /// Dense id of thread `tid`, numbering it on first appearance.
+    fn dense_thread(&mut self, tid: ThreadId) -> u32 {
+        let k = tid.index();
+        if self.thread_ids.len() <= k {
+            self.thread_ids.resize(k + 1, NONE);
+        }
+        if self.thread_ids[k] == NONE {
+            let d = self.thread_events.len() as u32;
+            self.thread_ids[k] = d;
+            self.thread_events.push(Vec::new());
+            self.forker.push(NONE);
+            self.held_now.push((Vec::new(), 0));
+        }
+        self.thread_ids[k]
+    }
+
+    /// Dense id of memory location `addr`, numbering it on first
+    /// appearance.
+    fn loc(&mut self, addr: u64) -> u32 {
+        let next = self.locs.len() as u32;
+        *self.loc_ids.entry(addr).or_insert_with(|| {
+            self.locs.push(LocState {
+                addr,
+                last_writer: NONE,
+                open_list: NONE,
+            });
+            next
+        })
+    }
+
+    /// Dense id of sync object `o`, numbering it on first appearance.
+    fn sync(&mut self, o: SyncObj) -> u32 {
+        let next = self.atomic_obj.len() as u32;
+        *self.sync_ids.entry(o).or_insert_with(|| {
+            self.atomic_obj.push(matches!(o, SyncObj::AtomicAddr(_)));
+            next
+        })
+    }
+
+    /// Re-derives dense thread `t`'s held-lockset id after a lock or
+    /// unlock. Looked up by slice: only a set never seen before is
+    /// copied.
+    fn intern_held(&mut self, t: usize) {
+        let set = &self.held_now[t].0;
+        let id = match self.lockset_ids.get(set.as_slice()) {
+            Some(&id) => id,
+            None => {
+                let id = self.locksets.len() as u32;
+                self.lockset_ids.insert(set.clone(), id);
+                self.locksets.push(set.clone());
+                id
+            }
+        };
+        self.held_now[t].1 = id;
+    }
+
+    /// A `Free` of `[start, end)`: the next access to any address in
+    /// it starts a new list. Visits whichever is smaller, the range or
+    /// the locations seen so far.
+    fn close_lists(&mut self, start: u64, end: u64) {
+        if end.saturating_sub(start) <= self.locs.len() as u64 {
+            for addr in start..end {
+                if let Some(&loc) = self.loc_ids.get(&addr) {
+                    self.locs[loc as usize].open_list = NONE;
+                }
+            }
+        } else {
+            for state in &mut self.locs {
+                if (start..end).contains(&state.addr) {
+                    state.open_list = NONE;
+                }
+            }
         }
     }
 
@@ -588,11 +678,17 @@ impl TraceIndex {
                 .any(|l| ys.binary_search(l).is_ok())
     }
 
+    /// Dense thread of recorded thread `t`, if it appeared.
+    fn dense_of(&self, t: ThreadId) -> Option<usize> {
+        match self.thread_ids.get(t.index()) {
+            Some(&d) if d != NONE => Some(d as usize),
+            _ => None,
+        }
+    }
+
     /// Events of thread `t` recorded in the whole trace.
     fn events_of(&self, t: ThreadId) -> &[usize] {
-        self.thread_ids
-            .get(&t)
-            .map_or(&[], |&d| &self.thread_events[d as usize])
+        self.dense_of(t).map_or(&[], |d| &self.thread_events[d])
     }
 
     /// Number of events of thread `t` recorded in the whole trace.
@@ -602,9 +698,7 @@ impl TraceIndex {
 
     /// Whether a recorded `Fork` created thread `t`.
     fn has_forker(&self, t: ThreadId) -> bool {
-        self.thread_ids
-            .get(&t)
-            .is_some_and(|&d| self.forker[d as usize] != NONE)
+        self.dense_of(t).is_some_and(|d| self.forker[d] != NONE)
     }
 
     /// The writer read event `x` observed (`None`: the initial value).
@@ -632,11 +726,18 @@ impl Closure {
     }
 }
 
+/// Why a candidate pair has no closure.
+#[derive(Debug, PartialEq, Eq)]
+enum NoClosure {
+    /// An endpoint reached its own closure: one must precede the other.
+    Ordered,
+    /// The closure passed `MAX_CLOSURE` events.
+    Capped,
+}
+
 /// PO-downward closure, each read's observed writer, fork-before,
-/// join-pulls-the-whole-child, computed to a fixpoint. `None` when the
-/// pair is ordered (an endpoint reached its own closure) or the closure
-/// blew the cost ceiling.
-fn closure(idx: &TraceIndex, e1: usize, e2: usize) -> Option<Closure> {
+/// join-pulls-the-whole-child, computed to a fixpoint.
+fn closure(idx: &TraceIndex, e1: usize, e2: usize) -> Result<Closure, NoClosure> {
     let mut len = vec![0u32; idx.thread_events.len()];
     let mut size = 0usize;
     let mut sync = Vec::new();
@@ -684,14 +785,14 @@ fn closure(idx: &TraceIndex, e1: usize, e2: usize) -> Option<Closure> {
         size += (upto - len[t]) as usize;
         len[t] = upto;
         if ends.iter().any(|&(et, ep)| et == t && ep < upto) {
-            return None; // one endpoint must precede the other
+            return Err(NoClosure::Ordered);
         }
         if size > MAX_CLOSURE {
-            return None;
+            return Err(NoClosure::Capped);
         }
     }
     sync.sort_unstable();
-    Some(Closure { len, size, sync })
+    Ok(Closure { len, size, sync })
 }
 
 /// An id-indexed table reset in O(1): entries written before the last
@@ -746,7 +847,7 @@ impl Scratch {
         let objs = idx.atomic_obj.len();
         Scratch {
             rank: vec![0; idx.ops.len()],
-            writer: Table::new(idx.locs),
+            writer: Table::new(idx.locs.len()),
             owner: Table::new(objs),
             cursor: Table::new(objs),
             ptr: vec![0; idx.thread_events.len()],
@@ -796,11 +897,12 @@ fn schedule(
     sc.writer.clear();
     sc.owner.clear();
     sc.cursor.clear();
+    let main = idx.dense_of(ThreadId::MAIN);
     for t in 0..cl.len.len() {
         sc.ptr[t] = 0;
         // A thread with no recorded `Fork` (main, or one alive before
         // recording began) may run from the start.
-        sc.forked[t] = idx.forker[t] == NONE || t as u32 == idx.main;
+        sc.forked[t] = idx.forker[t] == NONE || Some(t) == main;
     }
     let runnable = |x: usize, sc: &Scratch| -> bool {
         let t = idx.thread[x];
@@ -892,10 +994,10 @@ fn validate_witness(events: &[PEvent], idx: &TraceIndex, order: &[usize], e1: us
     if !conflict {
         return false;
     }
-    let mut seen: HashMap<ThreadId, usize> = HashMap::new();
-    let mut lock_owner: HashMap<u64, ThreadId> = HashMap::new();
-    let mut writer: HashMap<u64, Option<usize>> = HashMap::new();
-    let mut forked: HashSet<ThreadId> = HashSet::from([ThreadId::MAIN]);
+    let mut seen: FxHashMap<ThreadId, usize> = FxHashMap::default();
+    let mut lock_owner: FxHashMap<u64, ThreadId> = FxHashMap::default();
+    let mut writer: FxHashMap<u64, Option<usize>> = FxHashMap::default();
+    let mut forked: FxHashSet<ThreadId> = FxHashSet::from_iter([ThreadId::MAIN]);
     for &x in order {
         if !idx.has_forker(events[x].tid) {
             forked.insert(events[x].tid);
@@ -950,25 +1052,25 @@ fn validate_witness(events: &[PEvent], idx: &TraceIndex, order: &[usize], e1: us
     true
 }
 
-/// Runs the full gate sequence for one candidate. Returns
-/// `Some(reversal)` when a validated witness exists.
+/// Runs gates 2 and 3 for one candidate whose closure is `cl`.
+/// Returns `Some(reversal)` when a validated witness exists.
 fn try_witness(
     events: &[PEvent],
     idx: &TraceIndex,
     sc: &mut Scratch,
+    cl: &Closure,
     e1: usize,
     e2: usize,
     mode: PredictMode,
 ) -> Option<bool> {
-    let cl = closure(idx, e1, e2)?;
-    sc.rank_sync(idx, &cl);
+    sc.rank_sync(idx, cl);
     let strategies = [
         Strategy::LowestIndex,
         Strategy::PreferThread(idx.thread[e2]),
         Strategy::PreferThread(idx.thread[e1]),
     ];
     for strat in strategies {
-        if let Some(order) = schedule(idx, &cl, sc, e1, e2, true, strat) {
+        if let Some(order) = schedule(idx, cl, sc, e1, e2, true, strat) {
             if validate_witness(events, idx, &order, e1, e2) {
                 return Some(false);
             }
@@ -976,7 +1078,7 @@ fn try_witness(
     }
     if mode == PredictMode::SyncReversal {
         for strat in strategies {
-            if let Some(order) = schedule(idx, &cl, sc, e1, e2, false, strat) {
+            if let Some(order) = schedule(idx, cl, sc, e1, e2, false, strat) {
                 if validate_witness(events, idx, &order, e1, e2) {
                     return Some(true);
                 }
@@ -1004,8 +1106,15 @@ mod tests {
 
     fn predictor_with(mode: PredictMode, events: Vec<PEvent>) -> Predictor {
         let mut p = Predictor::new(mode);
-        p.events = events;
+        for e in events {
+            p.push(e);
+        }
         p
+    }
+
+    /// The index recording `trace` builds.
+    fn indexed(trace: &[PEvent]) -> TraceIndex {
+        predictor_with(PredictMode::SyncPreserving, trace.to_vec()).idx
     }
 
     fn schedule_lowest(idx: &TraceIndex, cl: &Closure, e1: usize, e2: usize) -> Option<Vec<usize>> {
@@ -1082,7 +1191,7 @@ mod tests {
     #[test]
     fn syncp_predicts_hb_ordered_race() {
         let mut p = predictor_with(PredictMode::SyncPreserving, syncp_trace());
-        let races = p.predict(&HashSet::new());
+        let races = p.predict(&FxHashSet::default());
         assert_eq!(races.len(), 1, "{:?}", p.stats);
         assert_eq!(races[0].addr, X);
         assert_eq!(p.stats.witnessed, 1);
@@ -1093,14 +1202,14 @@ mod tests {
     fn reversal_needs_osr_mode() {
         let mut syncp = predictor_with(PredictMode::SyncPreserving, reversal_trace());
         assert!(
-            syncp.predict(&HashSet::new()).is_empty(),
+            syncp.predict(&FxHashSet::default()).is_empty(),
             "SyncP must not reverse lock order: {:?}",
             syncp.stats
         );
         assert!(syncp.stats.witness_rejected >= 1);
 
         let mut osr = predictor_with(PredictMode::SyncReversal, reversal_trace());
-        let races = osr.predict(&HashSet::new());
+        let races = osr.predict(&FxHashSet::default());
         assert_eq!(races.len(), 1, "{:?}", osr.stats);
         assert_eq!(osr.stats.reversal_races, 1);
     }
@@ -1110,7 +1219,7 @@ mod tests {
         // main's write and T1's read both sit inside `L`; the prune
         // rejects the pair from the held locksets alone.
         let trace = locked_trace();
-        let idx = TraceIndex::build(&trace);
+        let idx = indexed(&trace);
         assert!(idx.hold_common_lock(2, 5));
         // Outside the critical sections nothing is held.
         assert!(!idx.hold_common_lock(0, 4));
@@ -1118,10 +1227,10 @@ mod tests {
         let mut other = locked_trace();
         other[4].kind = PKind::Lock { addr: L + 1 };
         other[6].kind = PKind::Unlock { addr: L + 1 };
-        assert!(!TraceIndex::build(&other).hold_common_lock(2, 5));
+        assert!(!indexed(&other).hold_common_lock(2, 5));
         // The rejection is counted exactly like a failed witness.
         let mut p = predictor_with(PredictMode::SyncReversal, trace);
-        assert!(p.predict(&HashSet::new()).is_empty());
+        assert!(p.predict(&FxHashSet::default()).is_empty());
         assert_eq!(p.stats.candidates, 1);
         assert_eq!(p.stats.witness_rejected, 1);
     }
@@ -1140,13 +1249,41 @@ mod tests {
             trace.push(ev(tid, tid, 2, PKind::Unlock { addr: L }));
         }
         let mut p = predictor_with(PredictMode::SyncReversal, trace);
-        assert!(p.predict(&HashSet::new()).is_empty());
+        assert!(p.predict(&FxHashSet::default()).is_empty());
         assert_eq!(p.stats.candidates, MAX_TOTAL_ATTEMPTS);
         assert_eq!(p.stats.capped, 1, "{:?}", p.stats);
 
         // A trace under every ceiling is not capped.
         let mut p = predictor_with(PredictMode::SyncPreserving, syncp_trace());
-        assert_eq!(p.predict(&HashSet::new()).len(), 1);
+        assert_eq!(p.predict(&FxHashSet::default()).len(), 1);
+        assert_eq!(p.stats.capped, 0, "{:?}", p.stats);
+    }
+
+    #[test]
+    fn closure_ceiling_counts_the_unit_as_capped() {
+        // T1 runs `n` private writes and then writes `x`; T2 writes
+        // `x`. The pair's closure holds T1's whole prefix.
+        let trace = |n: u32| {
+            let mut t = vec![
+                ev(0, 0, 0, PKind::Fork { child: ThreadId(1) }),
+                ev(0, 0, 1, PKind::Fork { child: ThreadId(2) }),
+            ];
+            for k in 0..n {
+                t.push(ev(1, 1, 10 + k, PKind::Write { addr: X + 1, value: 1 }));
+            }
+            t.push(ev(1, 1, 1, PKind::Write { addr: X, value: 1 }));
+            t.push(ev(2, 2, 0, PKind::Write { addr: X, value: 2 }));
+            t
+        };
+        let mut p = predictor_with(PredictMode::SyncReversal, trace(MAX_CLOSURE as u32));
+        assert!(p.predict(&FxHashSet::default()).is_empty());
+        assert_eq!(p.stats.candidates, 1, "{:?}", p.stats);
+        assert_eq!(p.stats.witness_rejected, 1, "{:?}", p.stats);
+        assert_eq!(p.stats.capped, 1, "{:?}", p.stats);
+
+        // The same shape under the ceiling is witnessed, uncapped.
+        let mut p = predictor_with(PredictMode::SyncReversal, trace(100));
+        assert_eq!(p.predict(&FxHashSet::default()).len(), 1);
         assert_eq!(p.stats.capped, 0, "{:?}", p.stats);
     }
 
@@ -1155,7 +1292,7 @@ mod tests {
         for mode in [PredictMode::SyncPreserving, PredictMode::SyncReversal] {
             let mut p = predictor_with(mode, locked_trace());
             assert!(
-                p.predict(&HashSet::new()).is_empty(),
+                p.predict(&FxHashSet::default()).is_empty(),
                 "{mode:?} predicted through a common lock: {:?}",
                 p.stats
             );
@@ -1185,7 +1322,7 @@ mod tests {
             ev(2, 2, 1, PKind::Write { addr: X + 1, value: 1 }),
             ev(0, 0, 2, PKind::Write { addr: X + 1, value: 2 }),
         ];
-        let idx = TraceIndex::build(&trace);
+        let idx = indexed(&trace);
         // Candidate: (T2's write at 4, main's write at 5) on X+1. The
         // closure must contain T2's read (PO) and transitively T1's
         // write (RF).
@@ -1221,10 +1358,10 @@ mod tests {
             ev(0, 0, 3, PKind::Fork { child: ThreadId(2) }),
             ev(2, 2, 0, PKind::Write { addr: X, value: 2 }),
         ];
-        let idx = TraceIndex::build(&trace);
+        let idx = indexed(&trace);
         assert_eq!(idx.lists.len(), 2, "free splits the generation");
         let mut p = predictor_with(PredictMode::SyncReversal, trace);
-        assert!(p.predict(&HashSet::new()).is_empty());
+        assert!(p.predict(&FxHashSet::default()).is_empty());
         assert_eq!(p.stats.candidates, 0, "no cross-generation candidates");
     }
 
@@ -1236,7 +1373,7 @@ mod tests {
         trace.push(ev(1, 1, 3, PKind::Unlock { addr: L }));
         trace.push(ev(1, 1, 3, PKind::Lock { addr: L }));
         let mut p = predictor_with(PredictMode::SyncReversal, trace);
-        assert!(p.predict(&HashSet::new()).is_empty());
+        assert!(p.predict(&FxHashSet::default()).is_empty());
         assert_eq!(p.stats.candidates, 0);
     }
 
@@ -1252,7 +1389,7 @@ mod tests {
             ev(0, 0, 3, PKind::Write { addr: X, value: 1 }),
             ev(2, 2, 0, PKind::Write { addr: X, value: 2 }),
         ];
-        let idx = TraceIndex::build(&trace);
+        let idx = indexed(&trace);
         let set = closure(&idx, 4, 5).expect("co-enablable");
         assert!(set.contains(&idx, 2), "child's events pulled in by the join");
         assert!(set.contains(&idx, 3));
@@ -1269,7 +1406,7 @@ mod tests {
             }
         }
         let mut p = predictor_with(PredictMode::SyncPreserving, trace);
-        assert!(p.predict(&HashSet::new()).is_empty());
+        assert!(p.predict(&FxHashSet::default()).is_empty());
         assert_eq!(p.stats.candidates, 0);
     }
 
@@ -1361,7 +1498,7 @@ mod tests {
                 })
                 .collect();
             let mut next = vec![0usize; progs.len()];
-            let mut owner: HashMap<u64, usize> = HashMap::new();
+            let mut owner: FxHashMap<u64, usize> = FxHashMap::default();
             for step in 0.. {
                 let runnable: Vec<usize> = (0..progs.len())
                     .filter(|&k| match progs[k].get(next[k]) {
@@ -1416,7 +1553,7 @@ mod tests {
             i: usize,
             j: usize,
         ) -> Option<Vec<usize>> {
-            let cl = closure(idx, i, j)?;
+            let cl = closure(idx, i, j).ok()?;
             sc.rank_sync(idx, &cl);
             let strategies = [
                 Strategy::LowestIndex,
@@ -1446,7 +1583,7 @@ mod tests {
                 picks in prop::collection::vec(any::<u8>(), 1..48),
             ) {
                 let trace = interleave(&threads, &picks);
-                let idx = TraceIndex::build(&trace);
+                let idx = indexed(&trace);
                 let mut sc = Scratch::new(&idx);
                 for j in 0..trace.len() {
                     for i in 0..j {

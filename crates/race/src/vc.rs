@@ -14,8 +14,20 @@ use std::cmp::Ordering;
 use std::fmt;
 
 /// A vector clock over thread ids.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct VectorClock(Vec<u64>);
+
+impl Clone for VectorClock {
+    fn clone(&self) -> Self {
+        VectorClock(self.0.clone())
+    }
+
+    /// Reuses `self`'s allocation (`Vec::clone_from`), so overwriting a
+    /// stored release clock allocates nothing once it is large enough.
+    fn clone_from(&mut self, source: &Self) {
+        self.0.clone_from(&source.0);
+    }
+}
 
 impl VectorClock {
     /// The zero clock.

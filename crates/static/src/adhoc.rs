@@ -24,9 +24,8 @@
 //! it is exactly the shape concurrency attacks hide in.
 
 use owl_ir::analysis::FuncAnalysis;
-use owl_ir::{Inst, InstId, InstRef, Module, Operand};
+use owl_ir::{FxHashSet, Inst, InstId, InstRef, Module, Operand};
 use owl_race::{HbAnnotation, RaceReport};
-use std::collections::HashSet;
 
 /// Result of classifying one race report.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -81,7 +80,7 @@ impl<'m> AdhocSyncDetector<'m> {
         let lp = lp.clone();
         // (2) Forward intra-procedural data-dependency closure from the
         // read; some branch in the chain must be able to exit the loop.
-        let mut corrupted: HashSet<InstId> = HashSet::new();
+        let mut corrupted: FxHashSet<InstId> = FxHashSet::default();
         corrupted.insert(read.site.inst);
         let mut work = vec![read.site.inst];
         let mut exiting_branch = false;
@@ -132,7 +131,7 @@ impl<'m> AdhocSyncDetector<'m> {
     /// Classifies a batch of reports; returns the annotations found and
     /// the indices of reports they came from.
     pub fn detect(&self, reports: &[RaceReport]) -> Vec<(usize, HbAnnotation)> {
-        let mut seen: HashSet<(InstRef, InstRef)> = HashSet::new();
+        let mut seen: FxHashSet<(InstRef, InstRef)> = FxHashSet::default();
         let mut out = Vec::new();
         for (i, r) in reports.iter().enumerate() {
             if let AdhocVerdict::AdhocSync(a) = self.classify(r) {

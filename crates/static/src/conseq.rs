@@ -15,8 +15,7 @@
 
 use crate::vuln::{DepKind, VulnReport};
 use owl_ir::analysis::DefUse;
-use owl_ir::{Inst, InstId, InstRef, Module, Operand, VulnClass};
-use std::collections::HashSet;
+use owl_ir::{FxHashSet, Inst, InstId, InstRef, Module, Operand, VulnClass};
 
 /// Intra-procedural, data-flow-only consequence analyzer.
 #[derive(Debug)]
@@ -38,11 +37,11 @@ impl<'m> ConseqAnalyzer<'m> {
             return Vec::new();
         }
         let du = DefUse::new(func);
-        let mut corrupted: HashSet<InstId> = HashSet::new();
+        let mut corrupted: FxHashSet<InstId> = FxHashSet::default();
         corrupted.insert(start.inst);
         let mut work = vec![start.inst];
         let mut reports = Vec::new();
-        let mut reported: HashSet<InstId> = HashSet::new();
+        let mut reported: FxHashSet<InstId> = FxHashSet::default();
         while let Some(d) = work.pop() {
             for &user in du.uses(d) {
                 let inst = func.inst(user);

@@ -15,8 +15,7 @@
 //! byte-identical with the pre-pass on or off.
 
 use owl_ir::analysis::{ElisionClass, ElisionMap, ElisionStats, PointsTo};
-use owl_ir::{inst_with_loc, FuncId, InstRef, Module};
-use std::collections::HashSet;
+use owl_ir::{inst_with_loc, FuncId, FxHashSet, InstRef, Module};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -69,7 +68,7 @@ impl ElisionPrepass {
 
     /// The elided site set in the shape the VM consumes
     /// (`Vm::with_elided_sites` via `ExplorerConfig::elided_sites`).
-    pub fn elided_sites(&self) -> Arc<HashSet<InstRef>> {
+    pub fn elided_sites(&self) -> Arc<FxHashSet<InstRef>> {
         Arc::new(self.map.elided_set())
     }
 

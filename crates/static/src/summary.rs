@@ -23,8 +23,7 @@
 
 use crate::vuln::{DepKind, VulnStats};
 use owl_ir::analysis::AbsLoc;
-use owl_ir::{FuncId, InstRef, VulnClass};
-use std::collections::HashMap;
+use owl_ir::{FuncId, FxHashMap, InstRef, VulnClass};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -87,7 +86,7 @@ pub struct FuncSummary {
 /// the thread timing.
 #[derive(Debug, Default)]
 pub struct SummaryCache {
-    map: Mutex<HashMap<SummaryKey, Arc<FuncSummary>>>,
+    map: Mutex<FxHashMap<SummaryKey, Arc<FuncSummary>>>,
     compute: Mutex<()>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -99,7 +98,7 @@ impl SummaryCache {
         Self::default()
     }
 
-    fn map(&self) -> std::sync::MutexGuard<'_, HashMap<SummaryKey, Arc<FuncSummary>>> {
+    fn map(&self) -> std::sync::MutexGuard<'_, FxHashMap<SummaryKey, Arc<FuncSummary>>> {
         self.map.lock().unwrap_or_else(|e| e.into_inner())
     }
 

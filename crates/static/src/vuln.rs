@@ -42,9 +42,11 @@
 
 use crate::summary::{FuncSummary, SummaryCache, SummaryKey, SummaryReport};
 use owl_ir::analysis::{AbsLoc, CallGraph, FuncAnalysis, PointsTo};
-use owl_ir::{Callee, FuncId, Inst, InstId, InstRef, Module, Operand, VulnClass};
+use owl_ir::{
+    Callee, FuncId, FxHashMap, FxHashSet, Inst, InstId, InstRef, Module, Operand, VulnClass,
+};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// How the corruption reaches the vulnerable site.
@@ -149,12 +151,12 @@ pub struct VulnStats {
 pub struct VulnAnalyzer<'m> {
     module: &'m Module,
     config: VulnConfig,
-    fa_cache: HashMap<FuncId, FuncAnalysis>,
+    fa_cache: FxHashMap<FuncId, FuncAnalysis>,
     points_to: Option<Arc<PointsTo>>,
     callgraph: Option<Arc<CallGraph>>,
     summaries: Option<Arc<SummaryCache>>,
     /// Summary keys currently being computed (recursion-cycle guard).
-    in_progress: HashSet<SummaryKey>,
+    in_progress: FxHashSet<SummaryKey>,
 }
 
 /// Where to start traversal inside a function.
@@ -168,32 +170,32 @@ enum Start {
 
 #[derive(Debug)]
 struct Walk {
-    crpt: HashSet<InstRef>,
-    parent: HashMap<InstRef, InstRef>,
+    crpt: FxHashSet<InstRef>,
+    parent: FxHashMap<InstRef, InstRef>,
     reports: Vec<VulnReport>,
-    reported: HashSet<(InstRef, DepKind)>,
-    visited: HashSet<(FuncId, Option<InstId>, u32, bool)>,
+    reported: FxHashSet<(InstRef, DepKind)>,
+    visited: FxHashSet<(FuncId, Option<InstId>, u32, bool)>,
     stats: VulnStats,
     source: InstRef,
     /// Abstract locations tainted by stores of corrupted values, with
     /// the tainting store as provenance for relay-load chains.
     tainted: BTreeMap<AbsLoc, InstRef>,
     /// Relay loads already promoted to corruption sources.
-    relays: HashSet<InstRef>,
+    relays: FxHashSet<InstRef>,
 }
 
 impl Walk {
     fn new(source: InstRef) -> Self {
         Walk {
-            crpt: HashSet::new(),
-            parent: HashMap::new(),
+            crpt: FxHashSet::default(),
+            parent: FxHashMap::default(),
             reports: Vec::new(),
-            reported: HashSet::new(),
-            visited: HashSet::new(),
+            reported: FxHashSet::default(),
+            visited: FxHashSet::default(),
             stats: VulnStats::default(),
             source,
             tainted: BTreeMap::new(),
-            relays: HashSet::new(),
+            relays: FxHashSet::default(),
         }
     }
 }
@@ -266,11 +268,11 @@ impl<'m> VulnAnalyzer<'m> {
         VulnAnalyzer {
             module,
             config,
-            fa_cache: HashMap::new(),
+            fa_cache: FxHashMap::default(),
             points_to,
             callgraph,
             summaries,
-            in_progress: HashSet::new(),
+            in_progress: FxHashSet::default(),
         }
     }
 
@@ -430,7 +432,7 @@ impl<'m> VulnAnalyzer<'m> {
             }
         };
         let mut block_queue = vec![start_block];
-        let mut seen_blocks: HashSet<owl_ir::BlockId> = HashSet::new();
+        let mut seen_blocks: FxHashSet<owl_ir::BlockId> = FxHashSet::default();
         seen_blocks.insert(start_block);
         let mut qi = 0;
         while qi < block_queue.len() {

@@ -17,9 +17,11 @@ use crate::mem::{MemError, Memory, FUNCPTR_BASE};
 use crate::sched::Scheduler;
 use crate::sites::SiteSet;
 use crate::violation::{SecurityEvent, SecurityRecord, Violation, ViolationRecord};
-use owl_ir::{BinOp, BlockId, Callee, FuncId, Inst, InstId, InstRef, Module, Operand, Pred, Type};
+use owl_ir::{
+    BinOp, BlockId, Callee, FuncId, FxHashSet, Inst, InstId, InstRef, Module, Operand, Pred, Type,
+};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Execution limits and switches.
@@ -234,7 +236,7 @@ pub struct Snapshot {
     input: ProgramInput,
     config: RunConfig,
     faults: FaultState,
-    elided: Option<Arc<HashSet<InstRef>>>,
+    elided: Option<Arc<FxHashSet<InstRef>>>,
     step: u64,
     outcome: ExecOutcome,
 }
@@ -313,7 +315,7 @@ pub struct Vm<'m> {
     faults: FaultState,
     /// Sites the static check-elision pre-pass proved race-free:
     /// events emitted from them carry [`TraceEvent::no_shadow`].
-    elided: Option<Arc<HashSet<InstRef>>>,
+    elided: Option<Arc<FxHashSet<InstRef>>>,
     step: u64,
     outcome: ExecOutcome,
     /// Set only for the duration of [`Vm::run_recording`], so never
@@ -397,7 +399,7 @@ impl<'m> Vm<'m> {
     /// shadow-memory detector backends skip their per-access work.
     /// Execution itself is unchanged: the same schedule yields the
     /// same trace modulo the stamp.
-    pub fn with_elided_sites(mut self, sites: Arc<HashSet<InstRef>>) -> Self {
+    pub fn with_elided_sites(mut self, sites: Arc<FxHashSet<InstRef>>) -> Self {
         self.elided = Some(sites);
         self
     }
@@ -1022,7 +1024,10 @@ impl<'m> Vm<'m> {
         if let Some(rec) = &mut self.recorder {
             rec.sites.insert(site);
         }
-        let inst = self.module.inst(site).clone();
+        // Borrowed from the module (`'m`), not from `self`: no
+        // instruction clone per step.
+        let module: &'m Module = self.module;
+        let inst = module.inst(site);
 
         // Breakpoint check (before execution).
         let skip = std::mem::replace(&mut self.threads[tid.index()].skip_bp, false);
@@ -1047,7 +1052,7 @@ impl<'m> Vm<'m> {
                 let hit = Suspension {
                     tid,
                     site,
-                    access: self.pending_access(tid, &inst),
+                    access: self.pending_access(tid, inst),
                     stack: self.call_stack(tid),
                     step: self.step,
                 };
@@ -1099,7 +1104,7 @@ impl<'m> Vm<'m> {
             }};
         }
 
-        match inst {
+        match *inst {
             Inst::Bin { op, a, b } => {
                 let x = eval!(a);
                 let y = eval!(b);
@@ -1471,9 +1476,9 @@ impl<'m> Vm<'m> {
                     self.finish_thread(tid, val);
                 }
             }
-            Inst::Call { callee, args } => {
+            Inst::Call { callee, ref args } => {
                 let mut argv = Vec::with_capacity(args.len());
-                for a in &args {
+                for a in args {
                     argv.push(eval!(*a));
                 }
                 let target = match callee {

@@ -7,9 +7,8 @@
 //! must likewise be indistinguishable from serial exploration at any
 //! worker count.
 
-use owl_ir::InstRef;
+use owl_ir::{FxHashSet, InstRef};
 use owl_race::{explore, ExploreResult, ExplorerConfig, HbAnnotation, HbBackend, StreamConfig};
-use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -27,7 +26,7 @@ fn sweep_elided(
     backend: HbBackend,
     workers: usize,
     annotations: Vec<HbAnnotation>,
-    elided_sites: Option<Arc<HashSet<InstRef>>>,
+    elided_sites: Option<Arc<FxHashSet<InstRef>>>,
 ) -> ExploreResult {
     let cfg = ExplorerConfig {
         runs_per_input: 4,
