@@ -6,9 +6,10 @@
 //! captured once through `VecSink`, then streamed into fresh detectors
 //! so the VM's interpretation cost is excluded from the timed window.
 //! Alongside the per-iteration timings this target emits derived
-//! metrics (`events_per_sec_*`, `epoch_speedup`, `epoch_fast_path_rate`,
-//! `explore_wall_us_workers_*`, `fork_speedup_*`, `prefix_share_ratio`,
-//! `dedup_ratio`) into `BENCH_detect.json`.
+//! metrics (`events_per_sec_*`, `predict_capped_*`, `epoch_speedup`,
+//! `epoch_fast_path_rate`, `explore_wall_us_workers_*`,
+//! `fork_speedup_*`, `prefix_share_ratio`, `dedup_ratio`) into
+//! `BENCH_detect.json`.
 
 #[cfg(feature = "criterion")]
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -130,6 +131,31 @@ fn mean_replay_secs(events: &[TraceEvent], backend: HbBackend) -> f64 {
     t0.elapsed().as_secs_f64() / f64::from(reps)
 }
 
+/// The predictive backends, named as their metrics are.
+const PREDICTIVE: [(&str, HbBackend); 2] = [
+    ("syncp", HbBackend::SyncPreserving),
+    ("syncrev", HbBackend::SyncReversal),
+];
+
+/// Mean seconds per predictive replay, prediction pass and report
+/// build included, over 5 repetitions (one untimed warmup).
+fn mean_predictive_secs(m: &Module, events: &[TraceEvent], backend: HbBackend) -> f64 {
+    black_box(replay(events, backend).finish(m));
+    let reps = 5u32;
+    let t0 = Instant::now();
+    for _ in 0..reps {
+        black_box(replay(events, backend).finish(m));
+    }
+    t0.elapsed().as_secs_f64() / f64::from(reps)
+}
+
+/// The prediction counters of one replay of `events` under `backend`.
+fn predict_stats(events: &[TraceEvent], backend: HbBackend) -> owl_race::PredictStats {
+    let mut det = replay(events, backend);
+    det.run_prediction();
+    det.predict_stats()
+}
+
 fn bench_detector_replay(c: &mut Criterion) {
     let (m, entry) = workload_module(32, 1024);
     let events = capture_trace(&m, entry);
@@ -211,17 +237,8 @@ fn bench_detector_replay(c: &mut Criterion) {
         b.iter(|| replay(&events, HbBackend::SyncReversal).finish(&m))
     });
     group.finish();
-    let mean_predictive_secs = |backend: HbBackend| {
-        black_box(replay(&events, backend).finish(&m));
-        let reps = 5u32;
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            black_box(replay(&events, backend).finish(&m));
-        }
-        t0.elapsed().as_secs_f64() / f64::from(reps)
-    };
-    let syncp_secs = mean_predictive_secs(HbBackend::SyncPreserving);
-    let syncrev_secs = mean_predictive_secs(HbBackend::SyncReversal);
+    let syncp_secs = mean_predictive_secs(&m, &events, HbBackend::SyncPreserving);
+    let syncrev_secs = mean_predictive_secs(&m, &events, HbBackend::SyncReversal);
     metric("events_per_sec_syncp", Json::UInt(throughput(syncp_secs)));
     metric("events_per_sec_syncrev", Json::UInt(throughput(syncrev_secs)));
     metric("syncp_overhead_over_epoch", Json::Float(syncp_secs / epoch_secs));
@@ -229,11 +246,43 @@ fn bench_detector_replay(c: &mut Criterion) {
         "syncrev_overhead_over_epoch",
         Json::Float(syncrev_secs / epoch_secs),
     );
-    let mut det = replay(&events, HbBackend::SyncPreserving);
-    det.run_prediction();
-    let pstats = det.predict_stats();
+    let pstats = predict_stats(&events, HbBackend::SyncPreserving);
     metric("predict_candidates", Json::UInt(pstats.candidates));
     metric("predict_witnessed", Json::UInt(pstats.witnessed));
+    // This trace's pass stops at a cost ceiling, so the two rows above
+    // time a truncated pass; the capped flags say so.
+    for (name, backend) in PREDICTIVE {
+        let capped = predict_stats(&events, backend).capped;
+        metric(&format!("predict_capped_{name}"), Json::UInt(capped));
+    }
+
+    // A smaller trace of the same shape whose prediction pass finishes
+    // under every ceiling and witnesses races: its events/s is the
+    // throughput of a whole pass.
+    let (small, small_entry) = workload_module(8, 512);
+    let small_events = capture_trace(&small, small_entry);
+    metric(
+        "trace_events_uncapped",
+        Json::UInt(small_events.len() as u64),
+    );
+    for (name, backend) in PREDICTIVE {
+        let stats = predict_stats(&small_events, backend);
+        assert_eq!(stats.capped, 0, "{backend:?} capped the uncapped trace");
+        assert!(stats.witnessed > 0, "{backend:?} witnessed nothing");
+        metric(
+            &format!("predict_candidates_{name}_uncapped"),
+            Json::UInt(stats.candidates),
+        );
+        metric(
+            &format!("predict_witnessed_{name}_uncapped"),
+            Json::UInt(stats.witnessed),
+        );
+        let secs = mean_predictive_secs(&small, &small_events, backend);
+        metric(
+            &format!("events_per_sec_{name}_uncapped"),
+            Json::UInt((small_events.len() as f64 / secs) as u64),
+        );
+    }
 
     // Per-class elided-site fractions plus how much of the trace the
     // elision actually removed from the shadow-memory path.

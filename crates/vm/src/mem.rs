@@ -6,7 +6,14 @@
 //! (paper Figure 7) depend on a buffer overflow corrupting the
 //! *adjacent* variable (the log file descriptor next to `buf->outbuf`).
 //! Heap allocations are never reused, so use-after-free and double-free
-//! are always detectable.
+//! are always detectable. Each thread's stack allocations stay inside
+//! that thread's [`STACK_SIZE`]-word window.
+//!
+//! The interpreter touches memory on most steps, so each access costs
+//! one lookup: a global's address is an index into a table built with
+//! the layout, and [`Memory::load`] / [`Memory::store`] answer from the
+//! one region they resolve whether the word is shared, what it held and
+//! whether its allocation was freed.
 
 use owl_ir::{GlobalId, Module};
 use serde::{Deserialize, Serialize};
@@ -79,13 +86,6 @@ pub enum MemError {
         /// Faulting address.
         addr: u64,
     },
-    /// Access inside a freed heap region.
-    UseAfterFree {
-        /// Faulting address.
-        addr: u64,
-        /// Base of the freed allocation.
-        region_base: u64,
-    },
     /// `Free` of an already-freed allocation.
     DoubleFree {
         /// The freed base address.
@@ -96,6 +96,41 @@ pub enum MemError {
         /// The bogus address.
         addr: u64,
     },
+    /// An `Alloca` that does not fit in what is left of its thread's
+    /// stack window (or a thread whose window would reach
+    /// [`FUNCPTR_BASE`]).
+    StackOverflow {
+        /// Allocating thread (raw id).
+        tid: u32,
+        /// Words requested.
+        size: u64,
+    },
+}
+
+/// One word access, resolved with a single region lookup.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Access {
+    /// The word read, or for a store the word it replaced. A freed
+    /// region's words are stale but still there.
+    pub value: i64,
+    /// Whether the word is shared memory: a global or a heap
+    /// allocation, live or freed — the address classes the race
+    /// detector shadows. Thread stacks are not shared, mirroring
+    /// TSan's escape filtering.
+    pub shared: bool,
+    /// Base of the allocation when it was freed: the access still read
+    /// or landed, but it is a use-after-free.
+    pub freed: Option<u64>,
+}
+
+impl Access {
+    fn of(r: &Region, value: i64) -> Self {
+        Access {
+            value,
+            shared: !matches!(r.kind, RegionKind::Stack { .. }),
+            freed: (r.kind == RegionKind::FreedHeap).then_some(r.base),
+        }
+    }
 }
 
 /// VM memory: regions plus allocation cursors.
@@ -103,8 +138,10 @@ pub enum MemError {
 pub struct Memory {
     /// base -> region, ordered for containment lookup.
     regions: BTreeMap<u64, Region>,
+    /// Base address of each global, indexed by [`GlobalId`]; the
+    /// layout never changes, so clones share it.
+    global_bases: Arc<[u64]>,
     heap_cursor: u64,
-    global_cursor: u64,
     /// Per-thread stack cursors.
     stack_cursors: BTreeMap<u32, u64>,
 }
@@ -113,19 +150,24 @@ impl Memory {
     /// Creates memory with all of `module`'s globals laid out
     /// contiguously from [`GLOBAL_BASE`].
     pub fn new(module: &Module) -> Self {
-        let mut mem = Memory {
-            regions: BTreeMap::new(),
-            heap_cursor: HEAP_BASE,
-            global_cursor: GLOBAL_BASE,
-            stack_cursors: BTreeMap::new(),
-        };
+        let mut cursor = GLOBAL_BASE;
+        let global_bases: Arc<[u64]> = module
+            .globals
+            .iter()
+            .map(|g| {
+                let base = cursor;
+                cursor += g.size as u64;
+                base
+            })
+            .collect();
+        let mut regions = BTreeMap::new();
         for (gi, g) in module.globals.iter().enumerate() {
-            let base = mem.global_cursor;
             let mut data = vec![0i64; g.size as usize];
             for (i, v) in g.init.iter().enumerate() {
                 data[i] = *v;
             }
-            mem.regions.insert(
+            let base = global_bases[gi];
+            regions.insert(
                 base,
                 Region {
                     base,
@@ -134,9 +176,13 @@ impl Memory {
                     data: Arc::new(data),
                 },
             );
-            mem.global_cursor += g.size as u64;
         }
-        mem
+        Memory {
+            regions,
+            global_bases,
+            heap_cursor: HEAP_BASE,
+            stack_cursors: BTreeMap::new(),
+        }
     }
 
     /// Address of global `g`.
@@ -146,11 +192,7 @@ impl Memory {
     /// Panics if `g` was not part of the module this memory was built
     /// from.
     pub fn global_addr(&self, g: GlobalId) -> u64 {
-        self.regions
-            .values()
-            .find(|r| r.kind == RegionKind::Global(g))
-            .map(|r| r.base)
-            .expect("unknown global")
+        self.global_bases[g.index()]
     }
 
     fn region_containing(&self, addr: u64) -> Option<&Region> {
@@ -179,61 +221,37 @@ impl Memory {
     /// # Errors
     ///
     /// [`MemError::Null`] below [`GLOBAL_BASE`], [`MemError::Wild`]
-    /// outside all regions, [`MemError::UseAfterFree`] inside a freed
-    /// region (the stale value is still returned *inside* the error
-    /// case by [`Memory::read_raw`] for attack modeling).
-    pub fn read(&self, addr: u64) -> Result<i64, MemError> {
+    /// outside all regions. A freed region still yields its stale word
+    /// (for attack modeling); [`Access::freed`] says so.
+    pub fn load(&self, addr: u64) -> Result<Access, MemError> {
         if addr < GLOBAL_BASE {
             return Err(MemError::Null { addr });
         }
-        match self.region_containing(addr) {
-            Some(r) if r.kind == RegionKind::FreedHeap => Err(MemError::UseAfterFree {
-                addr,
-                region_base: r.base,
-            }),
-            Some(r) => Ok(r.data[(addr - r.base) as usize]),
-            None => Err(MemError::Wild { addr }),
-        }
+        let r = self
+            .region_containing(addr)
+            .ok_or(MemError::Wild { addr })?;
+        Ok(Access::of(r, r.data[(addr - r.base) as usize]))
     }
 
-    /// Reads the word at `addr` even from freed regions (stale data).
-    /// Returns `None` for NULL/wild addresses.
-    pub fn read_raw(&self, addr: u64) -> Option<i64> {
-        if addr < GLOBAL_BASE {
-            return None;
-        }
-        self.region_containing(addr)
-            .map(|r| r.data[(addr - r.base) as usize])
-    }
-
-    /// Writes the word at `addr`.
+    /// Writes `val` to the word at `addr`, returning the word it
+    /// replaced.
     ///
     /// # Errors
     ///
-    /// Same classification as [`Memory::read`]. Writes into freed
-    /// regions *do* land (stale memory corruption) but still report
-    /// [`MemError::UseAfterFree`].
-    pub fn write(&mut self, addr: u64, val: i64) -> Result<(), MemError> {
+    /// Same classification as [`Memory::load`]. Writes into freed
+    /// regions *do* land (stale memory corruption); [`Access::freed`]
+    /// says so.
+    pub fn store(&mut self, addr: u64, val: i64) -> Result<Access, MemError> {
         if addr < GLOBAL_BASE {
             return Err(MemError::Null { addr });
         }
-        match self.region_containing_mut(addr) {
-            Some(r) => {
-                let base = r.base;
-                let freed = r.kind == RegionKind::FreedHeap;
-                // Un-share the region on first write after a snapshot.
-                Arc::make_mut(&mut r.data)[(addr - base) as usize] = val;
-                if freed {
-                    Err(MemError::UseAfterFree {
-                        addr,
-                        region_base: base,
-                    })
-                } else {
-                    Ok(())
-                }
-            }
-            None => Err(MemError::Wild { addr }),
-        }
+        let r = self
+            .region_containing_mut(addr)
+            .ok_or(MemError::Wild { addr })?;
+        let offset = (addr - r.base) as usize;
+        // Un-share the region on first write after a snapshot.
+        let old = std::mem::replace(&mut Arc::make_mut(&mut r.data)[offset], val);
+        Ok(Access::of(r, old))
     }
 
     /// Allocates `size` words on the heap (never reuses addresses).
@@ -270,34 +288,34 @@ impl Memory {
         }
     }
 
-    /// Allocates `size` words on thread `tid`'s stack.
-    pub fn alloca(&mut self, tid: u32, size: u64) -> u64 {
-        let cursor = self
-            .stack_cursors
-            .entry(tid)
-            .or_insert(STACK_BASE + u64::from(tid) * STACK_SIZE);
-        let base = *cursor;
-        *cursor += size.max(1);
+    /// Allocates `size` words on thread `tid`'s stack, inside its
+    /// window of [`STACK_SIZE`] words from
+    /// `STACK_BASE + tid × STACK_SIZE`. Stack words are never freed.
+    ///
+    /// # Errors
+    ///
+    /// [`MemError::StackOverflow`], with nothing allocated, when the
+    /// words do not fit in what is left of the window, or when the
+    /// window would reach [`FUNCPTR_BASE`].
+    pub fn alloca(&mut self, tid: u32, size: u64) -> Result<u64, MemError> {
+        let size = size.max(1);
+        let window = STACK_BASE + u64::from(tid) * STACK_SIZE;
+        let end = window + STACK_SIZE;
+        let base = self.stack_cursors.get(&tid).copied().unwrap_or(window);
+        if end > FUNCPTR_BASE || size > end - base {
+            return Err(MemError::StackOverflow { tid, size });
+        }
+        self.stack_cursors.insert(tid, base + size);
         self.regions.insert(
             base,
             Region {
                 base,
-                size: size.max(1),
+                size,
                 kind: RegionKind::Stack { tid },
-                data: Arc::new(vec![0; size.max(1) as usize]),
+                data: Arc::new(vec![0; size as usize]),
             },
         );
-        base
-    }
-
-    /// Whether `addr` is shared memory (globals or heap, live or freed)
-    /// — the address classes the race detector shadows. Thread stacks
-    /// are excluded, mirroring TSan's escape filtering.
-    pub fn is_shared(&self, addr: u64) -> bool {
-        matches!(
-            self.region_containing(addr).map(|r| r.kind),
-            Some(RegionKind::Global(_)) | Some(RegionKind::Heap) | Some(RegionKind::FreedHeap)
-        )
+        Ok(base)
     }
 
     /// Approximate heap bytes a fresh clone of this memory uniquely
@@ -338,9 +356,9 @@ mod tests {
         let b = mem.global_addr(GlobalId(1));
         assert_eq!(a, GLOBAL_BASE);
         assert_eq!(b, GLOBAL_BASE + 2);
-        assert_eq!(mem.read(a).unwrap(), 7);
-        assert_eq!(mem.read(a + 1).unwrap(), 8);
-        assert_eq!(mem.read(b).unwrap(), 0);
+        assert_eq!(mem.load(a).unwrap().value, 7);
+        assert_eq!(mem.load(a + 1).unwrap().value, 8);
+        assert_eq!(mem.load(b).unwrap().value, 0);
     }
 
     #[test]
@@ -349,18 +367,25 @@ mod tests {
         let m = module_with_globals();
         let mut mem = Memory::new(&m);
         let a = mem.global_addr(GlobalId(0));
-        mem.write(a + 2, 99).unwrap();
+        mem.store(a + 2, 99).unwrap();
         let b = mem.global_addr(GlobalId(1));
-        assert_eq!(mem.read(b).unwrap(), 99);
+        assert_eq!(mem.load(b).unwrap().value, 99);
     }
 
     #[test]
     fn null_and_wild_accesses_fail() {
         let m = module_with_globals();
-        let mem = Memory::new(&m);
-        assert_eq!(mem.read(0), Err(MemError::Null { addr: 0 }));
+        let mut mem = Memory::new(&m);
+        assert_eq!(mem.load(0), Err(MemError::Null { addr: 0 }));
+        assert_eq!(mem.store(0, 1), Err(MemError::Null { addr: 0 }));
         assert_eq!(
-            mem.read(0xdead_beef00),
+            mem.load(0xdead_beef00),
+            Err(MemError::Wild {
+                addr: 0xdead_beef00
+            })
+        );
+        assert_eq!(
+            mem.store(0xdead_beef00, 1),
             Err(MemError::Wild {
                 addr: 0xdead_beef00
             })
@@ -372,18 +397,22 @@ mod tests {
         let m = module_with_globals();
         let mut mem = Memory::new(&m);
         let p = mem.malloc(4);
-        mem.write(p + 1, 42).unwrap();
-        assert_eq!(mem.read(p + 1).unwrap(), 42);
+        let live = mem.store(p + 1, 42).unwrap();
+        assert_eq!((live.value, live.freed), (0, None));
+        assert_eq!(mem.load(p + 1).unwrap().value, 42);
         mem.free(p).unwrap();
+        // Stale data still observable for attack modeling.
         assert_eq!(
-            mem.read(p + 1),
-            Err(MemError::UseAfterFree {
-                addr: p + 1,
-                region_base: p
+            mem.load(p + 1),
+            Ok(Access {
+                value: 42,
+                shared: true,
+                freed: Some(p)
             })
         );
-        // Stale data still observable for attack modeling.
-        assert_eq!(mem.read_raw(p + 1), Some(42));
+        // A store into freed memory lands and reports the word it replaced.
+        assert_eq!(mem.store(p + 1, 9).unwrap().freed, Some(p));
+        assert_eq!(mem.load(p + 1).unwrap().value, 9);
         assert_eq!(mem.free(p), Err(MemError::DoubleFree { addr: p }));
         assert_eq!(mem.free(p + 1), Err(MemError::InvalidFree { addr: p + 1 }));
     }
@@ -402,23 +431,67 @@ mod tests {
     fn stack_regions_are_not_shared() {
         let m = module_with_globals();
         let mut mem = Memory::new(&m);
-        let s = mem.alloca(3, 8);
-        assert!(!mem.is_shared(s));
-        assert!(mem.is_shared(GLOBAL_BASE));
+        let s = mem.alloca(3, 8).unwrap();
+        assert!(!mem.load(s).unwrap().shared);
+        assert!(!mem.store(s, 1).unwrap().shared);
+        assert!(mem.load(GLOBAL_BASE).unwrap().shared);
         let h = mem.malloc(1);
-        assert!(mem.is_shared(h));
+        assert!(mem.load(h).unwrap().shared);
         mem.free(h).unwrap();
-        assert!(mem.is_shared(h), "freed heap stays shadowed");
+        assert!(mem.load(h).unwrap().shared, "freed heap stays shadowed");
     }
 
     #[test]
     fn distinct_threads_get_distinct_stacks() {
         let m = module_with_globals();
         let mut mem = Memory::new(&m);
-        let s0 = mem.alloca(0, 4);
-        let s1 = mem.alloca(1, 4);
+        let s0 = mem.alloca(0, 4).unwrap();
+        let s1 = mem.alloca(1, 4).unwrap();
         assert_ne!(s0, s1);
         assert_eq!(s1, STACK_BASE + STACK_SIZE);
+    }
+
+    #[test]
+    fn alloca_stays_inside_its_threads_window() {
+        let m = module_with_globals();
+        let mut mem = Memory::new(&m);
+        // Thread 0 fills its window to the last word; one more word
+        // would land in thread 1's window.
+        assert_eq!(mem.alloca(0, STACK_SIZE - 1), Ok(STACK_BASE));
+        let last = mem.alloca(0, 1).unwrap();
+        assert_eq!(last, STACK_BASE + STACK_SIZE - 1);
+        assert_eq!(
+            mem.alloca(0, 1),
+            Err(MemError::StackOverflow { tid: 0, size: 1 })
+        );
+        assert_eq!(mem.alloca(1, 1), Ok(STACK_BASE + STACK_SIZE));
+        mem.store(last, 7).unwrap();
+        mem.store(STACK_BASE + STACK_SIZE, 99).unwrap();
+        assert_eq!(mem.load(last).unwrap().value, 7);
+        // An oversized request is refused before any words exist.
+        assert_eq!(
+            mem.alloca(2, u64::from(u32::MAX)),
+            Err(MemError::StackOverflow {
+                tid: 2,
+                size: u64::from(u32::MAX)
+            })
+        );
+        assert_eq!(mem.alloca(2, STACK_SIZE), Ok(STACK_BASE + 2 * STACK_SIZE));
+    }
+
+    #[test]
+    fn thread_windows_stop_short_of_function_pointers() {
+        let m = module_with_globals();
+        let mut mem = Memory::new(&m);
+        let last_tid = ((FUNCPTR_BASE - STACK_BASE) / STACK_SIZE - 1) as u32;
+        let base = mem.alloca(last_tid, STACK_SIZE).unwrap();
+        assert_eq!(base + STACK_SIZE, FUNCPTR_BASE);
+        for tid in [last_tid + 1, u32::MAX] {
+            assert_eq!(
+                mem.alloca(tid, 1),
+                Err(MemError::StackOverflow { tid, size: 1 })
+            );
+        }
     }
 
     #[test]
@@ -433,12 +506,12 @@ mod tests {
             &snap.regions[&a].data
         ));
         // Reads keep sharing; a write un-shares only the touched region.
-        let _ = mem.read(h).unwrap();
+        let _ = mem.load(h).unwrap();
         assert!(Arc::ptr_eq(
             &mem.regions[&h].data,
             &snap.regions[&h].data
         ));
-        mem.write(h + 1, 5).unwrap();
+        mem.store(h + 1, 5).unwrap();
         assert!(!Arc::ptr_eq(
             &mem.regions[&h].data,
             &snap.regions[&h].data
@@ -448,8 +521,8 @@ mod tests {
             &snap.regions[&a].data
         ));
         // The snapshot still sees the pre-write value.
-        assert_eq!(snap.read(h + 1).unwrap(), 0);
-        assert_eq!(mem.read(h + 1).unwrap(), 5);
+        assert_eq!(snap.load(h + 1).unwrap().value, 0);
+        assert_eq!(mem.load(h + 1).unwrap().value, 5);
     }
 
     #[test]

@@ -73,6 +73,12 @@ pub enum Violation {
     /// An SSA value was read before any execution path defined it
     /// (program bug, not an attack).
     UndefinedValue,
+    /// An `Alloca` did not fit in what was left of the thread's stack
+    /// window ([`crate::mem::STACK_SIZE`] words).
+    StackOverflow {
+        /// Words requested.
+        size: u64,
+    },
 }
 
 impl Violation {
@@ -86,6 +92,7 @@ impl Violation {
                 | Violation::CorruptFuncPtr { .. }
                 | Violation::DivByZero
                 | Violation::UndefinedValue
+                | Violation::StackOverflow { .. }
         )
     }
 }
@@ -118,6 +125,9 @@ impl fmt::Display for Violation {
                 write!(f, "call through corrupted function pointer {value:#x}")
             }
             Violation::UndefinedValue => write!(f, "use of undefined SSA value"),
+            Violation::StackOverflow { size } => {
+                write!(f, "stack overflow: alloca of {size} words")
+            }
         }
     }
 }
@@ -192,6 +202,7 @@ mod tests {
         }
         .is_fatal());
         assert!(!Violation::IntegerUnderflow { a: 0, b: 1 }.is_fatal());
+        assert!(Violation::StackOverflow { size: 1 }.is_fatal());
     }
 
     #[test]

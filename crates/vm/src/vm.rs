@@ -321,6 +321,13 @@ pub struct Vm<'m> {
     /// Set only for the duration of [`Vm::run_recording`], so never
     /// part of a [`Snapshot`].
     recorder: Option<FetchRecorder>,
+    /// Some thread changed state (or was spawned) since the interpreter
+    /// loop last built its runnable list. Set by [`Vm::set_state`].
+    runnable_stale: bool,
+    /// No delayed thread is due before this step: a lower bound on
+    /// every `Delayed { until }`, lowered by [`Vm::set_state`] and made
+    /// exact by [`Vm::wake_delayed`].
+    next_wake: u64,
 }
 
 impl std::fmt::Debug for Vm<'_> {
@@ -386,6 +393,8 @@ impl<'m> Vm<'m> {
                 injected_faults: vec![],
             },
             recorder: None,
+            runnable_stale: true,
+            next_wake: 0,
         }
     }
 
@@ -538,6 +547,8 @@ impl<'m> Vm<'m> {
             step: snap.step,
             outcome: snap.outcome,
             recorder: None,
+            runnable_stale: true,
+            next_wake: 0,
         }
     }
 
@@ -605,6 +616,10 @@ impl<'m> Vm<'m> {
     /// uninterrupted run. Only termination finalizes the outcome (via
     /// [`Vm::take_outcome`]); a paused VM keeps accumulating into the
     /// same partial outcome.
+    ///
+    /// Most steps change no thread's state, so the runnable list is
+    /// rebuilt only when [`Vm::set_state`] marked it stale, and delayed
+    /// threads are scanned only once the earliest deadline is due.
     fn run_loop_inner(
         &mut self,
         sched: &mut dyn Scheduler,
@@ -613,6 +628,7 @@ impl<'m> Vm<'m> {
         pause: Pause,
     ) -> bool {
         let mut runnable: Vec<ThreadId> = Vec::new();
+        self.runnable_stale = true;
         loop {
             match pause {
                 Pause::Never => {}
@@ -640,13 +656,8 @@ impl<'m> Vm<'m> {
                 self.outcome.status = ExitStatus::StepLimit;
                 break;
             }
-            // Wake delayed threads whose deadline has passed.
-            for t in self.threads.iter_mut() {
-                if let ThreadState::Delayed { until } = t.state {
-                    if until <= self.step {
-                        t.state = ThreadState::Runnable;
-                    }
-                }
+            if self.step >= self.next_wake {
+                self.wake_delayed();
             }
             // Spurious wakeup: rouse one condition-waiting thread with
             // no signal. `cond_reacquire` is already set, so the thread
@@ -659,8 +670,8 @@ impl<'m> Vm<'m> {
                     .position(|t| matches!(t.state, ThreadState::WaitingCond { .. }))
                 {
                     if self.faults.fire_wakeup(self.step) {
-                        self.threads[i].state = ThreadState::Runnable;
                         let wtid = ThreadId(i as u32);
+                        self.set_state(wtid, ThreadState::Runnable);
                         let wsite = self.cur_site(wtid).map(|(s, _)| s);
                         self.faults
                             .record(FaultKind::SpuriousWakeup, self.step, Some(wtid), wsite);
@@ -677,14 +688,16 @@ impl<'m> Vm<'m> {
                     }
                 }
             }
-            runnable.clear();
-            runnable.extend(
-                self.threads
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, t)| t.state == ThreadState::Runnable)
-                    .map(|(i, _)| ThreadId(i as u32)),
-            );
+            if std::mem::take(&mut self.runnable_stale) {
+                runnable.clear();
+                runnable.extend(
+                    self.threads
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, t)| t.state == ThreadState::Runnable)
+                        .map(|(i, _)| ThreadId(i as u32)),
+                );
+            }
             if runnable.is_empty() {
                 if self
                     .threads
@@ -766,7 +779,7 @@ impl<'m> Vm<'m> {
                 }
                 self.step += 1;
                 let until = self.step + self.faults.plan.sched_delay_steps;
-                self.threads[tid.index()].state = ThreadState::Delayed { until };
+                self.set_state(tid, ThreadState::Delayed { until });
                 continue;
             }
             if self.config.record_schedule {
@@ -801,13 +814,48 @@ impl<'m> Vm<'m> {
         DeadlockInfo { waiting }
     }
 
-    fn resume_thread(&mut self, tid: ThreadId) {
-        if self.suspended.remove(&tid).is_some() {
-            let t = &mut self.threads[tid.index()];
-            if t.state == ThreadState::Suspended {
-                t.state = ThreadState::Runnable;
-                t.skip_bp = true;
+    /// Moves `tid` to `state`. Every thread-state change goes through
+    /// here, so the interpreter loop knows when its runnable list is
+    /// stale and when a delayed thread may be due.
+    fn set_state(&mut self, tid: ThreadId, state: ThreadState) {
+        self.threads[tid.index()].state = state;
+        self.runnable_stale = true;
+        if let ThreadState::Delayed { until } = state {
+            self.next_wake = self.next_wake.min(until);
+        }
+    }
+
+    /// Makes every thread in state `waiting` runnable.
+    fn wake_all(&mut self, waiting: ThreadState) {
+        for i in 0..self.threads.len() {
+            if self.threads[i].state == waiting {
+                self.set_state(ThreadId(i as u32), ThreadState::Runnable);
             }
+        }
+    }
+
+    /// Wakes every delayed thread whose deadline has passed, and sets
+    /// `next_wake` to the earliest deadline still pending.
+    fn wake_delayed(&mut self) {
+        let mut next = u64::MAX;
+        for i in 0..self.threads.len() {
+            if let ThreadState::Delayed { until } = self.threads[i].state {
+                if until <= self.step {
+                    self.set_state(ThreadId(i as u32), ThreadState::Runnable);
+                } else {
+                    next = next.min(until);
+                }
+            }
+        }
+        self.next_wake = next;
+    }
+
+    fn resume_thread(&mut self, tid: ThreadId) {
+        if self.suspended.remove(&tid).is_some()
+            && self.threads[tid.index()].state == ThreadState::Suspended
+        {
+            self.set_state(tid, ThreadState::Runnable);
+            self.threads[tid.index()].skip_bp = true;
         }
     }
 
@@ -882,17 +930,12 @@ impl<'m> Vm<'m> {
     }
 
     fn finish_thread(&mut self, tid: ThreadId, ret: Option<i64>) {
-        self.threads[tid.index()].state = ThreadState::Finished;
+        self.set_state(tid, ThreadState::Finished);
         self.threads[tid.index()].frames.clear();
         if tid == ThreadId::MAIN {
             self.outcome.return_value = ret;
         }
-        // Wake joiners.
-        for t in self.threads.iter_mut() {
-            if t.state == (ThreadState::Joining { child: tid }) {
-                t.state = ThreadState::Runnable;
-            }
-        }
+        self.wake_all(ThreadState::Joining { child: tid });
     }
 
     fn emit(&mut self, sink: &mut dyn TraceSink, tid: ThreadId, site: InstRef, kind: EventKind) {
@@ -915,6 +958,7 @@ impl<'m> Vm<'m> {
     /// free).
     fn pending_access(&self, tid: ThreadId, inst: &Inst) -> Option<PendingAccess> {
         let eval = |op: Operand| self.eval(tid, op).ok();
+        let word = |a: u64| self.mem.load(a).ok().map(|w| w.value);
         match inst {
             Inst::Load { addr, ty } => {
                 let a = eval(*addr)? as u64;
@@ -922,7 +966,7 @@ impl<'m> Vm<'m> {
                     addr: a,
                     is_write: false,
                     value_to_write: None,
-                    current_value: self.mem.read_raw(a),
+                    current_value: word(a),
                     ty: *ty,
                 })
             }
@@ -932,7 +976,7 @@ impl<'m> Vm<'m> {
                     addr: a,
                     is_write: false,
                     value_to_write: None,
-                    current_value: self.mem.read_raw(a),
+                    current_value: word(a),
                     ty: Type::I64,
                 })
             }
@@ -942,7 +986,7 @@ impl<'m> Vm<'m> {
                     addr: a,
                     is_write: true,
                     value_to_write: eval(*val),
-                    current_value: self.mem.read_raw(a),
+                    current_value: word(a),
                     ty: Type::I64,
                 })
             }
@@ -952,7 +996,7 @@ impl<'m> Vm<'m> {
                     addr: a,
                     is_write: true,
                     value_to_write: None,
-                    current_value: self.mem.read_raw(a),
+                    current_value: word(a),
                     ty: Type::Ptr,
                 })
             }
@@ -962,7 +1006,7 @@ impl<'m> Vm<'m> {
                     addr: a,
                     is_write: true,
                     value_to_write: None,
-                    current_value: self.mem.read_raw(a),
+                    current_value: word(a),
                     ty: Type::Ptr,
                 })
             }
@@ -1067,7 +1111,7 @@ impl<'m> Vm<'m> {
                 };
                 match decision {
                     BreakDecision::Suspend => {
-                        self.threads[tid.index()].state = ThreadState::Suspended;
+                        self.set_state(tid, ThreadState::Suspended);
                         self.suspended.insert(tid, hit);
                         for r in resume {
                             self.resume_thread(r);
@@ -1168,11 +1212,16 @@ impl<'m> Vm<'m> {
                 self.set_reg(tid, inst_id, (FUNCPTR_BASE + f.0 as u64) as i64);
                 advance!();
             }
-            Inst::Alloca { size } => {
-                let a = self.mem.alloca(tid.0, u64::from(size));
-                self.set_reg(tid, inst_id, a as i64);
-                advance!();
-            }
+            Inst::Alloca { size } => match self.mem.alloca(tid.0, u64::from(size)) {
+                Ok(a) => {
+                    self.set_reg(tid, inst_id, a as i64);
+                    advance!();
+                }
+                Err(_) => {
+                    let size = u64::from(size);
+                    self.record_violation(tid, Violation::StackOverflow { size }, site);
+                }
+            },
             Inst::Malloc { size } => {
                 let s = eval!(size).clamp(1, 1 << 20) as u64;
                 let a = self.mem.malloc(s);
@@ -1213,46 +1262,32 @@ impl<'m> Vm<'m> {
                     self.record_violation(tid, Violation::WildAccess { addr: a }, site);
                     return;
                 }
-                let shared = self.mem.is_shared(a);
-                match self.mem.read(a) {
-                    Ok(v) => {
-                        if shared {
+                match self.mem.load(a) {
+                    Ok(w) => {
+                        if let Some(region_base) = w.freed {
+                            self.record_violation(
+                                tid,
+                                Violation::UseAfterFree {
+                                    addr: a,
+                                    region_base,
+                                },
+                                site,
+                            );
+                        }
+                        if w.shared {
                             self.emit(
                                 sink,
                                 tid,
                                 site,
                                 EventKind::Read {
                                     addr: a,
-                                    value: v,
+                                    value: w.value,
                                     ty,
                                     atomic: false,
                                 },
                             );
                         }
-                        self.set_reg(tid, inst_id, v);
-                        advance!();
-                    }
-                    Err(MemError::UseAfterFree { addr, region_base }) => {
-                        self.record_violation(
-                            tid,
-                            Violation::UseAfterFree { addr, region_base },
-                            site,
-                        );
-                        let v = self.mem.read_raw(a).unwrap_or(0);
-                        if shared {
-                            self.emit(
-                                sink,
-                                tid,
-                                site,
-                                EventKind::Read {
-                                    addr: a,
-                                    value: v,
-                                    ty,
-                                    atomic: false,
-                                },
-                            );
-                        }
-                        self.set_reg(tid, inst_id, v);
+                        self.set_reg(tid, inst_id, w.value);
                         advance!();
                     }
                     Err(MemError::Null { addr }) => {
@@ -1282,32 +1317,19 @@ impl<'m> Vm<'m> {
                     self.record_violation(tid, Violation::WildAccess { addr: a }, site);
                     return;
                 }
-                let shared = self.mem.is_shared(a);
-                let old = self.mem.read_raw(a).unwrap_or(0);
-                match self.mem.write(a, v) {
-                    Ok(()) => {
-                        if shared {
-                            self.emit(
-                                sink,
+                match self.mem.store(a, v) {
+                    Ok(w) => {
+                        if let Some(region_base) = w.freed {
+                            self.record_violation(
                                 tid,
-                                site,
-                                EventKind::Write {
+                                Violation::UseAfterFree {
                                     addr: a,
-                                    value: v,
-                                    old,
-                                    atomic: false,
+                                    region_base,
                                 },
+                                site,
                             );
                         }
-                        advance!();
-                    }
-                    Err(MemError::UseAfterFree { addr, region_base }) => {
-                        self.record_violation(
-                            tid,
-                            Violation::UseAfterFree { addr, region_base },
-                            site,
-                        );
-                        if shared {
+                        if w.shared {
                             self.emit(
                                 sink,
                                 tid,
@@ -1315,7 +1337,7 @@ impl<'m> Vm<'m> {
                                 EventKind::Write {
                                     addr: a,
                                     value: v,
-                                    old,
+                                    old: w.value,
                                     atomic: false,
                                 },
                             );
@@ -1345,7 +1367,7 @@ impl<'m> Vm<'m> {
                             t.frames.last_mut().unwrap().idx += 1;
                         }
                         Some(_) => {
-                            self.threads[tid.index()].state = ThreadState::Blocked { mutex: m };
+                            self.set_state(tid, ThreadState::Blocked { mutex: m });
                         }
                     }
                 } else {
@@ -1354,62 +1376,55 @@ impl<'m> Vm<'m> {
                         if ms.owner == Some(tid) {
                             ms.owner = None;
                             self.emit(sink, tid, site, EventKind::Unlock { addr: m });
-                            for th in self.threads.iter_mut() {
-                                if th.state == (ThreadState::Blocked { mutex: m }) {
-                                    th.state = ThreadState::Runnable;
-                                }
-                            }
+                            self.wake_all(ThreadState::Blocked { mutex: m });
                         }
                     }
-                    let t = &mut self.threads[tid.index()];
-                    t.state = ThreadState::WaitingCond { cv };
-                    t.cond_reacquire = true;
+                    self.set_state(tid, ThreadState::WaitingCond { cv });
+                    self.threads[tid.index()].cond_reacquire = true;
                     // idx stays: the wake re-executes this instruction in
                     // phase 2.
                 }
             }
             Inst::CondSignal { cond } => {
                 let cv = eval!(cond) as u64;
-                if let Some(t) = self
+                if let Some(i) = self
                     .threads
-                    .iter_mut()
-                    .find(|t| t.state == (ThreadState::WaitingCond { cv }))
+                    .iter()
+                    .position(|t| t.state == (ThreadState::WaitingCond { cv }))
                 {
-                    t.state = ThreadState::Runnable;
+                    self.set_state(ThreadId(i as u32), ThreadState::Runnable);
                 }
                 advance!();
             }
             Inst::CondBroadcast { cond } => {
                 let cv = eval!(cond) as u64;
-                for t in self.threads.iter_mut() {
-                    if t.state == (ThreadState::WaitingCond { cv }) {
-                        t.state = ThreadState::Runnable;
-                    }
-                }
+                self.wake_all(ThreadState::WaitingCond { cv });
                 advance!();
             }
             Inst::AtomicLoad { addr } => {
                 let a = eval!(addr) as u64;
-                match self.mem.read(a) {
-                    Ok(v) => {
+                match self.mem.load(a) {
+                    Ok(w) if w.freed.is_none() => {
                         self.emit(
                             sink,
                             tid,
                             site,
                             EventKind::Read {
                                 addr: a,
-                                value: v,
+                                value: w.value,
                                 ty: Type::I64,
                                 atomic: true,
                             },
                         );
-                        self.set_reg(tid, inst_id, v);
+                        self.set_reg(tid, inst_id, w.value);
                         advance!();
                     }
                     Err(MemError::Null { addr }) => {
                         self.record_violation(tid, Violation::NullDeref { addr }, site);
                     }
-                    Err(_) => {
+                    // Wild, or freed memory: the atomic fails as a wild
+                    // access.
+                    _ => {
                         self.record_violation(tid, Violation::WildAccess { addr: a }, site);
                     }
                 }
@@ -1417,9 +1432,8 @@ impl<'m> Vm<'m> {
             Inst::AtomicStore { addr, val } => {
                 let a = eval!(addr) as u64;
                 let v = eval!(val);
-                let old = self.mem.read_raw(a).unwrap_or(0);
-                match self.mem.write(a, v) {
-                    Ok(()) => {
+                match self.mem.store(a, v) {
+                    Ok(w) if w.freed.is_none() => {
                         self.emit(
                             sink,
                             tid,
@@ -1427,7 +1441,7 @@ impl<'m> Vm<'m> {
                             EventKind::Write {
                                 addr: a,
                                 value: v,
-                                old,
+                                old: w.value,
                                 atomic: true,
                             },
                         );
@@ -1436,7 +1450,9 @@ impl<'m> Vm<'m> {
                     Err(MemError::Null { addr }) => {
                         self.record_violation(tid, Violation::NullDeref { addr }, site);
                     }
-                    Err(_) => {
+                    // Wild, or freed memory (where the word still
+                    // landed): the atomic fails as a wild access.
+                    _ => {
                         self.record_violation(tid, Violation::WildAccess { addr: a }, site);
                     }
                 }
@@ -1549,6 +1565,8 @@ impl<'m> Vm<'m> {
                     cond_reacquire: false,
                     stack_cache: None,
                 });
+                // A new runnable thread: the runnable list is stale.
+                self.runnable_stale = true;
                 self.outcome.threads_spawned += 1;
                 self.emit(sink, tid, site, EventKind::Fork { child });
                 self.set_reg(tid, inst_id, i64::from(child.0));
@@ -1566,7 +1584,7 @@ impl<'m> Vm<'m> {
                     self.emit(sink, tid, site, EventKind::Join { child });
                     advance!();
                 } else {
-                    self.threads[tid.index()].state = ThreadState::Joining { child };
+                    self.set_state(tid, ThreadState::Joining { child });
                     // idx stays: re-execute join when woken.
                 }
             }
@@ -1579,12 +1597,9 @@ impl<'m> Vm<'m> {
                         self.emit(sink, tid, site, EventKind::Lock { addr: a });
                         advance!();
                     }
-                    Some(owner) if owner == tid => {
-                        // Recursive lock: self-deadlock.
-                        self.threads[tid.index()].state = ThreadState::Blocked { mutex: a };
-                    }
+                    // A recursive lock self-deadlocks.
                     Some(_) => {
-                        self.threads[tid.index()].state = ThreadState::Blocked { mutex: a };
+                        self.set_state(tid, ThreadState::Blocked { mutex: a });
                     }
                 }
             }
@@ -1595,11 +1610,7 @@ impl<'m> Vm<'m> {
                         m.owner = None;
                         self.emit(sink, tid, site, EventKind::Unlock { addr: a });
                         // Wake blocked threads to retry the lock.
-                        for t in self.threads.iter_mut() {
-                            if t.state == (ThreadState::Blocked { mutex: a }) {
-                                t.state = ThreadState::Runnable;
-                            }
-                        }
+                        self.wake_all(ThreadState::Blocked { mutex: a });
                     }
                 }
                 advance!();
@@ -1611,9 +1622,8 @@ impl<'m> Vm<'m> {
                 let amt = eval!(amount).clamp(0, self.config.io_delay_cap as i64) as u64;
                 advance!();
                 if amt > 0 {
-                    self.threads[tid.index()].state = ThreadState::Delayed {
-                        until: self.step + amt,
-                    };
+                    let until = self.step + amt;
+                    self.set_state(tid, ThreadState::Delayed { until });
                 }
             }
             Inst::Input { idx } => {
@@ -1649,19 +1659,20 @@ impl<'m> Vm<'m> {
                 for i in 0..l {
                     let sa = s + i;
                     let da = d + i;
-                    let v = match self.mem.read(sa) {
-                        Ok(v) => v,
-                        Err(MemError::UseAfterFree { addr, region_base }) => {
-                            self.record_violation(
-                                tid,
-                                Violation::UseAfterFree { addr, region_base },
-                                site,
-                            );
-                            self.mem.read_raw(sa).unwrap_or(0)
-                        }
-                        Err(_) => break, // stop at unreadable source
-                    };
-                    if self.mem.is_shared(sa) {
+                    // Stop at an unreadable source.
+                    let Ok(src) = self.mem.load(sa) else { break };
+                    if let Some(region_base) = src.freed {
+                        self.record_violation(
+                            tid,
+                            Violation::UseAfterFree {
+                                addr: sa,
+                                region_base,
+                            },
+                            site,
+                        );
+                    }
+                    let v = src.value;
+                    if src.shared {
                         self.emit(
                             sink,
                             tid,
@@ -1685,10 +1696,19 @@ impl<'m> Vm<'m> {
                             site,
                         );
                     }
-                    let old = self.mem.read_raw(da).unwrap_or(0);
-                    match self.mem.write(da, v) {
-                        Ok(()) => {
-                            if self.mem.is_shared(da) {
+                    match self.mem.store(da, v) {
+                        Ok(w) => match w.freed {
+                            Some(region_base) => {
+                                self.record_violation(
+                                    tid,
+                                    Violation::UseAfterFree {
+                                        addr: da,
+                                        region_base,
+                                    },
+                                    site,
+                                );
+                            }
+                            None if w.shared => {
                                 self.emit(
                                     sink,
                                     tid,
@@ -1696,19 +1716,13 @@ impl<'m> Vm<'m> {
                                     EventKind::Write {
                                         addr: da,
                                         value: v,
-                                        old,
+                                        old: w.value,
                                         atomic: false,
                                     },
                                 );
                             }
-                        }
-                        Err(MemError::UseAfterFree { addr, region_base }) => {
-                            self.record_violation(
-                                tid,
-                                Violation::UseAfterFree { addr, region_base },
-                                site,
-                            );
-                        }
+                            None => {}
+                        },
                         Err(_) => {
                             // Out-of-bounds word landed in unmapped
                             // space: drop it (already flagged).
@@ -1760,6 +1774,7 @@ impl<'m> Vm<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mem::STACK_SIZE;
     use crate::sched::{RandomScheduler, RoundRobin};
     use owl_ir::{ModuleBuilder, Operand};
 
@@ -1978,6 +1993,67 @@ mod tests {
         assert_eq!(o.status, ExitStatus::Finished);
         assert!(o.any_violation(|v| matches!(v, Violation::NullDeref { .. })));
         assert!(o.outputs.is_empty());
+    }
+
+    #[test]
+    fn oversized_alloca_is_a_fatal_stack_overflow() {
+        for size in [STACK_SIZE as u32 + 1, u32::MAX] {
+            let mut mb = ModuleBuilder::new("t");
+            let main = mb.declare_func("main", 0);
+            {
+                let mut b = mb.build_func(main);
+                b.alloca(size);
+                b.output(0, 1); // unreachable
+                b.ret(None);
+            }
+            let m = mb.finish();
+            let o = run(&m, main);
+            assert_eq!(o.status, ExitStatus::Finished);
+            let size = u64::from(size);
+            assert_eq!(o.violations.len(), 1, "{size}");
+            assert_eq!(o.violations[0].violation, Violation::StackOverflow { size });
+            assert!(o.outputs.is_empty(), "{size}");
+        }
+    }
+
+    #[test]
+    fn alloca_never_reaches_the_next_threads_stack() {
+        // Main fills its stack window to the last word and stores 7
+        // there; the child's first stack word is the next one. Main's
+        // next alloca would land in the child's window.
+        let mut mb = ModuleBuilder::new("t");
+        let child = mb.declare_func("child", 1);
+        let main = mb.declare_func("main", 0);
+        {
+            let mut b = mb.build_func(child);
+            let c = b.alloca(1);
+            b.store(c, 99);
+            b.ret(None);
+        }
+        {
+            let mut b = mb.build_func(main);
+            b.alloca(STACK_SIZE as u32 - 1);
+            let last = b.alloca(1);
+            b.store(last, 7);
+            let t = b.thread_create(child, 0);
+            b.thread_join(t);
+            let v = b.load(last, Type::I64);
+            b.output(0, v);
+            b.alloca(1);
+            b.output(1, 1); // unreachable
+            b.ret(None);
+        }
+        let m = mb.finish();
+        let o = run(&m, main);
+        assert_eq!(o.status, ExitStatus::Finished);
+        assert_eq!(o.outputs, vec![(0, 7)]);
+        assert_eq!(o.violations.len(), 1);
+        assert_eq!(
+            o.violations[0].violation,
+            Violation::StackOverflow { size: 1 }
+        );
+        assert_eq!(o.violations[0].tid, ThreadId::MAIN);
+        assert_eq!(o.return_value, None);
     }
 
     #[test]

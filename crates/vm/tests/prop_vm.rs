@@ -177,24 +177,20 @@ proptest! {
                     let idx = i % allocs.len();
                     let (base, size, freed, data) = &mut allocs[idx];
                     let off = off % *size;
-                    let r = mem.write(*base + off, v);
+                    let r = mem.store(*base + off, v).expect("allocated words are mapped");
+                    prop_assert_eq!(r.value, data[off as usize], "store returns the old word");
                     data[off as usize] = v;
-                    prop_assert_eq!(r.is_ok(), !*freed, "write success iff live");
+                    prop_assert_eq!(r.freed.is_none(), !*freed, "write is clean iff live");
                 }
                 MemAction::Read(i, off) => {
                     if allocs.is_empty() { continue; }
                     let idx = i % allocs.len();
                     let (base, size, freed, data) = &allocs[idx];
                     let off = off % *size;
-                    match mem.read(*base + off) {
-                        Ok(v) => {
-                            prop_assert!(!*freed);
-                            prop_assert_eq!(v, data[off as usize]);
-                        }
-                        Err(_) => prop_assert!(*freed),
-                    }
+                    let r = mem.load(*base + off).expect("allocated words are mapped");
+                    prop_assert_eq!(r.freed.is_some(), *freed, "read is clean iff live");
                     // Stale reads agree with the reference contents too.
-                    prop_assert_eq!(mem.read_raw(*base + off), Some(data[off as usize]));
+                    prop_assert_eq!(r.value, data[off as usize]);
                 }
             }
         }
