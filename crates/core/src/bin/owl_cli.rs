@@ -64,8 +64,9 @@ fn usage() -> ExitCode {
          robustness options (run/hints/audit/campaign):\n  \
          --fault-seed <n>          seed for deterministic fault injection\n  \
          --fault-rate <p>          per-check injection probability\n                            (default 0.01 when --fault-seed is given)\n  \
-         --stage-deadline-ms <n>   wall-clock budget per pipeline stage\n  \
          --max-verify-attempts <n> attempt budget for both dynamic verifiers\n\
+         deadline option (run/hints/audit; a journaled campaign takes none):\n  \
+         --stage-deadline-ms <n>   wall-clock budget per pipeline stage\n\
          detector options (run/hints/audit/campaign):\n  \
          --explore-workers <n>     threads exploring schedules in the detection\n                            stage (default 1; reports are identical for any\n                            count and excluded from the campaign fingerprint)\n  \
          --hb-backend <b>          race-detection backend, one of:\n{backends}  \
@@ -479,6 +480,13 @@ fn main() -> ExitCode {
             };
             if dir.starts_with("--") {
                 return usage();
+            }
+            if args.iter().any(|a| a == "--stage-deadline-ms") {
+                eprintln!(
+                    "--stage-deadline-ms does not apply to campaign: a journaled run takes \
+                     no wall-clock deadline, so a resumed campaign replays exactly"
+                );
+                return ExitCode::from(2);
             }
             let mut cfg = match config(&args) {
                 Ok(cfg) => cfg,

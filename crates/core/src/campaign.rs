@@ -29,7 +29,10 @@ use crate::journal::{
 };
 use crate::json::Json;
 use crate::metrics::MetricsRecorder;
-use crate::pipeline::{Owl, PipelineError, PipelineHealth, PipelineResult, Stage};
+use crate::pipeline::{
+    absorb_attempts, apply_quarantine_health, Owl, PipelineError, PipelineHealth, PipelineResult,
+    Stage,
+};
 use crate::queue::{DeadlineQueue, Pop};
 use owl_corpus::CorpusProgram;
 use owl_race::spill::fnv1a64;
@@ -422,9 +425,12 @@ fn set_status(
 /// stream: stages 3–5 from their unit records, the counters summed
 /// over `ProgramFinished` records, plus
 /// [`Counter::UnitsAbortedMemBudget`] from quarantine records carrying
-/// a memory-budget abort. The journal recovery counters come only from
-/// `recovery`, the journal's open-time repair. The detection stage's
-/// [`crate::StageHealth`] is not journaled and reads 0.
+/// a memory-budget abort. Every quarantine, a stage-5 verdict aborted
+/// inside a `FindingAnalyzed` record included, counts through the
+/// pipeline's own rule, so the totals equal the live runs'. The journal
+/// recovery counters come only from `recovery`, the journal's
+/// open-time repair. The detection stage's [`crate::StageHealth`] is
+/// not journaled and reads 0.
 pub fn health_from_records(records: &[JournalRecord], recovery: &RecoveryReport) -> PipelineHealth {
     let mut health = PipelineHealth::default();
     for rec in records {
@@ -434,19 +440,18 @@ pub fn health_from_records(records: &[JournalRecord], recovery: &RecoveryReport)
                 attempts,
                 injected_faults,
                 ..
-            } => {
-                health.race_verify.attempts += attempts;
-                health.race_verify.retries += attempts.saturating_sub(1);
-                health.race_verify.injected_faults += injected_faults;
-            }
+            } => absorb_attempts(&mut health.race_verify, *attempts, *injected_faults),
             JournalRecord::FindingAnalyzed { vulns, .. } => {
                 health.vuln_analyze.attempts += 1;
                 for rv in vulns {
-                    health.vuln_verify.attempts += rv.attempts;
-                    health.vuln_verify.retries += rv.attempts.saturating_sub(1);
-                    health.vuln_verify.injected_faults += rv.injected_faults;
-                    if matches!(rv.verdict, VerifyOutcome::Aborted { .. }) {
-                        health.vuln_verify.quarantined += 1;
+                    absorb_attempts(&mut health.vuln_verify, rv.attempts, rv.injected_faults);
+                    if let VerifyOutcome::Aborted { cause, attempts } = rv.verdict {
+                        let error = PipelineError::VerifierAborted {
+                            stage: Stage::VulnVerify,
+                            cause,
+                            attempts,
+                        };
+                        apply_quarantine_health(&mut health.vuln_verify, &error);
                     }
                 }
             }
@@ -456,25 +461,14 @@ pub fn health_from_records(records: &[JournalRecord], recovery: &RecoveryReport)
                 injected_faults,
                 ..
             } => {
-                let stage = match error {
-                    PipelineError::Panicked { stage, .. }
-                    | PipelineError::StageDeadline { stage }
-                    | PipelineError::VerifierAborted { stage, .. } => *stage,
-                    PipelineError::InvalidEntry { .. } => Stage::Detect,
-                };
-                let sh = match stage {
+                let sh = match error.stage() {
                     Stage::Detect | Stage::AdhocSync => &mut health.detect,
                     Stage::RaceVerify => &mut health.race_verify,
                     Stage::VulnAnalyze => &mut health.vuln_analyze,
                     Stage::VulnVerify => &mut health.vuln_verify,
                 };
-                sh.quarantined += 1;
-                sh.attempts += attempts;
-                sh.retries += attempts.saturating_sub(1);
-                sh.injected_faults += injected_faults;
-                if matches!(error, PipelineError::Panicked { .. }) {
-                    sh.panics += 1;
-                }
+                absorb_attempts(sh, *attempts, *injected_faults);
+                apply_quarantine_health(sh, error);
                 if let PipelineError::VerifierAborted {
                     cause: owl_verify::AbortCause::MemoryBudget,
                     attempts: aborted_units,
@@ -932,6 +926,88 @@ pub fn run_campaign(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::RecordedVuln;
+    use crate::StageHealth;
+    use owl_ir::{FuncId, InstId, InstRef, VulnClass};
+    use owl_static::{DepKind, VulnReport};
+    use owl_verify::AbortCause;
+
+    /// A journaled hint whose stage-5 verdict is `verdict`.
+    fn hint(verdict: VerifyOutcome, attempts: u64) -> RecordedVuln {
+        let site = InstRef::new(FuncId(0), InstId(1));
+        RecordedVuln {
+            report: VulnReport {
+                site,
+                class: VulnClass::ExecOp,
+                dep: DepKind::CtrlDep,
+                source: site,
+                branches: Vec::new(),
+                path_branches: Vec::new(),
+                chain: Vec::new(),
+            },
+            reached: false,
+            verdict,
+            attempts,
+            injected_faults: 0,
+        }
+    }
+
+    /// Each quarantine counts the same rebuilt from the journal as it
+    /// did live: a stage-5 verdict the supervisor recorded as aborted by
+    /// a panic is a panic, one aborted by the verifier's deadline is a
+    /// deadline hit, and a stage-4 panic spent one analysis.
+    #[test]
+    fn health_from_records_counts_every_quarantine_like_the_pipeline() {
+        let finding = |verdict, attempts| JournalRecord::FindingAnalyzed {
+            program: "P".into(),
+            key: "k".into(),
+            global: None,
+            vulns: vec![hint(verdict, attempts)],
+        };
+        let aborted = |cause, attempts| VerifyOutcome::Aborted { cause, attempts };
+        let records = vec![
+            finding(aborted(AbortCause::Panicked, 0), 0),
+            finding(aborted(AbortCause::DeadlineExceeded, 2), 2),
+            finding(VerifyOutcome::Confirmed, 1),
+            JournalRecord::Quarantined {
+                program: "P".into(),
+                key: Some("k2".into()),
+                global: None,
+                error: PipelineError::Panicked {
+                    stage: Stage::VulnAnalyze,
+                    message: "boom".into(),
+                },
+                attempts: 1,
+                injected_faults: 0,
+            },
+            JournalRecord::Quarantined {
+                program: "P".into(),
+                key: Some("k3".into()),
+                global: None,
+                error: PipelineError::VerifierAborted {
+                    stage: Stage::RaceVerify,
+                    cause: AbortCause::StepBudgetExhausted,
+                    attempts: 3,
+                },
+                attempts: 3,
+                injected_faults: 1,
+            },
+        ];
+        let health = health_from_records(&records, &RecoveryReport::default());
+        let expect =
+            |attempts, retries, injected_faults, deadline_hits, panics, quarantined| StageHealth {
+                attempts,
+                retries,
+                injected_faults,
+                deadline_hits,
+                panics,
+                quarantined,
+            };
+        assert_eq!(health.vuln_verify, expect(3, 1, 0, 1, 1, 2));
+        assert_eq!(health.vuln_analyze, expect(4, 0, 0, 0, 1, 1));
+        assert_eq!(health.race_verify, expect(3, 2, 1, 0, 0, 1));
+        assert_eq!(health.total_quarantined(), 4);
+    }
 
     #[test]
     fn backoff_is_deterministic_and_monotone_in_expectation() {

@@ -18,9 +18,12 @@ pub struct OwlConfig {
     pub vuln: VulnConfig,
     /// Dynamic vulnerability verification (stage 5).
     pub vuln_verify: VulnVerifyConfig,
-    /// Wall-clock deadline the pipeline supervisor enforces per stage;
+    /// Wall-clock deadline the pipeline supervisor enforces per stage
+    /// in [`crate::Owl::run`] and [`crate::Owl::run_atomicity`];
     /// reports left unprocessed when it expires are quarantined with
-    /// [`crate::PipelineError::StageDeadline`].
+    /// [`crate::PipelineError::StageDeadline`]. A journaled run
+    /// ([`crate::Owl::run_with_journal`]) takes no deadline, so that a
+    /// resumed campaign replays exactly.
     pub stage_deadline: Option<Duration>,
     /// Run the static check-elision pre-pass before detection and let
     /// the epoch detector skip shadow-memory work at sites it proves
@@ -84,6 +87,7 @@ impl OwlConfig {
     /// Sets the supervisor's per-stage deadline, and gives the dynamic
     /// verifiers the same wall-clock budget per report (so a slow
     /// attempt loop bails out rather than blowing the whole stage).
+    /// A journaled run ignores all three.
     pub fn with_stage_deadline(mut self, deadline: Duration) -> Self {
         self.stage_deadline = Some(deadline);
         self.race_verify.deadline = Some(deadline);

@@ -24,7 +24,8 @@ use std::ops::{Index, IndexMut};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Counter {
     /// Stage-4 summary-cache hits: memoized callee walks replayed
-    /// instead of recomputed (across reports and worker threads).
+    /// instead of recomputed (across a run's reports). Counts live
+    /// stage-4 work only: a unit replayed from a journal reads 0.
     SummaryCacheHits,
     /// Stage-4 summary-cache misses: callee walks actually computed.
     SummaryCacheMisses,

@@ -1031,7 +1031,9 @@ impl Journal {
 
 /// Where the pipeline checkpoints completed units. `Journal` is the
 /// single-owner implementation; [`SharedJournal`] serializes the same
-/// operations across campaign workers.
+/// operations across campaign workers; a `Vec<JournalRecord>` keeps
+/// them in memory for [`crate::Owl::run`] and
+/// [`crate::Owl::run_atomicity`], which take the same stage-3–5 path.
 ///
 /// `program_records` returns an owned snapshot rather than borrowing
 /// the record stream because a shared sink's records live behind a
@@ -1048,17 +1050,27 @@ pub trait JournalSink {
     fn program_records(&self, program: &str) -> Vec<JournalRecord>;
 }
 
+impl JournalSink for Vec<JournalRecord> {
+    fn commit(&mut self, recs: Vec<JournalRecord>) -> Result<(), JournalError> {
+        self.extend(recs);
+        Ok(())
+    }
+
+    fn program_records(&self, program: &str) -> Vec<JournalRecord> {
+        self.iter()
+            .filter(|r| r.program() == Some(program))
+            .cloned()
+            .collect()
+    }
+}
+
 impl JournalSink for Journal {
     fn commit(&mut self, recs: Vec<JournalRecord>) -> Result<(), JournalError> {
         self.append_batch(recs)
     }
 
     fn program_records(&self, program: &str) -> Vec<JournalRecord> {
-        self.records
-            .iter()
-            .filter(|r| r.program() == Some(program))
-            .cloned()
-            .collect()
+        self.records.program_records(program)
     }
 }
 

@@ -18,12 +18,15 @@
 //! ## Supervision
 //!
 //! Real detection campaigns run for hours over flaky programs; one
-//! pathological report must not take the whole run down. The pipeline
-//! therefore supervises stages 3–5 per report: panics are caught and
-//! the offending report is moved to [`PipelineResult::quarantined`]
-//! with a typed [`PipelineError`]; an optional per-stage wall-clock
-//! deadline ([`OwlConfig::stage_deadline`]) quarantines whatever a
-//! stage did not get to; verifications that abort (see
+//! pathological report must not take the whole run down. Every entry
+//! ([`Owl::run`], [`Owl::run_atomicity`], [`Owl::run_with_journal`])
+//! therefore takes one supervised, journaled stage-3–5 path: panics are
+//! caught and the offending report is moved to
+//! [`PipelineResult::quarantined`] with a typed [`PipelineError`]; a
+//! per-stage wall-clock deadline, an argument of that path,
+//! quarantines whatever a stage did not get to (`run` and
+//! `run_atomicity` pass [`OwlConfig::stage_deadline`], a journaled run
+//! passes none); verifications that abort (see
 //! [`owl_verify::VerifyOutcome`]) are quarantined rather than silently
 //! counted as eliminations. [`PipelineHealth`] summarizes attempts,
 //! retries, injected faults, deadline hits, and panics per stage.
@@ -31,21 +34,21 @@
 use crate::config::OwlConfig;
 use crate::counters::{Counter, Counters};
 use crate::journal::{unit_key, JournalError, JournalRecord, JournalSink, RecordedVuln};
-use owl_ir::analysis::{CallGraph, PointsTo};
+use owl_ir::analysis::PointsTo;
 use owl_ir::{FuncId, FxHashSet, InstRef, Module};
-use owl_race::{explore_with_deadline, ExplorerConfig, HbAnnotation, RaceReport};
-use owl_static::{
-    AdhocSyncDetector, ElisionPrepass, SummaryCache, VulnAnalyzer, VulnReport, VulnStats,
+use owl_race::{
+    explore_with_deadline, AtomicityDetector, AtomicityReport, ExplorerConfig, HbAnnotation,
+    RaceReport,
 };
+use owl_static::{AdhocSyncDetector, ElisionPrepass, VulnAnalyzer, VulnReport, VulnStats};
 use owl_verify::{
     AbortCause, RaceVerification, RaceVerifier, VerifyOutcome, VulnVerification, VulnVerifier,
 };
-use owl_vm::ProgramInput;
+use owl_vm::{ProgramInput, RandomScheduler, Vm};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Table-3-shaped stage counters for one pipeline run.
@@ -195,6 +198,19 @@ impl fmt::Display for PipelineError {
 }
 
 impl std::error::Error for PipelineError {}
+
+impl PipelineError {
+    /// The stage the error belongs to; a run-level error belongs to
+    /// detection.
+    pub(crate) fn stage(&self) -> Stage {
+        match self {
+            PipelineError::Panicked { stage, .. }
+            | PipelineError::StageDeadline { stage }
+            | PipelineError::VerifierAborted { stage, .. } => *stage,
+            PipelineError::InvalidEntry { .. } => Stage::Detect,
+        }
+    }
+}
 
 /// A race report the supervisor pulled out of the pipeline together
 /// with the reason.
@@ -363,8 +379,8 @@ impl PipelineResult {
             })
     }
 
-    /// An empty result carrying only a run-level error.
-    fn failed(name: &str, error: PipelineError) -> Self {
+    /// An empty result, filled in as the stages run.
+    fn new(name: &str) -> Self {
         PipelineResult {
             program: name.to_string(),
             stats: PipelineStats::default(),
@@ -372,7 +388,7 @@ impl PipelineResult {
             findings: Vec::new(),
             quarantined: Vec::new(),
             health: PipelineHealth::default(),
-            error: Some(error),
+            error: None,
         }
     }
 }
@@ -383,6 +399,15 @@ pub struct Owl<'m> {
     module: &'m Module,
     entry: FuncId,
     config: OwlConfig,
+}
+
+/// The detector that feeds stages 3–5.
+#[derive(Clone, Copy)]
+enum FrontEnd {
+    /// Stages 1–2: race detection, adhoc-sync annotation, re-detection.
+    Race,
+    /// The atomicity-violation detector ([`Owl::run_atomicity`]).
+    Atomicity,
 }
 
 impl<'m> Owl<'m> {
@@ -447,73 +472,171 @@ impl<'m> Owl<'m> {
     /// * `extra_inputs` are additional candidate inputs (e.g. suspected
     ///   exploit inputs) the vulnerability verifier sweeps on top of
     ///   the workloads.
+    ///
+    /// Stages 3–5 take the path [`Owl::run_with_journal`] takes, over an
+    /// in-memory journal, under [`OwlConfig::stage_deadline`].
     pub fn run(
         &self,
         name: &str,
         workloads: &[ProgramInput],
         extra_inputs: &[ProgramInput],
     ) -> PipelineResult {
+        self.pipeline(
+            FrontEnd::Race,
+            name,
+            workloads,
+            extra_inputs,
+            &mut Vec::new(),
+            self.config.stage_deadline,
+        )
+        .expect("an in-memory journal cannot fail")
+    }
+
+    /// Runs the full pipeline with checkpoint/resume against a run
+    /// journal.
+    ///
+    /// Stages 1–2 are seeded-deterministic and cheap relative to the
+    /// dynamic verifiers, so they re-execute on every call; stages 3–5
+    /// are journaled per unit. A unit whose record is already in the
+    /// journal is **replayed** — its recorded verdict and health
+    /// contribution are restored without executing anything. The units
+    /// computed live are collected in processing order and committed
+    /// when their stage ends, one group commit ([`JournalSink::commit`],
+    /// one fsync) for stage 3 and one for stages 4–5, inside the stage's
+    /// own timing. Killing the process at any point therefore loses at
+    /// most the program-stage that was in flight; a rerun with the same
+    /// journal replays what was committed, re-executes the rest
+    /// deterministically, and produces the same summary an
+    /// uninterrupted run would have. A fully journaled program commits
+    /// nothing and does no fsync.
+    ///
+    /// The journal's open-time recovery counters describe the journal,
+    /// not this program, so the result's health leaves them at 0; a
+    /// campaign reports them once (see
+    /// [`crate::campaign::health_from_records`]).
+    ///
+    /// A journaled run takes no wall-clock deadline, whatever the
+    /// configuration holds: not in stages 1–2, not per stage, and not
+    /// per verification. A wall-clock cut is not reproducible, so a
+    /// resumed run could not re-derive what it cut. Campaign runs bound
+    /// stage work with the verifiers' seeded step budgets instead.
+    pub fn run_with_journal<J: JournalSink>(
+        &self,
+        name: &str,
+        workloads: &[ProgramInput],
+        extra_inputs: &[ProgramInput],
+        journal: &mut J,
+    ) -> Result<PipelineResult, JournalError> {
+        let mut config = self.config.clone();
+        config.race_verify.deadline = None;
+        config.vuln_verify.deadline = None;
+        Owl { config, ..*self }.pipeline(
+            FrontEnd::Race,
+            name,
+            workloads,
+            extra_inputs,
+            journal,
+            None,
+        )
+    }
+
+    /// Runs the pipeline with an **atomicity-violation** front-end
+    /// instead of the race detector — the CTrigger/AVIO integration the
+    /// paper lists as future work (§8.3). Atomicity reports are
+    /// converted to race-shaped access pairs, and the verification and
+    /// analysis stages run unchanged, under
+    /// [`OwlConfig::stage_deadline`].
+    pub fn run_atomicity(
+        &self,
+        name: &str,
+        workloads: &[ProgramInput],
+        extra_inputs: &[ProgramInput],
+    ) -> PipelineResult {
+        self.pipeline(
+            FrontEnd::Atomicity,
+            name,
+            workloads,
+            extra_inputs,
+            &mut Vec::new(),
+            self.config.stage_deadline,
+        )
+        .expect("an in-memory journal cannot fail")
+    }
+
+    /// Stages 1–5 behind `front_end`, journaling stages 3–5 to
+    /// `journal`. `deadline` is the wall-clock budget of each stage: it
+    /// cuts the detection sweeps short and quarantines the units a stage
+    /// of 3–5 did not reach in time.
+    fn pipeline<J: JournalSink>(
+        &self,
+        front_end: FrontEnd,
+        name: &str,
+        workloads: &[ProgramInput],
+        extra_inputs: &[ProgramInput],
+        journal: &mut J,
+        deadline: Option<Duration>,
+    ) -> Result<PipelineResult, JournalError> {
+        let mut result = PipelineResult::new(name);
         if let Err(e) = self.validate_entry() {
-            return PipelineResult::failed(name, e);
+            result.error = Some(e);
+            return Ok(result);
         }
-        let mut stats = PipelineStats::default();
-        let mut health = PipelineHealth::default();
-        let mut quarantined = Vec::new();
         let default_workloads = [ProgramInput::empty()];
-        let workloads: &[ProgramInput] = if workloads.is_empty() {
-            &default_workloads
+        let workloads = if workloads.is_empty() {
+            &default_workloads[..]
         } else {
             workloads
         };
-
+        let primary = &workloads[0];
+        let candidates = [workloads, extra_inputs].concat();
         let mut pts_slot = None;
-        let (annotations, reports) = match self.detect_and_annotate(
-            name,
-            workloads,
-            &mut stats,
-            &mut health,
-            &mut pts_slot,
-        ) {
-            Ok(out) => out,
-            Err(error) => {
-                return PipelineResult {
-                    program: name.to_string(),
-                    stats,
-                    annotations: Vec::new(),
-                    findings: Vec::new(),
-                    quarantined,
-                    health,
-                    error: Some(error),
-                };
+        match front_end {
+            FrontEnd::Race => {
+                let reports =
+                    match self.detect_and_annotate(&mut result, workloads, deadline, &mut pts_slot)
+                    {
+                        Ok(reports) => reports,
+                        Err(error) => {
+                            result.error = Some(error);
+                            return Ok(result);
+                        }
+                    };
+                let verifier = RaceVerifier::new(self.module, self.config.race_verify.clone());
+                let verify = |i: usize| verifier.verify(self.entry, primary, &reports[i]);
+                self.stages_3_to_5(
+                    &mut result,
+                    &reports,
+                    verify,
+                    &candidates,
+                    journal,
+                    deadline,
+                    &mut pts_slot,
+                )?;
             }
-        };
-        let findings = self.verify_and_analyze(
-            &reports,
-            workloads,
-            extra_inputs,
-            &mut stats,
-            &mut health,
-            &mut quarantined,
-            &mut pts_slot,
-        );
-
-        PipelineResult {
-            program: name.to_string(),
-            stats,
-            annotations,
-            findings,
-            quarantined,
-            health,
-            error: None,
+            FrontEnd::Atomicity => {
+                let found = self.detect_atomicity(&mut result, workloads);
+                let reports: Vec<RaceReport> = found.iter().map(|r| r.as_race_report()).collect();
+                let mut runs = Vec::new();
+                let verify = |i: usize| self.verify_atomicity(&mut runs, primary, &found[i]);
+                self.stages_3_to_5(
+                    &mut result,
+                    &reports,
+                    verify,
+                    &candidates,
+                    journal,
+                    deadline,
+                    &mut pts_slot,
+                )?;
+            }
         }
+        Ok(result)
     }
 
     /// Stages 1–2: raw detection, adhoc-synchronization annotation,
-    /// and the post-annotation re-run. Shared by [`Owl::run`] and
-    /// [`Owl::run_with_journal`]; fully deterministic for a fixed
-    /// configuration (seeded explorer, seeded fault plan), which is
-    /// what makes it safe to re-execute on resume instead of
-    /// journaling its reports.
+    /// and the post-annotation re-run. Fully deterministic for a fixed
+    /// configuration and no deadline (seeded explorer, seeded fault
+    /// plan), which is what makes it safe for a journaled run to
+    /// re-execute on resume instead of journaling its reports.
     ///
     /// Returns a [`PipelineError::VerifierAborted`] with
     /// [`AbortCause::MemoryBudget`] when any exploration unit blew the
@@ -522,13 +645,18 @@ impl<'m> Owl<'m> {
     /// to the verifiers would verify an incomplete stream.
     fn detect_and_annotate(
         &self,
-        name: &str,
+        result: &mut PipelineResult,
         workloads: &[ProgramInput],
-        stats: &mut PipelineStats,
-        health: &mut PipelineHealth,
+        deadline: Option<Duration>,
         pts_slot: &mut Option<Arc<PointsTo>>,
-    ) -> Result<(Vec<HbAnnotation>, Vec<RaceReport>), PipelineError> {
-        let deadline = self.config.stage_deadline;
+    ) -> Result<Vec<RaceReport>, PipelineError> {
+        let PipelineResult {
+            program: name,
+            stats,
+            health,
+            annotations: annotated,
+            ..
+        } = result;
 
         // Stage 0 (optional): check-elision pre-pass. Installs the
         // proved-race-free site set in *both* sweeps' configs so the
@@ -586,1008 +714,502 @@ impl<'m> Owl<'m> {
             );
         }
         stats.detect_time = t0.elapsed();
-        Ok((annotations, reduced.reports))
+        *annotated = annotations;
+        Ok(reduced.reports)
     }
 
-    /// Runs the full pipeline with checkpoint/resume against a run
-    /// journal.
-    ///
-    /// Stages 1–2 are seeded-deterministic and cheap relative to the
-    /// dynamic verifiers, so they re-execute on every call; stages 3–5
-    /// are journaled per unit. A unit whose record is already in the
-    /// journal is **replayed** — its recorded verdict and health
-    /// contribution are restored without executing anything. The units
-    /// computed live are collected in processing order and committed
-    /// when their stage ends, one group commit ([`JournalSink::commit`],
-    /// one fsync) for stage 3 and one for stages 4–5, inside the stage's
-    /// own timing. Killing the process at any point therefore loses at
-    /// most the program-stage that was in flight; a rerun with the same
-    /// journal replays what was committed, re-executes the rest
-    /// deterministically, and produces the same summary an
-    /// uninterrupted run would have. A fully journaled program commits
-    /// nothing and does no fsync.
-    ///
-    /// The journal's open-time recovery counters describe the journal,
-    /// not this program, so the result's health leaves them at 0; a
-    /// campaign reports them once (see
-    /// [`crate::campaign::health_from_records`]).
-    ///
-    /// Stages 1–2 honor [`OwlConfig::stage_deadline`] as usual, but
-    /// the journaled stages 3–5 deliberately do not: wall-clock cuts
-    /// are inherently non-deterministic and would break byte-identical
-    /// resume. Campaign runs bound stage work with the verifiers'
-    /// seeded step budgets instead.
-    pub fn run_with_journal<J: JournalSink>(
+    /// The atomicity front-end's detection: every workload's seeded
+    /// schedules feed one atomicity detector. It has no annotation
+    /// stage, so all of detection is dynamic.
+    fn detect_atomicity(
         &self,
-        name: &str,
+        result: &mut PipelineResult,
         workloads: &[ProgramInput],
-        extra_inputs: &[ProgramInput],
-        journal: &mut J,
-    ) -> Result<PipelineResult, JournalError> {
-        if let Err(e) = self.validate_entry() {
-            return Ok(PipelineResult::failed(name, e));
+    ) -> Vec<AtomicityReport> {
+        let t0 = Instant::now();
+        let detect = &self.config.detect;
+        let mut detector = AtomicityDetector::new();
+        for input in workloads {
+            for k in 0..detect.runs_per_input {
+                let mut sched = RandomScheduler::new(detect.base_seed + k);
+                let vm = Vm::new(
+                    self.module,
+                    self.entry,
+                    input.clone(),
+                    detect.run_config.clone(),
+                );
+                let outcome = vm.run(&mut sched, &mut detector);
+                result.health.detect.attempts += 1;
+                result.health.detect.injected_faults += outcome.injected_faults.len() as u64;
+            }
         }
-        let mut stats = PipelineStats::default();
-        let mut health = PipelineHealth::default();
-        let mut quarantined = Vec::new();
-        let default_workloads = [ProgramInput::empty()];
-        let workloads: &[ProgramInput] = if workloads.is_empty() {
-            &default_workloads
-        } else {
-            workloads
-        };
+        let found = detector.finish(self.module);
+        let stats = &mut result.stats;
+        stats.raw_reports = found.len();
+        stats.post_annotation_reports = found.len();
+        stats.detect_time = t0.elapsed();
+        stats.race_detect_time = stats.detect_time;
+        found
+    }
 
-        let mut pts_slot = None;
-        let (annotations, reports) = match self.detect_and_annotate(
-            name,
-            workloads,
-            &mut stats,
-            &mut health,
-            &mut pts_slot,
-        ) {
-            Ok(out) => out,
-            Err(error) => {
-                return Ok(PipelineResult {
-                    program: name.to_string(),
-                    stats,
-                    annotations: Vec::new(),
-                    findings: Vec::new(),
-                    quarantined,
-                    health,
-                    error: Some(error),
-                });
-            }
+    /// Stage 3 for the atomicity front-end. The racing-moment check
+    /// does not apply — both accesses may be individually
+    /// lock-protected, so they can never be co-suspended. CTrigger-style
+    /// verification instead re-executes and confirms the unserializable
+    /// interleaving re-manifests. Attempt k is the breakpoint-free run
+    /// of the primary workload at seed `base_seed + k` for every report,
+    /// so each seed runs once, on first use, and `runs[k]` answers every
+    /// report's attempt k: the keys that run reported and its fault
+    /// count, or its panic message. A recorded panic is re-raised for
+    /// the supervisor with `resume_unwind`, which skips the panic hook,
+    /// so it prints once, when its seed ran.
+    fn verify_atomicity(
+        &self,
+        runs: &mut Vec<AtomicityRun>,
+        primary: &ProgramInput,
+        report: &AtomicityReport,
+    ) -> RaceVerification {
+        let cfg = &self.config.race_verify;
+        let mut v = RaceVerification {
+            confirmed: false,
+            verdict: VerifyOutcome::Unconfirmed,
+            attempts: 0,
+            hints: None,
+            outcome: None,
+            injected_faults: 0,
+            reused_attempts: 0,
         };
-        let program_records = journal.program_records(name);
-        let mut index = ResumeIndex::for_program(&program_records, name);
+        for k in 0..cfg.max_schedules {
+            if runs.len() as u64 > k {
+                v.reused_attempts += 1;
+            } else {
+                let run = catch_unwind(AssertUnwindSafe(|| {
+                    let mut detector = AtomicityDetector::new();
+                    let mut sched = RandomScheduler::new(cfg.base_seed + k);
+                    let vm = Vm::new(
+                        self.module,
+                        self.entry,
+                        primary.clone(),
+                        cfg.run_config.clone(),
+                    );
+                    let outcome = vm.run(&mut sched, &mut detector);
+                    let keys = detector.reports().iter().map(|r| r.key()).collect();
+                    (keys, outcome.injected_faults.len() as u64)
+                }));
+                runs.push(run.map_err(panic_message));
+            }
+            match &runs[k as usize] {
+                Ok((keys, faults)) => {
+                    v.attempts = k + 1;
+                    v.injected_faults += faults;
+                    if keys.contains(&report.key()) {
+                        v.confirmed = true;
+                        v.verdict = VerifyOutcome::Confirmed;
+                        break;
+                    }
+                }
+                Err(message) => resume_unwind(Box::new(message.clone())),
+            }
+        }
+        v
+    }
+
+    /// Stages 3–5, the one path every entry takes, journaled to
+    /// `journal`:
+    ///
+    /// 3. `verify(i)` checks `reports[i]` — the race verifier on the
+    ///    primary workload, or the atomicity front-end's seed memo;
+    /// 4. Algorithm 1 runs serially over the verified reports on one
+    ///    analyzer, rebuilt after a panic;
+    /// 5. the vulnerability verifier checks every hint over
+    ///    `candidates`.
+    ///
+    /// Every unit is supervised: a panic or an aborted verification
+    /// quarantines its report instead of taking the run down, and a
+    /// stage that has spent `deadline` quarantines the units it has not
+    /// reached. A unit `journal` already holds is replayed from its
+    /// record. Live records are committed once per stage, inside the
+    /// stage's timing: stage 3's in report order, then stages 4–5's,
+    /// one per verified report in report order.
+    #[allow(clippy::too_many_arguments)]
+    fn stages_3_to_5<J: JournalSink>(
+        &self,
+        result: &mut PipelineResult,
+        reports: &[RaceReport],
+        mut verify: impl FnMut(usize) -> RaceVerification,
+        candidates: &[ProgramInput],
+        journal: &mut J,
+        deadline: Option<Duration>,
+        pts_slot: &mut Option<Arc<PointsTo>>,
+    ) -> Result<(), JournalError> {
+        let PipelineResult {
+            program: name,
+            stats,
+            findings,
+            quarantined,
+            health,
+            ..
+        } = result;
+        let mut index = ResumeIndex::new(&journal.program_records(name));
         let tv = Instant::now();
-        let t3 = Instant::now();
 
-        // Stage 3, journaled: replay recorded verdicts, verify the
-        // rest live and commit their records when the stage ends.
-        let primary = workloads[0].clone();
-        let race_verifier = RaceVerifier::new(self.module, self.config.race_verify.clone());
-        let mut verified: Vec<(RaceReport, RaceVerification)> = Vec::new();
+        // Stage 3: dynamic race verification.
+        let t3 = Instant::now();
+        let mut clock = StageClock::start(deadline);
+        let mut verified = Vec::new();
         let mut live = Vec::new();
-        for report in &reports {
+        for (i, report) in reports.iter().enumerate() {
             let key = unit_key(report);
-            if let Some(replay) = index.next_verify(&key) {
-                match replay {
-                    VerifyReplay::Verdict {
-                        confirmed,
-                        attempts,
-                        injected_faults,
-                    } => {
-                        health.race_verify.attempts += attempts;
-                        health.race_verify.retries += attempts.saturating_sub(1);
-                        health.race_verify.injected_faults += injected_faults;
-                        if confirmed {
-                            verified.push((
-                                report.clone(),
-                                replayed_race_verification(attempts, injected_faults),
-                            ));
-                        } else {
-                            stats.verifier_eliminated += 1;
-                        }
-                    }
-                    VerifyReplay::Quarantined {
-                        error,
-                        attempts,
-                        injected_faults,
-                    } => {
-                        health.race_verify.attempts += attempts;
-                        health.race_verify.retries += attempts.saturating_sub(1);
-                        health.race_verify.injected_faults += injected_faults;
-                        apply_quarantine_health(&mut health.race_verify, &error);
-                        quarantined.push(Quarantined {
-                            race: report.clone(),
-                            error,
-                        });
-                    }
-                }
-                continue;
-            }
-            match catch_unwind(AssertUnwindSafe(|| {
-                race_verifier.verify(self.entry, &primary, report)
-            })) {
-                Ok(v) => {
-                    health.race_verify.attempts += v.attempts;
-                    health.race_verify.retries += v.attempts.saturating_sub(1);
-                    health.race_verify.injected_faults += v.injected_faults;
-                    match v.verdict {
-                        VerifyOutcome::Confirmed | VerifyOutcome::Unconfirmed => {
-                            let confirmed = v.verdict == VerifyOutcome::Confirmed;
-                            live.push(JournalRecord::ReportVerified {
-                                program: name.to_string(),
-                                key,
-                                global: report.global_name.clone(),
-                                confirmed,
-                                attempts: v.attempts,
-                                injected_faults: v.injected_faults,
-                            });
-                            if confirmed {
-                                verified.push((report.clone(), v));
-                            } else {
-                                stats.verifier_eliminated += 1;
-                            }
-                        }
-                        VerifyOutcome::Aborted { cause, attempts } => {
-                            let error = PipelineError::VerifierAborted {
+            let unit = match index.verify.next(&key) {
+                Some(unit) => unit,
+                None => {
+                    let unit = if clock.cut(&mut health.race_verify) {
+                        RaceUnit::cut(PipelineError::StageDeadline {
+                            stage: Stage::RaceVerify,
+                        })
+                    } else {
+                        match catch_unwind(AssertUnwindSafe(|| verify(i))) {
+                            Ok(v) => RaceUnit::verified(v),
+                            Err(payload) => RaceUnit::cut(PipelineError::Panicked {
                                 stage: Stage::RaceVerify,
-                                cause,
-                                attempts,
-                            };
-                            live.push(JournalRecord::Quarantined {
-                                program: name.to_string(),
-                                key: Some(key),
-                                global: report.global_name.clone(),
-                                error: error.clone(),
-                                attempts: v.attempts,
-                                injected_faults: v.injected_faults,
-                            });
-                            apply_quarantine_health(&mut health.race_verify, &error);
-                            quarantined.push(Quarantined {
-                                race: report.clone(),
-                                error,
-                            });
+                                message: panic_message(payload),
+                            }),
                         }
-                    }
-                }
-                Err(payload) => {
-                    let error = PipelineError::Panicked {
-                        stage: Stage::RaceVerify,
-                        message: panic_message(payload),
                     };
-                    live.push(JournalRecord::Quarantined {
-                        program: name.to_string(),
-                        key: Some(key),
-                        global: report.global_name.clone(),
-                        error: error.clone(),
-                        attempts: 0,
-                        injected_faults: 0,
-                    });
-                    apply_quarantine_health(&mut health.race_verify, &error);
-                    quarantined.push(Quarantined {
-                        race: report.clone(),
-                        error,
-                    });
+                    live.push(unit.record(name, key, report));
+                    unit
                 }
+            };
+            absorb_attempts(&mut health.race_verify, unit.attempts, unit.injected_faults);
+            match unit.outcome {
+                Ok(Some(v)) => verified.push((report.clone(), v)),
+                Ok(None) => stats.verifier_eliminated += 1,
+                Err(error) => quarantine(&mut health.race_verify, quarantined, report, error),
             }
         }
         journal.commit(std::mem::take(&mut live))?;
         stats.remaining = verified.len();
         stats.race_verify_time += t3.elapsed();
 
-        // Stages 4–5, journaled per confirmed report: static analysis
-        // plus dynamic vulnerability verification form one unit, so a
-        // finding is either fully recorded or re-derived from scratch.
-        // Live units are committed together when the stages end.
-        let needs_live = verified
-            .iter()
-            .any(|(race, _)| !index.has_analyze(&unit_key(race)));
-        let vuln_cfg = &self.config.vuln;
-        let mut analyzer = needs_live.then(|| {
-            let points_to = vuln_cfg
-                .points_to
-                .then(|| self.points_to(&mut pts_slot, &mut health));
-            let callgraph = vuln_cfg.summaries.then(|| {
-                Arc::new(match &points_to {
-                    Some(p) => CallGraph::with_points_to(self.module, p),
-                    None => CallGraph::new(self.module),
-                })
-            });
-            let cache = vuln_cfg.summaries.then(|| Arc::new(SummaryCache::new()));
-            VulnAnalyzer::with_shared(self.module, vuln_cfg.clone(), points_to, callgraph, cache)
-        });
-        let vuln_verifier = VulnVerifier::new(self.module, self.config.vuln_verify.clone());
-        let mut candidates: Vec<ProgramInput> = workloads.to_vec();
-        candidates.extend_from_slice(extra_inputs);
-        let mut findings = Vec::new();
+        // Stage 4: static vulnerability analysis, serially, on one
+        // analyzer built at the first live unit.
+        let mut clock = StageClock::start(deadline);
+        let mut analyzer = None;
+        let mut sources = Vec::with_capacity(verified.len());
         for (race, verification) in verified {
             let key = unit_key(&race);
-            if let Some(replay) = index.next_analyze(&key) {
-                match replay {
-                    AnalyzeReplay::Finding(vulns) => {
-                        health.vuln_analyze.attempts += 1;
-                        let mut reports = Vec::with_capacity(vulns.len());
-                        let mut verifications = Vec::with_capacity(vulns.len());
-                        for rv in vulns {
-                            health.vuln_verify.attempts += rv.attempts;
-                            health.vuln_verify.retries += rv.attempts.saturating_sub(1);
-                            health.vuln_verify.injected_faults += rv.injected_faults;
-                            if let VerifyOutcome::Aborted { cause, attempts } = rv.verdict {
-                                let error = PipelineError::VerifierAborted {
-                                    stage: Stage::VulnVerify,
-                                    cause,
-                                    attempts,
-                                };
-                                apply_quarantine_health(&mut health.vuln_verify, &error);
-                                quarantined.push(Quarantined {
-                                    race: race.clone(),
-                                    error,
-                                });
-                            }
-                            verifications.push(replayed_vuln_verification(&rv));
-                            reports.push(rv.report);
-                        }
-                        findings.push(Finding {
-                            race,
-                            verification,
-                            vulns: reports,
-                            vuln_verifications: verifications,
-                        });
-                    }
-                    AnalyzeReplay::Quarantined { error } => {
-                        health.vuln_analyze.attempts += 1;
-                        apply_quarantine_health(&mut health.vuln_analyze, &error);
-                        quarantined.push(Quarantined { race, error });
-                    }
+            let (vulns, source) = match index.analyze.next(&key) {
+                Some(Ok(recorded)) => {
+                    health.vuln_analyze.attempts += 1;
+                    let vulns = recorded.iter().map(|rv| rv.report.clone()).collect();
+                    (vulns, Source::Replayed(recorded))
                 }
-                continue;
-            }
-
-            // Live stage 4.
-            health.vuln_analyze.attempts += 1;
-            let analyzer = analyzer
-                .as_mut()
-                .expect("analyzer built whenever a live unit exists");
-            let read_info = race
-                .read_access()
-                .map(|read| (read.site, read.stack.to_vec()));
-            let vulns = match read_info {
-                Some((site, stack)) => {
-                    let ta = Instant::now();
-                    let analyzed =
-                        catch_unwind(AssertUnwindSafe(|| analyzer.analyze(site, &stack)));
-                    stats.analysis_time += ta.elapsed();
-                    match analyzed {
-                        Ok((reports, work)) => {
-                            stats.analysis_count += 1;
-                            stats.analysis_work.insts_visited += work.insts_visited;
-                            stats.analysis_work.funcs_entered += work.funcs_entered;
-                            reports
+                Some(Err((error, attempts))) => {
+                    health.vuln_analyze.attempts += attempts;
+                    quarantine(&mut health.vuln_analyze, quarantined, &race, error);
+                    continue;
+                }
+                None if clock.cut(&mut health.vuln_analyze) => {
+                    let error = PipelineError::StageDeadline {
+                        stage: Stage::VulnAnalyze,
+                    };
+                    live.push(quarantine_record(name, key, &race, &error, 0, 0));
+                    quarantine(&mut health.vuln_analyze, quarantined, &race, error);
+                    continue;
+                }
+                None => {
+                    health.vuln_analyze.attempts += 1;
+                    match self.analyze(&race, &mut analyzer, stats, health, pts_slot) {
+                        Ok(vulns) => {
+                            live.push(JournalRecord::FindingAnalyzed {
+                                program: name.clone(),
+                                key,
+                                global: race.global_name.clone(),
+                                vulns: Vec::new(),
+                            });
+                            (vulns, Source::Live(live.len() - 1))
                         }
-                        Err(payload) => {
+                        Err(message) => {
                             let error = PipelineError::Panicked {
                                 stage: Stage::VulnAnalyze,
-                                message: panic_message(payload),
+                                message,
                             };
-                            live.push(JournalRecord::Quarantined {
-                                program: name.to_string(),
-                                key: Some(key),
-                                global: race.global_name.clone(),
-                                error: error.clone(),
-                                attempts: 0,
-                                injected_faults: 0,
-                            });
-                            apply_quarantine_health(&mut health.vuln_analyze, &error);
-                            quarantined.push(Quarantined { race, error });
+                            live.push(quarantine_record(name, key, &race, &error, 1, 0));
+                            quarantine(&mut health.vuln_analyze, quarantined, &race, error);
                             continue;
                         }
                     }
                 }
-                None => Vec::new(),
             };
-
-            // Live stage 5 over this finding's hints.
-            let t5 = Instant::now();
-            let mut recorded = Vec::with_capacity(vulns.len());
-            let mut verifications = Vec::with_capacity(vulns.len());
-            for vr in &vulns {
-                let v = match catch_unwind(AssertUnwindSafe(|| {
-                    vuln_verifier.verify(self.entry, &candidates, vr)
-                })) {
-                    Ok(v) => v,
-                    Err(payload) => {
-                        health.vuln_verify.panics += 1;
-                        health.vuln_verify.quarantined += 1;
-                        quarantined.push(Quarantined {
-                            race: race.clone(),
-                            error: PipelineError::Panicked {
-                                stage: Stage::VulnVerify,
-                                message: panic_message(payload),
-                            },
-                        });
-                        aborted_vuln_verification(AbortCause::Panicked, 0)
-                    }
-                };
-                health.vuln_verify.attempts += v.attempts;
-                health.vuln_verify.retries += v.attempts.saturating_sub(1);
-                health.vuln_verify.injected_faults += v.injected_faults;
-                if let VerifyOutcome::Aborted { cause, attempts } = v.verdict {
-                    if cause != AbortCause::Panicked {
-                        let error = PipelineError::VerifierAborted {
-                            stage: Stage::VulnVerify,
-                            cause,
-                            attempts,
-                        };
-                        apply_quarantine_health(&mut health.vuln_verify, &error);
-                        quarantined.push(Quarantined {
-                            race: race.clone(),
-                            error,
-                        });
-                    }
-                }
-                recorded.push(RecordedVuln {
-                    report: vr.clone(),
-                    reached: v.reached,
-                    verdict: v.verdict,
-                    attempts: v.attempts,
-                    injected_faults: v.injected_faults,
-                });
-                verifications.push(v);
-            }
-            stats.vuln_verify_time += t5.elapsed();
-            live.push(JournalRecord::FindingAnalyzed {
-                program: name.to_string(),
-                key,
-                global: race.global_name.clone(),
-                vulns: recorded,
-            });
             findings.push(Finding {
                 race,
                 verification,
                 vulns,
-                vuln_verifications: verifications,
+                vuln_verifications: Vec::new(),
             });
-        }
-        journal.commit(live)?;
-        stats.vulnerable = findings.iter().filter(|f| !f.vulns.is_empty()).count();
-        stats.verify_time += tv.elapsed();
-
-        Ok(PipelineResult {
-            program: name.to_string(),
-            stats,
-            annotations,
-            findings,
-            quarantined,
-            health,
-            error: None,
-        })
-    }
-
-    /// Runs the pipeline with an **atomicity-violation** front-end
-    /// instead of the race detector — the CTrigger/AVIO integration the
-    /// paper lists as future work (§8.3). Atomicity reports are
-    /// converted to race-shaped access pairs, and the verification and
-    /// analysis stages run unchanged.
-    pub fn run_atomicity(
-        &self,
-        name: &str,
-        workloads: &[ProgramInput],
-        extra_inputs: &[ProgramInput],
-    ) -> PipelineResult {
-        if let Err(e) = self.validate_entry() {
-            return PipelineResult::failed(name, e);
-        }
-        let mut stats = PipelineStats::default();
-        let mut health = PipelineHealth::default();
-        let mut quarantined = Vec::new();
-        let default_workloads = [ProgramInput::empty()];
-        let workloads: &[ProgramInput] = if workloads.is_empty() {
-            &default_workloads
-        } else {
-            workloads
-        };
-
-        // Detection: sweep schedules feeding the atomicity detector.
-        let t0 = Instant::now();
-        let mut detector = owl_race::AtomicityDetector::new();
-        for input in workloads {
-            for k in 0..self.config.detect.runs_per_input {
-                let seed = self.config.detect.base_seed + k;
-                let mut sched = owl_vm::RandomScheduler::new(seed);
-                let vm = owl_vm::Vm::new(
-                    self.module,
-                    self.entry,
-                    input.clone(),
-                    self.config.detect.run_config.clone(),
-                );
-                let outcome = vm.run(&mut sched, &mut detector);
-                health.detect.attempts += 1;
-                health.detect.injected_faults += outcome.injected_faults.len() as u64;
-            }
-        }
-        let atomicity_reports = detector.finish(self.module);
-        stats.raw_reports = atomicity_reports.len();
-        stats.post_annotation_reports = atomicity_reports.len();
-        stats.detect_time = t0.elapsed();
-        // The atomicity front-end has no static-annotation stage: all
-        // of detection is dynamic.
-        stats.race_detect_time = stats.detect_time;
-
-        // Stage 3 (atomicity flavour): the racing-moment check does not
-        // apply — both accesses may be individually lock-protected, so
-        // they can never be co-suspended. CTrigger-style verification
-        // instead re-executes and confirms the unserializable
-        // interleaving re-manifests. Attempt k is the breakpoint-free
-        // run of the primary workload at seed `base_seed + k` for every
-        // report, so each seed runs once, on first use, and `runs[k]`
-        // answers every report's attempt k: the keys that run reported
-        // and its fault count, or its panic message.
-        let tv = Instant::now();
-        let t3 = Instant::now();
-        let stage_start = Instant::now();
-        let mut stage_expired = false;
-        let primary = workloads[0].clone();
-        type AtomicityKey = (InstRef, InstRef, InstRef);
-        let mut runs: Vec<Result<(FxHashSet<AtomicityKey>, u64), String>> = Vec::new();
-        let mut verified: Vec<(RaceReport, RaceVerification)> = Vec::new();
-        for report in &atomicity_reports {
-            if let Some(d) = self.config.stage_deadline {
-                if !stage_expired && !verified.is_empty() && stage_start.elapsed() >= d {
-                    stage_expired = true;
-                    health.race_verify.deadline_hits += 1;
-                }
-            }
-            if stage_expired {
-                health.race_verify.quarantined += 1;
-                quarantined.push(Quarantined {
-                    race: report.as_race_report(),
-                    error: PipelineError::StageDeadline {
-                        stage: Stage::RaceVerify,
-                    },
-                });
-                continue;
-            }
-            let mut confirmed = false;
-            let mut attempts = 0u64;
-            let mut faults = 0u64;
-            let mut reused = 0u64;
-            let mut panicked = None;
-            for k in 0..self.config.race_verify.max_schedules {
-                if runs.len() as u64 > k {
-                    reused += 1;
-                } else {
-                    runs.push(
-                        catch_unwind(AssertUnwindSafe(|| {
-                            let mut re = owl_race::AtomicityDetector::new();
-                            let mut sched =
-                                owl_vm::RandomScheduler::new(self.config.race_verify.base_seed + k);
-                            let vm = owl_vm::Vm::new(
-                                self.module,
-                                self.entry,
-                                primary.clone(),
-                                self.config.race_verify.run_config.clone(),
-                            );
-                            let outcome = vm.run(&mut sched, &mut re);
-                            let keys = re.reports().iter().map(|r| r.key()).collect();
-                            (keys, outcome.injected_faults.len() as u64)
-                        }))
-                        .map_err(panic_message),
-                    );
-                }
-                match &runs[k as usize] {
-                    Ok((keys, run_faults)) => {
-                        attempts = k + 1;
-                        faults += run_faults;
-                        if keys.contains(&report.key()) {
-                            confirmed = true;
-                            break;
-                        }
-                    }
-                    Err(message) => {
-                        panicked = Some(message.clone());
-                        break;
-                    }
-                }
-            }
-            match panicked {
-                None => {
-                    health.race_verify.attempts += attempts;
-                    health.race_verify.retries += attempts.saturating_sub(1);
-                    health.race_verify.injected_faults += faults;
-                    if confirmed {
-                        verified.push((
-                            report.as_race_report(),
-                            RaceVerification {
-                                confirmed: true,
-                                verdict: VerifyOutcome::Confirmed,
-                                attempts,
-                                hints: None,
-                                outcome: None,
-                                injected_faults: faults,
-                                reused_attempts: reused,
-                            },
-                        ));
-                    } else {
-                        stats.verifier_eliminated += 1;
-                    }
-                }
-                Some(message) => {
-                    health.race_verify.panics += 1;
-                    health.race_verify.quarantined += 1;
-                    quarantined.push(Quarantined {
-                        race: report.as_race_report(),
-                        error: PipelineError::Panicked {
-                            stage: Stage::RaceVerify,
-                            message,
-                        },
-                    });
-                }
-            }
-        }
-        stats.remaining = verified.len();
-        stats.race_verify_time += t3.elapsed();
-        let mut findings = self.analyze_findings(
-            verified,
-            &mut stats,
-            &mut health,
-            &mut quarantined,
-            &mut None,
-        );
-        self.verify_vuln_sites(
-            &mut findings,
-            workloads,
-            extra_inputs,
-            &mut stats,
-            &mut health,
-            &mut quarantined,
-        );
-        stats.verify_time += tv.elapsed();
-
-        PipelineResult {
-            program: name.to_string(),
-            stats,
-            annotations: Vec::new(),
-            findings,
-            quarantined,
-            health,
-            error: None,
-        }
-    }
-
-    /// Stages 3–5, shared by all detector front-ends: dynamic race
-    /// verification on the primary workload, Algorithm 1 on each
-    /// verified report, dynamic vulnerability verification over the
-    /// candidate inputs. Each report is supervised: panics and aborted
-    /// verifications quarantine the report instead of taking the run
-    /// down.
-    #[allow(clippy::too_many_arguments)]
-    fn verify_and_analyze(
-        &self,
-        reports: &[RaceReport],
-        workloads: &[ProgramInput],
-        extra_inputs: &[ProgramInput],
-        stats: &mut PipelineStats,
-        health: &mut PipelineHealth,
-        quarantined: &mut Vec<Quarantined>,
-        pts_slot: &mut Option<Arc<PointsTo>>,
-    ) -> Vec<Finding> {
-        let primary = workloads[0].clone();
-        let tv = Instant::now();
-
-        // Stage 3: dynamic race verification (primary workload).
-        let t3 = Instant::now();
-        let stage_start = Instant::now();
-        let mut stage_expired = false;
-        let mut processed = 0u64;
-        let race_verifier = RaceVerifier::new(self.module, self.config.race_verify.clone());
-        let mut verified: Vec<(RaceReport, RaceVerification)> = Vec::new();
-        for report in reports {
-            if let Some(d) = self.config.stage_deadline {
-                if !stage_expired && processed > 0 && stage_start.elapsed() >= d {
-                    stage_expired = true;
-                    health.race_verify.deadline_hits += 1;
-                }
-            }
-            if stage_expired {
-                health.race_verify.quarantined += 1;
-                quarantined.push(Quarantined {
-                    race: report.clone(),
-                    error: PipelineError::StageDeadline {
-                        stage: Stage::RaceVerify,
-                    },
-                });
-                continue;
-            }
-            processed += 1;
-            match catch_unwind(AssertUnwindSafe(|| {
-                race_verifier.verify(self.entry, &primary, report)
-            })) {
-                Ok(v) => {
-                    health.race_verify.attempts += v.attempts;
-                    health.race_verify.retries += v.attempts.saturating_sub(1);
-                    health.race_verify.injected_faults += v.injected_faults;
-                    match v.verdict {
-                        VerifyOutcome::Confirmed => verified.push((report.clone(), v)),
-                        VerifyOutcome::Unconfirmed => stats.verifier_eliminated += 1,
-                        VerifyOutcome::Aborted { cause, attempts } => {
-                            if cause == AbortCause::DeadlineExceeded {
-                                health.race_verify.deadline_hits += 1;
-                            }
-                            health.race_verify.quarantined += 1;
-                            quarantined.push(Quarantined {
-                                race: report.clone(),
-                                error: PipelineError::VerifierAborted {
-                                    stage: Stage::RaceVerify,
-                                    cause,
-                                    attempts,
-                                },
-                            });
-                        }
-                    }
-                }
-                Err(payload) => {
-                    health.race_verify.panics += 1;
-                    health.race_verify.quarantined += 1;
-                    quarantined.push(Quarantined {
-                        race: report.clone(),
-                        error: PipelineError::Panicked {
-                            stage: Stage::RaceVerify,
-                            message: panic_message(payload),
-                        },
-                    });
-                }
-            }
-        }
-        stats.remaining = verified.len();
-        stats.race_verify_time += t3.elapsed();
-        let mut findings = self.analyze_findings(verified, stats, health, quarantined, pts_slot);
-        self.verify_vuln_sites(&mut findings, workloads, extra_inputs, stats, health, quarantined);
-        stats.verify_time += tv.elapsed();
-        findings
-    }
-
-    /// Stage 4: static vulnerability analysis on each verified report,
-    /// supervised. An analyzer panic quarantines the report and
-    /// rebuilds the analyzer (its memoization may be poisoned).
-    ///
-    /// Module-level state — the points-to solution (reused from the
-    /// elision pre-pass when it ran), the refined call graph, and the
-    /// summary cache — is built once here and shared by every
-    /// per-report analyzer. When no per-stage deadline is
-    /// configured the reports are independent, so they fan out across
-    /// worker threads; each worker has its own analyzer but all share
-    /// the one summary cache, so a callee summarized by one worker
-    /// replays for free on the others. Results land in per-report
-    /// slots, keeping finding order and every counter deterministic.
-    fn analyze_findings(
-        &self,
-        verified: Vec<(RaceReport, RaceVerification)>,
-        stats: &mut PipelineStats,
-        health: &mut PipelineHealth,
-        quarantined: &mut Vec<Quarantined>,
-        pts_slot: &mut Option<Arc<PointsTo>>,
-    ) -> Vec<Finding> {
-        let stage_start = Instant::now();
-        let vuln_cfg = &self.config.vuln;
-        let points_to = vuln_cfg
-            .points_to
-            .then(|| self.points_to(pts_slot, health));
-        let callgraph = vuln_cfg.summaries.then(|| {
-            Arc::new(match &points_to {
-                Some(p) => CallGraph::with_points_to(self.module, p),
-                None => CallGraph::new(self.module),
-            })
-        });
-        let cache = vuln_cfg.summaries.then(|| Arc::new(SummaryCache::new()));
-        let make_analyzer = || {
-            VulnAnalyzer::with_shared(
-                self.module,
-                vuln_cfg.clone(),
-                points_to.clone(),
-                callgraph.clone(),
-                cache.clone(),
-            )
-        };
-
-        let mut findings = Vec::new();
-        let parallel = self.config.stage_deadline.is_none() && verified.len() >= 2;
-        if parallel {
-            let n = verified.len();
-            let workers = std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-                .min(n);
-            let next = AtomicUsize::new(0);
-            let slots: Vec<Mutex<Option<ReportAnalysis>>> =
-                (0..n).map(|_| Mutex::new(None)).collect();
-            let verified_ref = &verified;
-            let next_ref = &next;
-            let slots_ref = &slots;
-            let make_ref = &make_analyzer;
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(move || {
-                        let mut analyzer = make_ref();
-                        loop {
-                            let i = next_ref.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            let (race, _) = &verified_ref[i];
-                            let out = match race.read_access().map(|r| (r.site, r.stack.to_vec()))
-                            {
-                                Some((site, stack)) => {
-                                    let ta = Instant::now();
-                                    let analyzed = catch_unwind(AssertUnwindSafe(|| {
-                                        analyzer.analyze(site, &stack)
-                                    }));
-                                    let elapsed = ta.elapsed();
-                                    match analyzed {
-                                        Ok((reports, work)) => ReportAnalysis::Analyzed {
-                                            reports,
-                                            work,
-                                            elapsed,
-                                        },
-                                        Err(payload) => {
-                                            // Internal caches may be
-                                            // poisoned mid-walk.
-                                            analyzer = make_ref();
-                                            ReportAnalysis::Panicked(panic_message(payload))
-                                        }
-                                    }
-                                }
-                                None => ReportAnalysis::NoRead,
-                            };
-                            *slots_ref[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
-                        }
-                    });
-                }
-            });
-            for ((race, verification), slot) in verified.into_iter().zip(slots) {
-                health.vuln_analyze.attempts += 1;
-                let out = slot
-                    .into_inner()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .expect("every slot is filled before the scope ends");
-                match out {
-                    ReportAnalysis::Analyzed {
-                        reports,
-                        work,
-                        elapsed,
-                    } => {
-                        stats.analysis_time += elapsed;
-                        stats.analysis_count += 1;
-                        stats.analysis_work.insts_visited += work.insts_visited;
-                        stats.analysis_work.funcs_entered += work.funcs_entered;
-                        findings.push(Finding {
-                            race,
-                            verification,
-                            vulns: reports,
-                            vuln_verifications: Vec::new(),
-                        });
-                    }
-                    ReportAnalysis::NoRead => findings.push(Finding {
-                        race,
-                        verification,
-                        vulns: Vec::new(),
-                        vuln_verifications: Vec::new(),
-                    }),
-                    ReportAnalysis::Panicked(message) => {
-                        health.vuln_analyze.panics += 1;
-                        health.vuln_analyze.quarantined += 1;
-                        quarantined.push(Quarantined {
-                            race,
-                            error: PipelineError::Panicked {
-                                stage: Stage::VulnAnalyze,
-                                message,
-                            },
-                        });
-                    }
-                }
-            }
-        } else {
-            let mut stage_expired = false;
-            let mut analyzer = make_analyzer();
-            for (race, verification) in verified {
-                if let Some(d) = self.config.stage_deadline {
-                    if !stage_expired && !findings.is_empty() && stage_start.elapsed() >= d {
-                        stage_expired = true;
-                        health.vuln_analyze.deadline_hits += 1;
-                    }
-                }
-                if stage_expired {
-                    health.vuln_analyze.quarantined += 1;
-                    quarantined.push(Quarantined {
-                        race,
-                        error: PipelineError::StageDeadline {
-                            stage: Stage::VulnAnalyze,
-                        },
-                    });
-                    continue;
-                }
-                health.vuln_analyze.attempts += 1;
-                let read_info = race
-                    .read_access()
-                    .map(|read| (read.site, read.stack.to_vec()));
-                let vulns = match read_info {
-                    Some((site, stack)) => {
-                        let ta = Instant::now();
-                        let analyzed =
-                            catch_unwind(AssertUnwindSafe(|| analyzer.analyze(site, &stack)));
-                        stats.analysis_time += ta.elapsed();
-                        match analyzed {
-                            Ok((reports, work)) => {
-                                stats.analysis_count += 1;
-                                stats.analysis_work.insts_visited += work.insts_visited;
-                                stats.analysis_work.funcs_entered += work.funcs_entered;
-                                reports
-                            }
-                            Err(payload) => {
-                                health.vuln_analyze.panics += 1;
-                                health.vuln_analyze.quarantined += 1;
-                                quarantined.push(Quarantined {
-                                    race,
-                                    error: PipelineError::Panicked {
-                                        stage: Stage::VulnAnalyze,
-                                        message: panic_message(payload),
-                                    },
-                                });
-                                analyzer = make_analyzer();
-                                continue;
-                            }
-                        }
-                    }
-                    None => Vec::new(),
-                };
-                findings.push(Finding {
-                    race,
-                    verification,
-                    vulns,
-                    vuln_verifications: Vec::new(),
-                });
-            }
-        }
-        if let Some(c) = &cache {
-            health.counters[Counter::SummaryCacheHits] += c.hits();
-            health.counters[Counter::SummaryCacheMisses] += c.misses();
+            sources.push(source);
         }
         stats.vulnerable = findings.iter().filter(|f| !f.vulns.is_empty()).count();
-        findings
-    }
+        if let Some(cache) = analyzer.as_ref().and_then(VulnAnalyzer::summary_cache) {
+            health.counters[Counter::SummaryCacheHits] += cache.hits();
+            health.counters[Counter::SummaryCacheMisses] += cache.misses();
+        }
 
-    /// Stage 5: dynamic vulnerability verification over candidate
-    /// inputs (workloads + suspected exploit inputs), supervised. A
-    /// panicking or aborting verification is recorded as a synthesized
-    /// aborted [`VulnVerification`] so `vuln_verifications` stays
-    /// parallel to `vulns`, and the finding's race is quarantined.
-    fn verify_vuln_sites(
-        &self,
-        findings: &mut [Finding],
-        workloads: &[ProgramInput],
-        extra_inputs: &[ProgramInput],
-        stats: &mut PipelineStats,
-        health: &mut PipelineHealth,
-        quarantined: &mut Vec<Quarantined>,
-    ) {
+        // Stage 5: dynamic vulnerability verification of every hint. A
+        // panicking, cut or aborted verification keeps a placeholder
+        // verdict, so `vuln_verifications` stays parallel to `vulns`,
+        // and quarantines the finding's race.
         let t5 = Instant::now();
-        let stage_start = Instant::now();
-        let mut stage_expired = false;
-        let mut processed = 0u64;
-        let vuln_verifier = VulnVerifier::new(self.module, self.config.vuln_verify.clone());
-        let mut candidates: Vec<ProgramInput> = workloads.to_vec();
-        candidates.extend_from_slice(extra_inputs);
-        for f in findings.iter_mut() {
-            for vr in &f.vulns {
-                if let Some(d) = self.config.stage_deadline {
-                    if !stage_expired && processed > 0 && stage_start.elapsed() >= d {
-                        stage_expired = true;
-                        health.vuln_verify.deadline_hits += 1;
-                    }
-                }
-                if stage_expired {
-                    health.vuln_verify.quarantined += 1;
-                    quarantined.push(Quarantined {
-                        race: f.race.clone(),
-                        error: PipelineError::StageDeadline {
+        let mut clock = StageClock::start(deadline);
+        let verifier = VulnVerifier::new(self.module, self.config.vuln_verify.clone());
+        for (f, source) in findings.iter_mut().zip(&sources) {
+            for (j, vr) in f.vulns.iter().enumerate() {
+                let (v, error) = match source {
+                    Source::Replayed(recorded) => (replayed_vuln_verification(&recorded[j]), None),
+                    Source::Live(_) if clock.cut(&mut health.vuln_verify) => (
+                        aborted_vuln_verification(AbortCause::DeadlineExceeded),
+                        Some(PipelineError::StageDeadline {
                             stage: Stage::VulnVerify,
-                        },
-                    });
-                    f.vuln_verifications
-                        .push(aborted_vuln_verification(AbortCause::DeadlineExceeded, 0));
-                    continue;
-                }
-                processed += 1;
-                match catch_unwind(AssertUnwindSafe(|| {
-                    vuln_verifier.verify(self.entry, &candidates, vr)
-                })) {
-                    Ok(v) => {
-                        health.vuln_verify.attempts += v.attempts;
-                        health.vuln_verify.retries += v.attempts.saturating_sub(1);
-                        health.vuln_verify.injected_faults += v.injected_faults;
-                        if let VerifyOutcome::Aborted { cause, attempts } = v.verdict {
-                            if cause == AbortCause::DeadlineExceeded {
-                                health.vuln_verify.deadline_hits += 1;
-                            }
-                            health.vuln_verify.quarantined += 1;
-                            quarantined.push(Quarantined {
-                                race: f.race.clone(),
-                                error: PipelineError::VerifierAborted {
-                                    stage: Stage::VulnVerify,
-                                    cause,
-                                    attempts,
-                                },
-                            });
-                        }
-                        f.vuln_verifications.push(v);
-                    }
-                    Err(payload) => {
-                        health.vuln_verify.panics += 1;
-                        health.vuln_verify.quarantined += 1;
-                        quarantined.push(Quarantined {
-                            race: f.race.clone(),
-                            error: PipelineError::Panicked {
+                        }),
+                    ),
+                    Source::Live(_) => match catch_unwind(AssertUnwindSafe(|| {
+                        verifier.verify(self.entry, candidates, vr)
+                    })) {
+                        Ok(v) => (v, None),
+                        Err(payload) => (
+                            aborted_vuln_verification(AbortCause::Panicked),
+                            Some(PipelineError::Panicked {
                                 stage: Stage::VulnVerify,
                                 message: panic_message(payload),
-                            },
-                        });
-                        f.vuln_verifications
-                            .push(aborted_vuln_verification(AbortCause::Panicked, 0));
+                            }),
+                        ),
+                    },
+                };
+                absorb_attempts(&mut health.vuln_verify, v.attempts, v.injected_faults);
+                let error = error.or(match v.verdict {
+                    VerifyOutcome::Aborted { cause, attempts } => {
+                        Some(PipelineError::VerifierAborted {
+                            stage: Stage::VulnVerify,
+                            cause,
+                            attempts,
+                        })
                     }
+                    _ => None,
+                });
+                if let Some(error) = error {
+                    quarantine(&mut health.vuln_verify, quarantined, &f.race, error);
+                }
+                f.vuln_verifications.push(v);
+            }
+            if let Source::Live(at) = *source {
+                if let JournalRecord::FindingAnalyzed { vulns, .. } = &mut live[at] {
+                    *vulns = f
+                        .vulns
+                        .iter()
+                        .zip(&f.vuln_verifications)
+                        .map(|(report, v)| RecordedVuln {
+                            report: report.clone(),
+                            reached: v.reached,
+                            verdict: v.verdict,
+                            attempts: v.attempts,
+                            injected_faults: v.injected_faults,
+                        })
+                        .collect();
                 }
             }
         }
+        journal.commit(live)?;
         stats.vuln_verify_time += t5.elapsed();
+        stats.verify_time += tv.elapsed();
+        Ok(())
+    }
+
+    /// Algorithm 1 from `race`'s corrupted read on the run's one
+    /// analyzer, which the first call builds. A panic comes back as its
+    /// message and rebuilds the analyzer, whose memo may be poisoned
+    /// mid-walk, over the same points-to solution and summary cache.
+    fn analyze(
+        &self,
+        race: &RaceReport,
+        analyzer: &mut Option<VulnAnalyzer<'m>>,
+        stats: &mut PipelineStats,
+        health: &mut PipelineHealth,
+        pts_slot: &mut Option<Arc<PointsTo>>,
+    ) -> Result<Vec<VulnReport>, String> {
+        let Some(read) = race.read_access() else {
+            return Ok(Vec::new());
+        };
+        let cfg = &self.config.vuln;
+        let analyzer = analyzer.get_or_insert_with(|| {
+            let points_to = cfg.points_to.then(|| self.points_to(pts_slot, health));
+            VulnAnalyzer::with_shared(self.module, cfg.clone(), points_to, None, None)
+        });
+        let (site, stack) = (read.site, read.stack.to_vec());
+        let ta = Instant::now();
+        let analyzed = catch_unwind(AssertUnwindSafe(|| analyzer.analyze(site, &stack)));
+        stats.analysis_time += ta.elapsed();
+        match analyzed {
+            Ok((vulns, work)) => {
+                stats.analysis_count += 1;
+                stats.analysis_work.insts_visited += work.insts_visited;
+                stats.analysis_work.funcs_entered += work.funcs_entered;
+                Ok(vulns)
+            }
+            Err(payload) => {
+                let points_to = analyzer.points_to().cloned();
+                let cache = analyzer.summary_cache().cloned();
+                *analyzer =
+                    VulnAnalyzer::with_shared(self.module, cfg.clone(), points_to, None, cache);
+                Err(panic_message(payload))
+            }
+        }
     }
 }
 
-/// A recorded stage-3 verdict, ready to replay instead of re-running
-/// the race verifier.
-enum VerifyReplay {
-    /// The verifier reached a verdict (confirmed or eliminated).
-    Verdict {
-        confirmed: bool,
-        attempts: u64,
-        injected_faults: u64,
-    },
-    /// The unit was quarantined.
-    Quarantined {
-        error: PipelineError,
-        attempts: u64,
-        injected_faults: u64,
-    },
+/// What one breakpoint-free atomicity run at a seed observed: the
+/// interleavings it reported and its injected faults, or its panic
+/// message.
+type AtomicityRun = Result<(FxHashSet<(InstRef, InstRef, InstRef)>, u64), String>;
+
+/// One stage's wall-clock budget. It expires at the first check after
+/// the budget has run out, once the stage has processed a unit, so
+/// every stage makes progress; from then on every check cuts its unit,
+/// and the stage records one deadline hit.
+struct StageClock {
+    start: Instant,
+    budget: Option<Duration>,
+    processed: u64,
+    expired: bool,
 }
 
-/// A recorded stage-4/5 unit, ready to replay instead of re-running
-/// the analyzer and vulnerability verifier.
-enum AnalyzeReplay {
-    /// Analysis completed; each hint carries its stage-5 verification.
-    Finding(Vec<RecordedVuln>),
-    /// The unit was quarantined (stage-4 panic).
-    Quarantined { error: PipelineError },
+impl StageClock {
+    fn start(budget: Option<Duration>) -> Self {
+        StageClock {
+            start: Instant::now(),
+            budget,
+            processed: 0,
+            expired: false,
+        }
+    }
+
+    /// Whether the unit about to run is cut; a unit that is not counts
+    /// as processed.
+    fn cut(&mut self, stage: &mut StageHealth) -> bool {
+        if let Some(budget) = self.budget {
+            if !self.expired && self.processed > 0 && self.start.elapsed() >= budget {
+                self.expired = true;
+                stage.deadline_hits += 1;
+            }
+        }
+        self.processed += u64::from(!self.expired);
+        self.expired
+    }
 }
 
-/// Per-unit lookup of everything the journal already recorded for one
-/// program. Records for equal unit keys are consumed in journal order,
-/// which matches processing order because reports are handled in
-/// deterministic detector order on every run.
-/// Keyed by unit keys read back from the journal file, so these maps
-/// keep std's seeded hasher.
+/// Stage 3's answer for one report, live or replayed from its record.
+struct RaceUnit {
+    /// The evidence when confirmed, `None` when eliminated, or why the
+    /// report was quarantined.
+    outcome: Result<Option<RaceVerification>, PipelineError>,
+    /// Verification attempts spent.
+    attempts: u64,
+    /// Faults injected across them.
+    injected_faults: u64,
+}
+
+impl RaceUnit {
+    fn verified(v: RaceVerification) -> Self {
+        let (attempts, injected_faults) = (v.attempts, v.injected_faults);
+        let outcome = match v.verdict {
+            VerifyOutcome::Confirmed => Ok(Some(v)),
+            VerifyOutcome::Unconfirmed => Ok(None),
+            VerifyOutcome::Aborted { cause, attempts } => Err(PipelineError::VerifierAborted {
+                stage: Stage::RaceVerify,
+                cause,
+                attempts,
+            }),
+        };
+        RaceUnit {
+            outcome,
+            attempts,
+            injected_faults,
+        }
+    }
+
+    /// A unit quarantined before the verifier answered.
+    fn cut(error: PipelineError) -> Self {
+        RaceUnit {
+            outcome: Err(error),
+            attempts: 0,
+            injected_faults: 0,
+        }
+    }
+
+    fn record(&self, program: &str, key: String, report: &RaceReport) -> JournalRecord {
+        match &self.outcome {
+            Ok(v) => JournalRecord::ReportVerified {
+                program: program.to_string(),
+                key,
+                global: report.global_name.clone(),
+                confirmed: v.is_some(),
+                attempts: self.attempts,
+                injected_faults: self.injected_faults,
+            },
+            Err(error) => quarantine_record(
+                program,
+                key,
+                report,
+                error,
+                self.attempts,
+                self.injected_faults,
+            ),
+        }
+    }
+}
+
+/// A recorded stage-4–5 unit: the finding's hints with their stage-5
+/// verdicts, or the stage-4 quarantine and the analyses it spent.
+type AnalyzeUnit = Result<Vec<RecordedVuln>, (PipelineError, u64)>;
+
+/// Where a finding's stage-5 verdicts come from.
+enum Source {
+    /// Verified live; its record sits at this index of the stages-4–5
+    /// batch.
+    Live(usize),
+    /// Replayed from the journal.
+    Replayed(Vec<RecordedVuln>),
+}
+
+/// Recorded units by unit key, each key's in journal order, which is
+/// processing order: reports are handled in deterministic detector
+/// order on every run. Keyed by unit keys read back from the journal
+/// file, so the map keeps std's seeded hasher.
+struct Replays<T>(HashMap<String, VecDeque<T>>);
+
+impl<T> Replays<T> {
+    fn push(&mut self, key: &str, unit: T) {
+        self.0.entry(key.to_string()).or_default().push_back(unit);
+    }
+
+    fn next(&mut self, key: &str) -> Option<T> {
+        self.0.get_mut(key)?.pop_front()
+    }
+}
+
+/// Everything the journal already recorded for one program's stages
+/// 3–5.
 struct ResumeIndex {
-    verify: HashMap<String, VecDeque<VerifyReplay>>,
-    analyze: HashMap<String, VecDeque<AnalyzeReplay>>,
+    verify: Replays<RaceUnit>,
+    analyze: Replays<AnalyzeUnit>,
 }
 
 impl ResumeIndex {
-    fn for_program(records: &[JournalRecord], program: &str) -> Self {
-        let mut verify: HashMap<String, VecDeque<VerifyReplay>> = HashMap::new();
-        let mut analyze: HashMap<String, VecDeque<AnalyzeReplay>> = HashMap::new();
+    fn new(records: &[JournalRecord]) -> Self {
+        let mut index = ResumeIndex {
+            verify: Replays(HashMap::new()),
+            analyze: Replays(HashMap::new()),
+        };
         for rec in records {
-            if rec.program() != Some(program) {
-                continue;
-            }
             match rec {
                 JournalRecord::ReportVerified {
                     key,
@@ -1596,20 +1218,25 @@ impl ResumeIndex {
                     injected_faults,
                     ..
                 } => {
-                    verify
-                        .entry(key.clone())
-                        .or_default()
-                        .push_back(VerifyReplay::Verdict {
-                            confirmed: *confirmed,
-                            attempts: *attempts,
-                            injected_faults: *injected_faults,
-                        });
+                    let v =
+                        confirmed.then(|| replayed_race_verification(*attempts, *injected_faults));
+                    let unit = RaceUnit {
+                        outcome: Ok(v),
+                        attempts: *attempts,
+                        injected_faults: *injected_faults,
+                    };
+                    index.verify.push(key, unit);
                 }
                 JournalRecord::FindingAnalyzed { key, vulns, .. } => {
-                    analyze
-                        .entry(key.clone())
-                        .or_default()
-                        .push_back(AnalyzeReplay::Finding(vulns.clone()));
+                    index.analyze.push(key, Ok(vulns.clone()));
+                }
+                JournalRecord::Quarantined {
+                    key: Some(key),
+                    error,
+                    attempts,
+                    ..
+                } if error.stage() == Stage::VulnAnalyze => {
+                    index.analyze.push(key, Err((error.clone(), *attempts)));
                 }
                 JournalRecord::Quarantined {
                     key: Some(key),
@@ -1617,45 +1244,37 @@ impl ResumeIndex {
                     attempts,
                     injected_faults,
                     ..
-                } => match error {
-                    PipelineError::Panicked {
-                        stage: Stage::VulnAnalyze,
-                        ..
-                    } => {
-                        analyze
-                            .entry(key.clone())
-                            .or_default()
-                            .push_back(AnalyzeReplay::Quarantined {
-                                error: error.clone(),
-                            });
-                    }
-                    _ => {
-                        verify
-                            .entry(key.clone())
-                            .or_default()
-                            .push_back(VerifyReplay::Quarantined {
-                                error: error.clone(),
-                                attempts: *attempts,
-                                injected_faults: *injected_faults,
-                            });
-                    }
-                },
+                } => {
+                    let unit = RaceUnit {
+                        outcome: Err(error.clone()),
+                        attempts: *attempts,
+                        injected_faults: *injected_faults,
+                    };
+                    index.verify.push(key, unit);
+                }
                 _ => {}
             }
         }
-        ResumeIndex { verify, analyze }
+        index
     }
+}
 
-    fn next_verify(&mut self, key: &str) -> Option<VerifyReplay> {
-        self.verify.get_mut(key)?.pop_front()
-    }
-
-    fn next_analyze(&mut self, key: &str) -> Option<AnalyzeReplay> {
-        self.analyze.get_mut(key)?.pop_front()
-    }
-
-    fn has_analyze(&self, key: &str) -> bool {
-        self.analyze.get(key).is_some_and(|q| !q.is_empty())
+/// The journal record of a unit quarantined out of stages 3–5.
+fn quarantine_record(
+    program: &str,
+    key: String,
+    race: &RaceReport,
+    error: &PipelineError,
+    attempts: u64,
+    injected_faults: u64,
+) -> JournalRecord {
+    JournalRecord::Quarantined {
+        program: program.to_string(),
+        key: Some(key),
+        global: race.global_name.clone(),
+        error: error.clone(),
+        attempts,
+        injected_faults,
     }
 }
 
@@ -1698,20 +1317,47 @@ fn absorb_sweep(
     }
 }
 
+/// Folds a unit's verification attempts and injected faults into its
+/// stage's health; every attempt past the first is a retry.
+pub(crate) fn absorb_attempts(stage: &mut StageHealth, attempts: u64, injected_faults: u64) {
+    stage.attempts += attempts;
+    stage.retries += attempts.saturating_sub(1);
+    stage.injected_faults += injected_faults;
+}
+
 /// Folds a quarantine's secondary effects (panic/deadline counters plus
-/// the quarantine count itself) into a stage's health — identical for
-/// live and replayed units, which is what keeps resumed health totals
-/// equal to an uninterrupted run's.
-fn apply_quarantine_health(stage: &mut StageHealth, error: &PipelineError) {
+/// the quarantine count itself) into a stage's health. A verification
+/// the supervisor recorded as aborted by a panic counts as the panic it
+/// was. Live units, replayed units and the campaign's rebuild from the
+/// journal all count through here, which keeps their totals equal.
+pub(crate) fn apply_quarantine_health(stage: &mut StageHealth, error: &PipelineError) {
     stage.quarantined += 1;
     match error {
-        PipelineError::Panicked { .. } => stage.panics += 1,
+        PipelineError::Panicked { .. }
+        | PipelineError::VerifierAborted {
+            cause: AbortCause::Panicked,
+            ..
+        } => stage.panics += 1,
         PipelineError::VerifierAborted {
             cause: AbortCause::DeadlineExceeded,
             ..
         } => stage.deadline_hits += 1,
         _ => {}
     }
+}
+
+/// Quarantines `race` out of `stage`.
+fn quarantine(
+    stage: &mut StageHealth,
+    quarantined: &mut Vec<Quarantined>,
+    race: &RaceReport,
+    error: PipelineError,
+) {
+    apply_quarantine_health(stage, &error);
+    quarantined.push(Quarantined {
+        race: race.clone(),
+        error,
+    });
 }
 
 /// A stage-3 verification reconstructed from the journal. Dynamic
@@ -1744,29 +1390,14 @@ fn replayed_vuln_verification(rv: &RecordedVuln) -> VulnVerification {
     }
 }
 
-/// Outcome of analyzing one verified report in stage 4 (the unit a
-/// parallel worker writes into its result slot).
-enum ReportAnalysis {
-    /// Algorithm 1 completed.
-    Analyzed {
-        reports: Vec<VulnReport>,
-        work: VulnStats,
-        elapsed: Duration,
-    },
-    /// The race report carries no read access to start from.
-    NoRead,
-    /// The analyzer panicked; the message is the rendered payload.
-    Panicked(String),
-}
-
-/// A placeholder verification for a vuln the supervisor could not
+/// A placeholder verification for a hint the supervisor could not
 /// verify (stage deadline or panic); keeps `vuln_verifications`
 /// parallel to `vulns`.
-fn aborted_vuln_verification(cause: AbortCause, attempts: u64) -> VulnVerification {
+fn aborted_vuln_verification(cause: AbortCause) -> VulnVerification {
     VulnVerification {
         reached: false,
-        verdict: VerifyOutcome::Aborted { cause, attempts },
-        attempts,
+        verdict: VerifyOutcome::Aborted { cause, attempts: 0 },
+        attempts: 0,
         triggering_input: None,
         branches_hit: Vec::new(),
         diverged_branches: Vec::new(),

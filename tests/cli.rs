@@ -187,6 +187,28 @@ fn campaign_runs_resumes_and_refuses_unresumed_reuse() {
 }
 
 #[test]
+fn campaign_refuses_a_stage_deadline() {
+    let mut dir = std::env::temp_dir();
+    dir.push(format!("owl-cli-deadline-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = cli()
+        .args([
+            "campaign",
+            dir.to_str().unwrap(),
+            "--quick",
+            "--stage-deadline-ms",
+            "1",
+        ])
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(err.lines().count(), 1, "one-line reason: {err}");
+    assert!(err.contains("--stage-deadline-ms"), "{err}");
+    assert!(!dir.exists(), "a refused campaign writes nothing");
+}
+
+#[test]
 fn campaign_workers_and_metrics_flags() {
     let mut base = std::env::temp_dir();
     base.push(format!("owl-cli-workers-{}", std::process::id()));

@@ -11,9 +11,14 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 /// FNV-1a/64 of the journal a `--workers 1` quick campaign over
-/// `owl_corpus::all_programs()` writes, recorded when every record still
-/// had its own fsync.
-const SERIAL_QUICK_JOURNAL_DIGEST: &str = "fb6363fd18159083";
+/// `owl_corpus::all_programs()` writes. First recorded when every
+/// record still had its own fsync (`fb6363fd18159083`); re-pinned when
+/// campaigns began counting their live stage-4 work in
+/// `summary_cache_hits` / `summary_cache_misses`. That changed only the
+/// four `ProgramFinished` records with a non-zero count: zeroing the two
+/// counters and re-framing each line reproduces the old journal byte
+/// for byte.
+const SERIAL_QUICK_JOURNAL_DIGEST: &str = "52a5db97807aa7d5";
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
