@@ -451,13 +451,15 @@ fn bench_explore_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-/// Prefix-sharing fork mode against scratch re-execution across the
-/// whole corpus. Reports are asserted identical before anything is
-/// timed — the speedup only counts if the results are byte-equal —
-/// and the per-program counters quantify where the savings come from:
+/// Prefix-sharing fork mode against `--no-fork` (the same sweep forking
+/// at instruction zero, so every seed runs in full) across the whole
+/// corpus. Reports are asserted identical before anything is timed —
+/// the speedup only counts if the results are byte-equal — and the
+/// per-program counters quantify where the savings come from:
 /// `prefix_share_ratio` is the fraction of total scheduler steps the
-/// snapshot prefix avoided re-executing, `dedup_ratio` the fraction
-/// of seed units collapsed by schedule-signature dedup.
+/// snapshot prefix avoided re-executing, `dedup_ratio` the fraction of
+/// seed units that realized their input's pilot schedule and reused
+/// its result.
 fn bench_fork_prefix(c: &mut Criterion) {
     // A seed-sweep-shaped budget: enough seeds per input that the
     // shared prefix is amortized the way `run`/`campaign` amortize it.

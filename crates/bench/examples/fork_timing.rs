@@ -1,51 +1,71 @@
-//! Probe: fork-mode vs scratch explorer wall time per corpus program,
-//! with the fork counters. Faster to iterate on than the full bench.
+//! Probe: fork mode against `--no-fork`, explorer wall time per program
+//! of the `corpus-campaign` workload (the corpus plus HeapRelay,
+//! CacheRelay and DoubleFetch) at the campaign's detection settings
+//! (`OwlConfig::default().detect`: 12 PCT seeds per input, depth 3,
+//! 4 000 expected steps, epoch backend), with the fork counters. Each
+//! mode's time is the median of `reps` sweeps (default 30), the two
+//! modes alternating.
 //!
 //! `cargo run --release -p owl-bench --example fork_timing [reps]`
 
 use std::time::Instant;
 
+fn median_us(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2] * 1e6
+}
+
 fn main() {
-    let reps: u32 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(5);
-    let mut tot_f = 0u128;
-    let mut tot_s = 0u128;
-    for p in owl_corpus::all_programs() {
-        let forked_cfg = owl_race::ExplorerConfig {
-            runs_per_input: 32,
-            ..owl_race::ExplorerConfig::default()
-        };
-        let scratch_cfg = owl_race::ExplorerConfig { fork: false, ..forked_cfg.clone() };
+    let reps: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(30);
+    let mut programs = owl_corpus::all_programs();
+    programs.extend([
+        owl_corpus::extensions::heap_relay(),
+        owl_corpus::extensions::cache_relay(),
+        owl_corpus::extensions::kernel_double_fetch(),
+    ]);
+    let forked_cfg = owl::OwlConfig::default().detect;
+    let no_fork_cfg = owl_race::ExplorerConfig { fork: false, ..forked_cfg.clone() };
+    let (mut tot_f, mut tot_n) = (0.0, 0.0);
+    let (mut tot_forked, mut tot_deduped) = (0, 0);
+    for p in &programs {
         // Warm-up + correctness guard.
         let rf = owl_race::explore(&p.module, p.entry, &p.workloads, &forked_cfg);
-        let rs = owl_race::explore(&p.module, p.entry, &p.workloads, &scratch_cfg);
-        assert_eq!(rf.reports, rs.reports);
-        let mut best_f = u128::MAX;
-        let mut best_s = u128::MAX;
+        let rn = owl_race::explore(&p.module, p.entry, &p.workloads, &no_fork_cfg);
+        assert_eq!(rf.reports, rn.reports, "{}", p.name);
+        assert_eq!(rf.outcomes, rn.outcomes, "{}", p.name);
+        let (mut f, mut n) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
         for _ in 0..reps {
             let t = Instant::now();
             let _ = owl_race::explore(&p.module, p.entry, &p.workloads, &forked_cfg);
-            best_f = best_f.min(t.elapsed().as_micros());
+            f.push(t.elapsed().as_secs_f64());
             let t = Instant::now();
-            let _ = owl_race::explore(&p.module, p.entry, &p.workloads, &scratch_cfg);
-            best_s = best_s.min(t.elapsed().as_micros());
+            let _ = owl_race::explore(&p.module, p.entry, &p.workloads, &no_fork_cfg);
+            n.push(t.elapsed().as_secs_f64());
         }
-        tot_f += best_f;
-        tot_s += best_s;
+        let (f, n) = (median_us(f), median_us(n));
+        tot_f += f;
+        tot_n += n;
+        tot_forked += rf.units_forked;
+        tot_deduped += rf.schedules_deduped;
         println!(
-            "{:12} forked {:7}us scratch {:7}us ratio {:.3} deduped {:3} saved {:6}",
+            "{:12} fork {:8.1}us no-fork {:8.1}us fork/no-fork {:.3} units {:3} forked {:3} \
+             deduped {:3} saved {:5}",
             p.name,
-            best_f,
-            best_s,
-            best_s as f64 / best_f as f64,
+            f,
+            n,
+            f / n,
+            rf.runs,
+            rf.units_forked,
             rf.schedules_deduped,
             rf.prefix_steps_saved,
         );
     }
     println!(
-        "{:12} forked {:7}us scratch {:7}us ratio {:.3}",
+        "{:12} fork {:8.1}us no-fork {:8.1}us fork/no-fork {:.3} forked {tot_forked} \
+         deduped {tot_deduped}",
         "TOTAL",
         tot_f,
-        tot_s,
-        tot_s as f64 / tot_f as f64
+        tot_n,
+        tot_f / tot_n,
     );
 }

@@ -72,7 +72,7 @@ fn usage() -> ExitCode {
          --hb-backend <b>          race-detection backend, one of:\n{backends}  \
          --max-trace-mem <n[K|M|G]>\n                            bound the detector's in-flight trace window;\n                            cold segments spill to disk and are replayed\n                            (reports are identical at any budget; without a\n                            spill dir over-budget units abort with a typed\n                            memory-budget verdict)\n  \
          --no-elide                disable the static check-elision pre-pass\n                            (reports are identical either way; elision only\n                            skips shadow-memory work at proved-safe sites)\n  \
-         --no-fork                 disable prefix-sharing snapshot/fork in the\n                            detection stage (reports are identical either\n                            way and a journal resumes across the switch;\n                            forking only avoids re-executing each input's\n                            single-threaded startup prefix per seed)\n  \
+         --no-fork                 fork each detection input at instruction zero:\n                            every seed runs in full, no startup prefix is\n                            shared and no schedule is deduped (reports are\n                            identical either way and a journal resumes\n                            across the switch)\n  \
          --elide-report            print the pre-pass per-site classification\n                            for <program> and exit\n\
          campaign options:\n  \
          --resume                  continue a journal instead of refusing it\n  \

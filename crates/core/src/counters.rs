@@ -86,14 +86,19 @@ pub enum Counter {
     PredictCapped,
     /// Detection units the explorer launched from a mid-run snapshot
     /// instead of instruction zero (prefix-sharing fork mode), summed
-    /// over both sweeps. Zero under `--no-fork`.
+    /// over both sweeps: each input's pilot plus every unit whose
+    /// schedule diverged from the pilot's. The same at any
+    /// `--explore-workers` count. Zero under `--no-fork`, where every
+    /// input forks at instruction zero.
     UnitsForked,
     /// VM steps detection units did not re-execute thanks to prefix
     /// sharing. Zero under `--no-fork`.
     PrefixStepsSaved,
-    /// Detection units whose realized schedule collapsed to an
-    /// already-run signature, so their outcome was reused without
-    /// executing the VM. Zero under `--no-fork`.
+    /// Detection units whose realized schedule collapsed to their
+    /// input's pilot schedule (or whose input finished before two
+    /// threads could interleave), so their outcome was reused without
+    /// executing the VM. The same at any `--explore-workers` count.
+    /// Zero under `--no-fork`.
     SchedulesDeduped,
     /// Estimated bytes of machine state captured by per-input
     /// snapshots (heap payloads are CoW-shared). Zero under

@@ -18,55 +18,55 @@
 //!   short);
 //! * per-unit outputs are merged *in unit order* — reports dedup by
 //!   normalized site pair keeping the first unit's report (adopting
-//!   the first available read hint among later duplicates), counters
-//!   are summed, and the merged set gets a final stable sort by site
-//!   pair.
+//!   the first available read hint among later duplicates), reports
+//!   stay in discovery order, and counters are summed.
 //!
-//! Any worker count therefore yields byte-identical results; workers
-//! only change wall-clock time.
+//! Any worker count therefore yields byte-identical results, the fork
+//! counters included; workers only change wall-clock time.
 //!
-//! ## Prefix-sharing fork mode
+//! ## One sweep: every input forks
 //!
-//! With [`ExplorerConfig::fork`] on (the default), each input's units
-//! share the program's single-threaded startup prefix instead of each
-//! re-executing it. Every scheduler is *forced* to make identical
-//! choices while only one thread is runnable, so the explorer runs
-//! each input once up to the first point where ≥ 2 threads could
-//! interleave ([`Vm::run_until_concurrent`]), snapshots the machine
-//! there ([`Vm::snapshot`], CoW-cheap), forks the detector shadow
-//! state ([`HbDetector::fork`]), and launches every per-seed unit from
-//! the snapshot with its own scheduler fast-forwarded over the
-//! recorded prefix pick calls (which reproduces the exact RNG state a
-//! scratch run would have had at that point). A schedule-signature
-//! pass then dedups whole units: executed units record their realized
-//! choice sequence plus an incrementally-computed FNV signature; any
-//! later seed whose scheduler realizes an already-run sequence must
-//! produce the identical execution, so that unit's outcome is reused
-//! without running the VM at all. A serial sweep (`workers <= 1`, the
-//! default) merges recorded traces into a path-compressed decision
-//! trie, so probing every schedule realized so far costs a single
-//! walk; after [`DEDUP_PATIENCE`] consecutive misses the sweep stops
-//! recording and probing for that input, so sweeps that keep
-//! realizing distinct schedules shed the dedup overhead. A parallel
-//! sweep probes only against the first unit's (the pilot's) schedule,
-//! the one key that is complete before workers race. Either way the
-//! probe history — and so every fork counter — depends only on the
-//! deterministic claim order, never on thread timing.
+//! Each input's units start from one snapshot. With
+//! [`ExplorerConfig::fork`] on (the default), the snapshot sits at the
+//! end of the program's single-threaded startup prefix: every
+//! scheduler is *forced* to make identical choices while only one
+//! thread is runnable, so the explorer runs each input once up to the
+//! first point where ≥ 2 threads could interleave
+//! ([`Vm::run_until_concurrent`]), snapshots the machine there
+//! ([`Vm::snapshot`], CoW-cheap), forks the detector shadow state
+//! ([`HbDetector::fork`]), and launches every per-seed unit from the
+//! snapshot with its own scheduler fast-forwarded over the recorded
+//! prefix pick calls (which reproduces the exact RNG state a run from
+//! instruction zero would have had at that point).
+//!
+//! The first unit of each input, the pilot, records its realized
+//! suffix schedule plus an FNV signature. Every later seed probes that
+//! one schedule before it runs: a seed whose scheduler realizes it
+//! exactly must produce the identical execution, so the pilot's output
+//! is reused without running the VM at all. The pilot finishes before
+//! any other unit of its input is claimed, so each probe — and with it
+//! every fork counter — is the same at any worker count.
+//!
+//! With fork mode off (`--no-fork`) the same sweep forks at
+//! instruction zero: the snapshot is of the fresh VM (no steps, no
+//! recorded picks, a fresh detector, an empty budget window), the
+//! pilot records no schedule, and every seed executes in full.
 //!
 //! None of this changes results — reports, outcomes, and every
-//! pre-existing counter are byte-identical fork on or off, at any
-//! worker count × spill budget (pinned by `tests/explore_pinned.rs`).
-//! Only the four fork counters ([`ExploreResult::units_forked`],
-//! `prefix_steps_saved`, `schedules_deduped`, `snapshot_bytes`) and
-//! wall-clock time differ.
+//! counter but the fork counters are byte-identical fork on or off, at
+//! any worker count × spill budget (pinned by
+//! `tests/explore_pinned.rs`). Only the four fork counters
+//! ([`ExploreResult::units_forked`], `prefix_steps_saved`,
+//! `schedules_deduped`, `snapshot_bytes`), all 0 with fork mode off,
+//! and wall-clock time differ.
 //!
 //! ## Detection inline
 //!
-//! Every unit runner — scratch (`run_unit`), shared prefix
-//! (`run_prefix`) and forked (`run_forked_unit`) — feeds its detector
-//! from the VM's emit hook, on the thread running the unit, through
-//! one `BudgetSink`. No unit spawns a thread; parallelism is per unit,
-//! via [`ExplorerConfig::workers`].
+//! Both unit runners — the shared prefix (`run_prefix`) and a unit
+//! from its snapshot (`run_forked_unit`) — feed their detector from
+//! the VM's emit hook, on the thread running the unit, through one
+//! `BudgetSink`. No unit spawns a thread; parallelism is per unit, via
+//! [`ExplorerConfig::workers`].
 
 use crate::hb::{HbAnnotation, HbBackend, HbConfig, HbDetector};
 use crate::report::RaceReport;
@@ -173,7 +173,8 @@ pub struct ExplorerConfig {
     /// input's single-threaded startup prefix once, snapshot the VM at
     /// the first point two threads could interleave, launch every
     /// seed's unit from the snapshot, and dedup units whose realized
-    /// schedule collapses to an already-run signature. Results are
+    /// schedule collapses to the pilot's. Off, every input forks at
+    /// instruction zero and every seed executes in full. Results are
     /// byte-identical either way (see the module docs); only the fork
     /// counters and wall-clock time change.
     pub fork: bool,
@@ -198,7 +199,7 @@ impl Default for ExplorerConfig {
 }
 
 /// Aggregated exploration results.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ExploreResult {
     /// Deduplicated race reports across all runs.
     pub reports: Vec<RaceReport>,
@@ -258,9 +259,10 @@ pub struct ExploreResult {
     /// prefix length times the number of units that reused it, summed
     /// over inputs. Zero with fork off.
     pub prefix_steps_saved: u64,
-    /// Units whose entire realized choice sequence collapsed to an
-    /// already-run schedule signature, so their outcome was reused
-    /// without executing the VM at all. Zero with fork off.
+    /// Units whose entire realized choice sequence collapsed to their
+    /// input's pilot schedule (or whose input finished before two
+    /// threads could interleave), so their outcome was reused without
+    /// executing the VM at all. Zero with fork off.
     pub schedules_deduped: u64,
     /// Bytes of machine state captured by per-input snapshots (an
     /// upper-bound estimate; heap payloads are CoW-shared with the
@@ -314,7 +316,7 @@ struct UnitOutput {
     cells_gced: u64,
     mem_budget_aborted: bool,
     predict: crate::PredictStats,
-    /// Unit executed from a snapshot (fork mode pilot or a
+    /// Unit executed from a mid-run snapshot (fork mode pilot or a
     /// schedule-divergent unit).
     forked: bool,
     /// Unit's outcome was cloned from an identical already-run
@@ -327,6 +329,21 @@ struct UnitOutput {
     snapshot_bytes: u64,
 }
 
+impl UnitOutput {
+    /// This output, reused for a later seed whose execution would
+    /// repeat it: that unit did no forked work of its own and skipped
+    /// `steps_saved` steps.
+    fn reused(&self, steps_saved: u64) -> UnitOutput {
+        UnitOutput {
+            forked: false,
+            deduped: true,
+            prefix_steps_saved: steps_saved,
+            snapshot_bytes: 0,
+            ..self.clone()
+        }
+    }
+}
+
 /// What the memory budget did to one unit's event stream.
 #[derive(Clone, Debug, Default)]
 struct StreamStats {
@@ -337,9 +354,9 @@ struct StreamStats {
 }
 
 /// The event window and spill bookkeeping of one unit under the memory
-/// budget. `Clone` so fork mode can hand every unit the shared prefix's
-/// window, which makes each unit's counters come out exactly as if it
-/// had run its whole trace from scratch.
+/// budget. `Clone` so every unit starts from the shared prefix's
+/// window, which makes its counters come out exactly as if it had run
+/// its whole trace from instruction zero.
 #[derive(Clone, Default)]
 struct BudgetWindow {
     window: VecDeque<TraceEvent>,
@@ -413,7 +430,7 @@ impl BudgetWindow {
     }
 }
 
-/// The trace sink of every unit runner: the VM's emit hook feeds the
+/// The trace sink of both unit runners: the VM's emit hook feeds the
 /// unit's detector through it, on the calling thread, with the memory
 /// budget's window in between. Once the budget proves unsatisfiable
 /// the sink drops every further event but the VM runs on, so an
@@ -539,21 +556,6 @@ fn build_vm<'m>(
     }
 }
 
-/// Runs one `(input, seed)` unit from instruction zero.
-fn run_unit(
-    module: &Module,
-    entry: FuncId,
-    input: &ProgramInput,
-    input_idx: usize,
-    seed: u64,
-    cfg: &ExplorerConfig,
-) -> UnitOutput {
-    let mut sink = BudgetSink::fresh(cfg, input_idx, &format!("s{seed}"));
-    let outcome =
-        build_vm(module, entry, input, cfg).run(build_sched(cfg, seed).as_mut(), &mut sink);
-    sink.finish(module, outcome)
-}
-
 /// Inline capacity for recorded runnable sets. Corpus programs rarely
 /// have more than a handful of runnable threads at any pick.
 const RUNNABLE_INLINE: usize = 8;
@@ -588,12 +590,6 @@ impl RunnableSet {
     }
 }
 
-impl PartialEq for RunnableSet {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
 /// One scheduler invocation as the VM made it: the runnable set it
 /// saw, the step counter, and the choice that came back. The prefix
 /// records these so fresh schedulers can be fast-forwarded; the pilot
@@ -610,16 +606,6 @@ struct PickCall {
 /// cap depends only on the pick count, so the decision is
 /// deterministic.
 const DEDUP_TRACE_CAP: usize = 1 << 16;
-
-/// After this many consecutive probe misses, a serial sweep stops
-/// recording and probing for the rest of the input: the sweep is
-/// evidently realizing distinct schedules (seed sweeps over inputs
-/// with long concurrent phases usually do), so the dedup machinery
-/// would only add recording and probe overhead to every remaining
-/// unit. The cutoff depends solely on the claim-order probe history,
-/// which is deterministic in a serial sweep, so the fork counters
-/// remain deterministic for a fixed configuration.
-const DEDUP_PATIENCE: usize = 16;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -656,7 +642,7 @@ impl RecordingScheduler {
     fn new(inner: Box<dyn Scheduler>, cap: usize, hint: usize) -> Self {
         RecordingScheduler {
             inner,
-            // Reserving up to the sibling-trace length avoids the
+            // Reserving up to the expected trace length avoids the
             // growth reallocs, whose memcpys dominate recording cost
             // on long suffixes.
             calls: Vec::with_capacity(hint.min(cap)),
@@ -688,22 +674,8 @@ impl Scheduler for RecordingScheduler {
     }
 }
 
-/// Replays the prefix's pick calls into a freshly-seeded scheduler.
-/// Every prefix pick had a singleton runnable set (the fork point is
-/// the first moment two threads could interleave), so any scheduler
-/// returns the same forced choice while consuming exactly the RNG it
-/// would have consumed executing the prefix itself — afterwards its
-/// internal state matches what a scratch run's scheduler would hold at
-/// the fork point.
-fn fast_forward(sched: &mut dyn Scheduler, prefix: &[PickCall]) {
-    for call in prefix {
-        let picked = sched.pick(call.runnable.as_slice(), call.step);
-        debug_assert_eq!(picked, call.chosen, "prefix pick was not forced");
-    }
-}
-
-/// One executed unit's realized suffix schedule: a dedup key for
-/// later seeds of the same input.
+/// The pilot's realized suffix schedule: the dedup key for the later
+/// seeds of its input.
 struct RealizedTrace {
     calls: Vec<PickCall>,
     signature: u64,
@@ -719,8 +691,7 @@ struct RealizedTrace {
 /// same choices from the same snapshot state drive the same
 /// instruction, fault, and trace sequence. On a mismatch the answer is
 /// `false` and `sched` is RNG-polluted — it consumed draws against the
-/// recorded runnable sets — so the caller must rebuild it before
-/// running the unit for real or probing another trace.
+/// recorded runnable sets — so the unit must run under a fresh one.
 fn matches_trace(sched: &mut dyn Scheduler, trace: &RealizedTrace) -> bool {
     let mut signature = FNV_OFFSET;
     for call in &trace.calls {
@@ -733,195 +704,11 @@ fn matches_trace(sched: &mut dyn Scheduler, trace: &RealizedTrace) -> bool {
     signature == trace.signature
 }
 
-/// A decision trie over the realized suffix schedules of one input's
-/// executed units. Serial sweeps probe each new seed with a *single*
-/// walk — at every decision point the candidate scheduler picks
-/// against the recorded runnable set, and the walk follows the
-/// matching edge — instead of replaying against every stored trace
-/// one at a time. Contexts are path-determined (the VM is
-/// deterministic, so the same choice sequence always reproduces the
-/// same runnable set), which is what lets traces share prefix nodes
-/// at all. Walking also consumes exactly the scheduler RNG a real run
-/// would consume up to the divergence point, so a failed probe leaves
-/// the scheduler polluted (the caller rebuilds it), while a completed
-/// walk proves the unit's execution is the recorded one.
-///
-/// Paths are compressed: a stored trace's undisputed tail is kept as
-/// a `Tail` edge into the owned trace, and interior nodes are only
-/// materialized up to the point where a later trace actually
-/// diverges. Inserting is therefore O(shared depth) with O(1)
-/// allocations — materializing a node per recorded pick was
-/// measurably as expensive as executing the units it was meant to
-/// save.
-#[derive(Default)]
-struct TraceTrie {
-    nodes: Vec<TrieNode>,
-    traces: Vec<StoredTrace>,
-}
-
-/// An inserted trace, owned whole by the trie: `Tail` edges borrow
-/// slices of it instead of materializing per-pick nodes.
-struct StoredTrace {
-    calls: Vec<PickCall>,
-    signature: u64,
-    slot: usize,
-}
-
-/// One materialized decision point: the scheduler context to present,
-/// and an edge per distinct choice some recorded trace made here. The
-/// edge count is bounded by the runnable set, so a plain `Vec` only
-/// allocates at genuine branch points.
-struct TrieNode {
-    runnable: RunnableSet,
-    step: u64,
-    edges: Vec<(ThreadId, TrieChild)>,
-}
-
-#[derive(Clone, Copy)]
-enum TrieChild {
-    /// A materialized interior decision point.
-    Node(usize),
-    /// Path-compressed remainder: stored trace `trace`'s calls from
-    /// index `from` to its end (with `from` at the trace length this
-    /// is a pure leaf). No complete trace is a strict prefix of
-    /// another (identical picks force identical termination), so a
-    /// tail always ends the walk.
-    Tail { trace: usize, from: usize },
-}
-
-impl TraceTrie {
-    fn is_empty(&self) -> bool {
-        self.traces.is_empty()
-    }
-
-    fn node_from(call: &PickCall) -> TrieNode {
-        TrieNode {
-            runnable: call.runnable.clone(),
-            step: call.step,
-            edges: Vec::new(),
-        }
-    }
-
-    /// Inserts an executed unit's recorded trace, taking ownership.
-    /// Truncated traces (and the impossible empty trace) are skipped
-    /// by the caller; a duplicate of a stored trace cannot reach
-    /// insertion because its probe would have deduped the unit.
-    fn insert(&mut self, trace: RealizedTrace, slot: usize) {
-        debug_assert!(!trace.calls.is_empty(), "a suffix trace always picks");
-        let calls = trace.calls;
-        let t_new = self.traces.len();
-        if self.nodes.is_empty() {
-            let mut root = Self::node_from(&calls[0]);
-            root.edges.push((calls[0].chosen, TrieChild::Tail { trace: t_new, from: 1 }));
-            self.nodes.push(root);
-            self.traces.push(StoredTrace { calls, signature: trace.signature, slot });
-            return;
-        }
-        let mut node = 0;
-        let mut d = 0usize;
-        loop {
-            debug_assert!(d < calls.len(), "complete trace is a strict prefix of another");
-            debug_assert_eq!(self.nodes[node].runnable, calls[d].runnable, "trie context diverged");
-            debug_assert_eq!(self.nodes[node].step, calls[d].step, "trie context diverged");
-            let chosen = calls[d].chosen;
-            let Some(e) = self.nodes[node].edges.iter().position(|(c, _)| *c == chosen) else {
-                // First trace to make this choice here: hang the whole
-                // remainder off one compressed edge.
-                self.nodes[node].edges.push((chosen, TrieChild::Tail { trace: t_new, from: d + 1 }));
-                break;
-            };
-            match self.nodes[node].edges[e].1 {
-                TrieChild::Node(next) => {
-                    node = next;
-                    d += 1;
-                }
-                TrieChild::Tail { trace: t_old, from } => {
-                    // Scan the compressed tail for the divergence
-                    // point, then materialize only the shared stretch.
-                    let mut j = 0usize;
-                    let div = loop {
-                        let (ni, oi) = (d + 1 + j, from + j);
-                        debug_assert!(
-                            ni < calls.len() && oi < self.traces[t_old].calls.len(),
-                            "duplicate or prefix trace inserted"
-                        );
-                        if ni >= calls.len() || oi >= self.traces[t_old].calls.len() {
-                            return;
-                        }
-                        if calls[ni].chosen != self.traces[t_old].calls[oi].chosen {
-                            break j;
-                        }
-                        j += 1;
-                    };
-                    let mut prev: Option<usize> = None;
-                    let mut first_new = 0usize;
-                    for m in 0..=div {
-                        let n = self.nodes.len();
-                        self.nodes.push(Self::node_from(&self.traces[t_old].calls[from + m]));
-                        match prev {
-                            Some(p) => {
-                                let c = self.traces[t_old].calls[from + m - 1].chosen;
-                                self.nodes[p].edges.push((c, TrieChild::Node(n)));
-                            }
-                            None => first_new = n,
-                        }
-                        prev = Some(n);
-                    }
-                    let branch = prev.expect("at least the branch node is materialized");
-                    let old_chosen = self.traces[t_old].calls[from + div].chosen;
-                    let new_chosen = calls[d + 1 + div].chosen;
-                    self.nodes[branch]
-                        .edges
-                        .push((old_chosen, TrieChild::Tail { trace: t_old, from: from + div + 1 }));
-                    self.nodes[branch]
-                        .edges
-                        .push((new_chosen, TrieChild::Tail { trace: t_new, from: d + 1 + div + 1 }));
-                    self.nodes[node].edges[e].1 = TrieChild::Node(first_new);
-                    break;
-                }
-            }
-        }
-        self.traces.push(StoredTrace { calls, signature: trace.signature, slot });
-    }
-
-    /// Walks `sched` through the trie. `Some(slot)` means the
-    /// scheduler realized a recorded trace exactly (per-pick equality
-    /// plus the FNV signature folded along the walk) — the caller
-    /// clones `slot`'s output. `None` means it diverged from every
-    /// recorded trace and is now RNG-polluted; rebuild before running.
-    fn probe(&self, sched: &mut dyn Scheduler) -> Option<usize> {
-        if self.nodes.is_empty() {
-            return None;
-        }
-        let mut node = 0;
-        let mut signature = FNV_OFFSET;
-        let (t, mut i) = loop {
-            let n = &self.nodes[node];
-            let picked = sched.pick(n.runnable.as_slice(), n.step);
-            signature = fnv1a_pick(signature, picked, n.step);
-            match n.edges.iter().find(|(c, _)| *c == picked) {
-                Some((_, TrieChild::Node(next))) => node = *next,
-                Some((_, TrieChild::Tail { trace, from })) => break (*trace, *from),
-                None => return None,
-            }
-        };
-        let stored = &self.traces[t];
-        while i < stored.calls.len() {
-            let call = &stored.calls[i];
-            let picked = sched.pick(call.runnable.as_slice(), call.step);
-            if picked != call.chosen {
-                return None;
-            }
-            signature = fnv1a_pick(signature, picked, call.step);
-            i += 1;
-        }
-        (signature == stored.signature).then_some(stored.slot)
-    }
-}
-
-/// Everything one input's forked units share: the machine snapshot at
-/// the fork point, the recorded prefix pick calls, the in-flight
-/// budget window, and the detector state over the prefix events.
+/// Everything one input's units share: the machine snapshot at the
+/// fork point, the recorded prefix pick calls, the in-flight budget
+/// window, and the detector state over the prefix events. A fork at
+/// instruction zero has no steps, no calls, an empty window, a fresh
+/// detector and 0 bytes.
 struct ForkPrefix {
     snap: Snapshot,
     calls: Vec<PickCall>,
@@ -931,23 +718,41 @@ struct ForkPrefix {
     bytes: u64,
 }
 
+impl ForkPrefix {
+    /// Seed `seed`'s scheduler at the fork point. Every prefix pick had
+    /// a singleton runnable set (the fork point is the first moment two
+    /// threads could interleave), so replaying them returns the same
+    /// forced choices while consuming exactly the RNG the scheduler
+    /// would have consumed executing the prefix itself — afterwards its
+    /// state matches a run from instruction zero at the fork point.
+    fn sched(&self, cfg: &ExplorerConfig, seed: u64) -> Box<dyn Scheduler> {
+        let mut sched = build_sched(cfg, seed);
+        for call in &self.calls {
+            let picked = sched.pick(call.runnable.as_slice(), call.step);
+            debug_assert_eq!(picked, call.chosen, "prefix pick was not forced");
+        }
+        sched
+    }
+}
+
 /// What running one input's shared prefix produced.
 enum PrefixResult {
     /// The program terminated before two threads could ever
     /// interleave: the execution was fully forced, so this single
     /// output serves every seed.
     Finished(Box<UnitOutput>),
-    /// Paused at the first concurrency point; the boxed scheduler is
-    /// seed 0's continuation (already advanced past the prefix), which
+    /// Paused at the fork point; the boxed scheduler is the first
+    /// seed's continuation (already advanced past the prefix), which
     /// the pilot resumes with.
     Forked(Box<ForkPrefix>, Box<dyn Scheduler>),
 }
 
-/// Runs one input's shared prefix: a fresh VM under seed 0's scheduler
-/// (wrapped to record pick calls) up to the first point where ≥ 2
-/// threads could interleave, feeding the prefix events through the
-/// budget window into the prefix detector exactly as a scratch unit
-/// would.
+/// Runs one input's shared prefix: a fresh VM under the first seed's
+/// scheduler (wrapped to record pick calls) up to the first point
+/// where ≥ 2 threads could interleave, feeding the prefix events
+/// through the budget window into the prefix detector exactly as a
+/// unit run from instruction zero would. With fork mode off nothing
+/// runs: the fork point is instruction zero.
 fn run_prefix(
     module: &Module,
     entry: FuncId,
@@ -958,32 +763,34 @@ fn run_prefix(
     let mut rec = RecordingScheduler::new(build_sched(cfg, cfg.base_seed), usize::MAX, 0);
     let mut vm = build_vm(module, entry, input, cfg);
     let mut sink = BudgetSink::fresh(cfg, input_idx, "prefix");
-    match vm.run_until_concurrent(&mut rec, &mut sink) {
-        Some(outcome) => PrefixResult::Finished(Box::new(sink.finish(module, outcome))),
-        None => {
-            let snap = vm.snapshot();
-            PrefixResult::Forked(
-                Box::new(ForkPrefix {
-                    steps: snap.step(),
-                    bytes: snap.approx_bytes(),
-                    snap,
-                    calls: rec.calls,
-                    window: sink.window,
-                    detector: sink.detector,
-                }),
-                rec.inner,
-            )
+    if cfg.fork {
+        if let Some(outcome) = vm.run_until_concurrent(&mut rec, &mut sink) {
+            return PrefixResult::Finished(Box::new(sink.finish(module, outcome)));
         }
     }
+    let snap = vm.snapshot();
+    PrefixResult::Forked(
+        Box::new(ForkPrefix {
+            steps: snap.step(),
+            // A fresh VM's state is not shared work: charge it nothing.
+            bytes: if cfg.fork { snap.approx_bytes() } else { 0 },
+            snap,
+            calls: rec.calls,
+            window: sink.window,
+            detector: sink.detector,
+        }),
+        rec.inner,
+    )
 }
 
 /// Runs one unit from the fork point: forks the prefix detector,
 /// clones the budget window, and resumes the snapshot under `sched`,
 /// continuing the event stream exactly where the prefix left off (a
 /// budget the prefix already broke keeps dropping events). With
-/// `record_hint` set (the pilot) the suffix decision trace comes back
-/// for dedup. The unit's counters equal a scratch run's because its
-/// stats are the shared prefix's stats plus its own suffix activity.
+/// `record_hint` set (the pilot in fork mode) the suffix decision
+/// trace comes back for dedup. The unit's counters equal a run from
+/// instruction zero because its stats are the shared prefix's stats
+/// plus its own suffix activity.
 fn run_forked_unit(
     module: &Module,
     prefix: &ForkPrefix,
@@ -1015,7 +822,7 @@ fn run_forked_unit(
         None => (vm.run(sched.as_mut(), &mut sink), None),
     };
     let mut out = sink.finish(module, outcome);
-    out.forked = true;
+    out.forked = cfg.fork;
     (out, trace)
 }
 
@@ -1030,6 +837,11 @@ struct Claim {
 /// (with `deadline_hit` set) once `deadline` has elapsed. The first
 /// unit always runs; reports found before the cut-off are still
 /// aggregated and deduplicated.
+///
+/// Inputs are swept in order. The calling thread runs each input's
+/// shared prefix and its pilot; the input's remaining seeds then run
+/// through one claim loop, on the calling thread (`workers <= 1`) or
+/// on a scoped pool.
 pub fn explore_with_deadline(
     module: &Module,
     entry: FuncId,
@@ -1044,184 +856,21 @@ pub fn explore_with_deadline(
     } else {
         inputs
     };
-    // The sweep, flattened in deterministic unit order.
-    let units: Vec<(usize, u64)> = (0..inputs.len())
-        .flat_map(|i| (0..cfg.runs_per_input).map(move |k| (i, k)))
-        .collect();
+    // Units in sweep order: input `i`'s seed `k` is unit
+    // `i * per_input + k`.
+    let per_input = cfg.runs_per_input as usize;
     let claim = Mutex::new(Claim {
         next: 0,
         deadline_hit: false,
     });
-    let slots: Vec<Mutex<Option<UnitOutput>>> = units.iter().map(|_| Mutex::new(None)).collect();
-    if cfg.fork {
-        explore_forked(module, entry, inputs, cfg, deadline, start, &units, &claim, &slots);
-    } else {
-        let worker = || {
-            loop {
-                let i = {
-                    let mut c = claim.lock().unwrap_or_else(PoisonError::into_inner);
-                    if c.next >= units.len() {
-                        break;
-                    }
-                    if let Some(d) = deadline {
-                        if c.next > 0 && start.elapsed() >= d {
-                            c.deadline_hit = true;
-                            break;
-                        }
-                    }
-                    let i = c.next;
-                    c.next += 1;
-                    i
-                };
-                let (input_idx, k) = units[i];
-                let out = run_unit(
-                    module,
-                    entry,
-                    &inputs[input_idx],
-                    input_idx,
-                    cfg.base_seed + k,
-                    cfg,
-                );
-                *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
-            }
-        };
-        let workers = cfg.workers.max(1).min(units.len().max(1));
-        if workers <= 1 {
-            worker();
-        } else {
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(worker);
-                }
-            });
-        }
-    }
-
-    // Deterministic merge, in unit order. Claims are a prefix, so the
-    // first empty slot ends the completed range.
-    let mut reports: Vec<RaceReport> = Vec::new();
-    let mut by_key: FxHashMap<(InstRef, InstRef), usize> = FxHashMap::default();
-    let mut outcomes = Vec::new();
-    let mut runs = 0u64;
-    let mut suppressed = 0usize;
-    let mut reports_dropped = 0usize;
-    let mut injected_faults = 0u64;
-    let mut events_elided = 0u64;
-    let mut trace_spilled_bytes = 0u64;
-    let mut trace_spill_segments = 0u64;
-    let mut mem_pressure_events = 0u64;
-    let mut shadow_cells_gced = 0u64;
-    let mut units_aborted_mem_budget = 0u64;
-    let mut predict_candidates = 0u64;
-    let mut predict_witnessed = 0u64;
-    let mut predict_witness_rejected = 0u64;
-    let mut predict_reversal_races = 0u64;
-    let mut predict_capped = 0u64;
-    let mut units_forked = 0u64;
-    let mut prefix_steps_saved = 0u64;
-    let mut schedules_deduped = 0u64;
-    let mut snapshot_bytes = 0u64;
-    for slot in slots {
-        let Some(unit) = slot.into_inner().unwrap_or_else(PoisonError::into_inner) else {
-            break;
-        };
-        runs += 1;
-        suppressed += unit.suppressed;
-        reports_dropped += unit.reports_dropped;
-        injected_faults += unit.outcome.injected_faults.len() as u64;
-        events_elided += unit.events_elided;
-        trace_spilled_bytes += unit.spilled_bytes;
-        trace_spill_segments += unit.spill_segments;
-        mem_pressure_events += unit.pressure_events;
-        shadow_cells_gced += unit.cells_gced;
-        units_aborted_mem_budget += u64::from(unit.mem_budget_aborted);
-        predict_candidates += unit.predict.candidates;
-        predict_witnessed += unit.predict.witnessed;
-        predict_witness_rejected += unit.predict.witness_rejected;
-        predict_reversal_races += unit.predict.reversal_races;
-        predict_capped += unit.predict.capped;
-        units_forked += u64::from(unit.forked);
-        prefix_steps_saved += unit.prefix_steps_saved;
-        schedules_deduped += u64::from(unit.deduped);
-        snapshot_bytes += unit.snapshot_bytes;
-        outcomes.push(unit.outcome);
-        for r in unit.reports {
-            match by_key.entry(r.key()) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(reports.len());
-                    reports.push(r);
-                }
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    // Keep the first unit's report, but adopt a read
-                    // hint from a later duplicate if it has one and
-                    // the kept report does not.
-                    let kept = &mut reports[*e.get()];
-                    if kept.read_hint.is_none() {
-                        kept.read_hint = r.read_hint;
-                    }
-                }
-            }
-        }
-    }
-    // Reports stay in discovery order (unit order, then within-unit
-    // detection order) — the order is already deterministic for any
-    // worker count because units merge by index, and downstream
-    // consumers treat the first report on a global as the
-    // representative one.
-    let deadline_hit = claim
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-        .deadline_hit;
-    ExploreResult {
-        reports,
-        runs,
-        suppressed,
-        reports_dropped,
-        outcomes,
-        injected_faults,
-        events_elided,
-        trace_spilled_bytes,
-        trace_spill_segments,
-        mem_pressure_events,
-        shadow_cells_gced,
-        units_aborted_mem_budget,
-        predict_candidates,
-        predict_witnessed,
-        predict_witness_rejected,
-        predict_reversal_races,
-        predict_capped,
-        units_forked,
-        prefix_steps_saved,
-        schedules_deduped,
-        snapshot_bytes,
-        deadline_hit,
-    }
-}
-
-/// The fork-mode sweep driver. Inputs are processed sequentially: the
-/// claiming thread runs the input's shared prefix and its pilot unit,
-/// then a per-input worker pool fans the remaining seeds out from the
-/// snapshot. Units are still claimed strictly in sweep order from the
-/// same global claim state as the scratch path, so completed units
-/// form a contiguous prefix and the deadline semantics are unchanged.
-#[allow(clippy::too_many_arguments)]
-fn explore_forked(
-    module: &Module,
-    entry: FuncId,
-    inputs: &[ProgramInput],
-    cfg: &ExplorerConfig,
-    deadline: Option<Duration>,
-    start: Instant,
-    units: &[(usize, u64)],
-    claim: &Mutex<Claim>,
-    slots: &[Mutex<Option<UnitOutput>>],
-) {
-    let per_input = cfg.runs_per_input as usize;
+    let slots: Vec<Mutex<Option<UnitOutput>>> = (0..inputs.len() * per_input)
+        .map(|_| Mutex::new(None))
+        .collect();
     // Claims the next unit, refusing to cross `limit` (the end of the
     // current input — later inputs' prefixes have not run yet).
     let try_claim = |limit: usize| -> Option<usize> {
         let mut c = claim.lock().unwrap_or_else(PoisonError::into_inner);
-        if c.next >= limit || c.next >= units.len() {
+        if c.next >= limit {
             return None;
         }
         if let Some(d) = deadline {
@@ -1230,18 +879,17 @@ fn explore_forked(
                 return None;
             }
         }
-        let i = c.next;
         c.next += 1;
-        Some(i)
+        Some(c.next - 1)
     };
     let fill = |i: usize, out: UnitOutput| {
         *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
     };
     for (input_idx, input) in inputs.iter().enumerate() {
-        let Some(first) = try_claim(units.len()) else {
+        let Some(first) = try_claim(slots.len()) else {
             break;
         };
-        debug_assert_eq!(units[first], (input_idx, 0));
+        debug_assert_eq!(first, input_idx * per_input);
         let limit = first + per_input;
         match run_prefix(module, entry, input, input_idx, cfg) {
             PrefixResult::Finished(template) => {
@@ -1249,158 +897,63 @@ fn explore_forked(
                 // marched through the same singleton picks, so one
                 // execution serves all of them.
                 let steps = template.outcome.steps;
-                fill(first, (*template).clone());
                 while let Some(i) = try_claim(limit) {
-                    let mut out = (*template).clone();
-                    out.deduped = true;
-                    out.prefix_steps_saved = steps;
-                    fill(i, out);
+                    fill(i, template.reused(steps));
                 }
+                fill(first, *template);
             }
             PrefixResult::Forked(prefix, pilot_sched) => {
-                let (mut pilot_out, trace) = run_forked_unit(
+                let record =
+                    cfg.fork.then(|| cfg.expected_steps.min(DEDUP_TRACE_CAP as u64) as usize);
+                let (mut pilot, trace) = run_forked_unit(
                     module,
                     &prefix,
                     pilot_sched,
-                    Some(cfg.expected_steps.min(DEDUP_TRACE_CAP as u64) as usize),
+                    record,
                     input_idx,
                     cfg.base_seed,
                     cfg,
                 );
-                pilot_out.snapshot_bytes = prefix.bytes;
-                let pilot = trace.expect("pilot records its trace");
-                fill(first, pilot_out);
-                // Clones the already-filled slot a deduped unit
-                // collapses to, relabeling the counters: a deduped
-                // unit did no forked work of its own.
-                let dedup_clone = |slot: usize| {
-                    let mut out = slots[slot]
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .as_ref()
-                        .expect("matched slot is filled")
-                        .clone();
-                    out.forked = false;
-                    out.deduped = true;
-                    out.prefix_steps_saved = prefix.steps;
-                    out.snapshot_bytes = 0;
-                    out
-                };
-                let workers = cfg.workers.max(1).min(per_input.saturating_sub(1).max(1));
-                if workers <= 1 {
-                    // Serial sweep: every executed unit records its
-                    // realized suffix schedule into a decision trie,
-                    // and each new seed is probed against *every*
-                    // already-run schedule with one trie walk before
-                    // it is allowed to execute. Claim order is unit
-                    // order here, so the trie contents at each probe
-                    // — and with them every fork counter — are
-                    // deterministic.
-                    let mut trie = TraceTrie::default();
-                    let mut hint = pilot.calls.len();
-                    if !pilot.truncated {
-                        trie.insert(pilot, first);
-                    }
-                    let mut misses = 0usize;
-                    let mut dedup_on = true;
+                pilot.snapshot_bytes = prefix.bytes;
+                // The dedup key: the pilot's complete suffix schedule.
+                // A truncated one, or none (fork mode off), dedups
+                // nothing.
+                let key = trace.filter(|t| !t.truncated);
+                let sweep = || {
                     while let Some(i) = try_claim(limit) {
-                        let (_, k) = units[i];
-                        let seed = cfg.base_seed + k;
-                        let mut sk = build_sched(cfg, seed);
-                        fast_forward(sk.as_mut(), &prefix.calls);
-                        // One trie walk probes every recorded
-                        // schedule at once: shared prefixes cost a
-                        // single pick, and the walk is bounded by the
-                        // longest recorded suffix, not by the number
-                        // of stored traces.
-                        let probed = if dedup_on { trie.probe(sk.as_mut()) } else { None };
-                        let out = match probed {
-                            Some(slot) => {
-                                misses = 0;
-                                dedup_clone(slot)
-                            }
-                            None => {
-                                // A failed walk consumed RNG draws
-                                // against the recorded runnable sets,
-                                // so the real run starts from a
-                                // rebuilt, re-fast-forwarded
-                                // scheduler (unless nothing probed and
-                                // nothing was consumed).
-                                let sched = if dedup_on && !trie.is_empty() {
-                                    let mut fresh = build_sched(cfg, seed);
-                                    fast_forward(fresh.as_mut(), &prefix.calls);
-                                    fresh
-                                } else {
-                                    sk
-                                };
-                                let record = dedup_on.then_some(hint);
-                                let (mut out, t) = run_forked_unit(
-                                    module, &prefix, sched, record, input_idx, seed, cfg,
-                                );
-                                out.prefix_steps_saved = prefix.steps;
-                                if let Some(t) = t {
-                                    if !t.truncated {
-                                        hint = t.calls.len();
-                                        trie.insert(t, i);
-                                    }
-                                }
-                                if dedup_on {
-                                    misses += 1;
-                                    if misses >= DEDUP_PATIENCE {
-                                        dedup_on = false;
-                                    }
-                                }
-                                out
-                            }
+                        let seed = cfg.base_seed + (i - first) as u64;
+                        let deduped = key
+                            .as_ref()
+                            .is_some_and(|t| matches_trace(prefix.sched(cfg, seed).as_mut(), t));
+                        let out = if deduped {
+                            pilot.reused(prefix.steps)
+                        } else {
+                            let (mut out, _) = run_forked_unit(
+                                module,
+                                &prefix,
+                                prefix.sched(cfg, seed),
+                                None,
+                                input_idx,
+                                seed,
+                                cfg,
+                            );
+                            out.prefix_steps_saved = prefix.steps;
+                            out
                         };
                         fill(i, out);
                     }
+                };
+                let workers = cfg.workers.max(1).min(per_input.saturating_sub(1).max(1));
+                if workers <= 1 {
+                    sweep();
                 } else {
-                    // Parallel sweep: workers race for units, so the
-                    // set of completed traces at any probe is timing-
-                    // dependent. Only the pilot's schedule — complete
-                    // before any worker starts — is a deterministic
-                    // dedup key, so parallel sweeps dedup against the
-                    // pilot alone (the serial sweep is the thorough
-                    // one; parallelism trades dedup reach for cores).
-                    let worker = || {
-                        while let Some(i) = try_claim(limit) {
-                            let (_, k) = units[i];
-                            let seed = cfg.base_seed + k;
-                            let mut sk = build_sched(cfg, seed);
-                            fast_forward(sk.as_mut(), &prefix.calls);
-                            let deduped = !pilot.truncated && matches_trace(sk.as_mut(), &pilot);
-                            let out = if deduped {
-                                dedup_clone(first)
-                            } else {
-                                // After a mismatch `sk` has consumed
-                                // RNG against the pilot's runnable
-                                // sets; rebuild it clean. A truncated
-                                // pilot skips the check, so `sk` is
-                                // untouched past the prefix and can
-                                // run directly.
-                                let sched = if pilot.truncated {
-                                    sk
-                                } else {
-                                    let mut fresh = build_sched(cfg, seed);
-                                    fast_forward(fresh.as_mut(), &prefix.calls);
-                                    fresh
-                                };
-                                let (mut out, _) = run_forked_unit(
-                                    module, &prefix, sched, None, input_idx, seed, cfg,
-                                );
-                                out.prefix_steps_saved = prefix.steps;
-                                out
-                            };
-                            fill(i, out);
-                        }
-                    };
                     std::thread::scope(|s| {
                         for _ in 0..workers {
-                            s.spawn(worker);
+                            s.spawn(sweep);
                         }
                     });
                 }
+                fill(first, pilot);
             }
         }
         if claim
@@ -1411,6 +964,61 @@ fn explore_forked(
             break;
         }
     }
+
+    // Deterministic merge, in unit order. Claims are a prefix, so the
+    // first empty slot ends the completed range.
+    let mut merged = ExploreResult::default();
+    let mut by_key: FxHashMap<(InstRef, InstRef), usize> = FxHashMap::default();
+    for slot in slots {
+        let Some(unit) = slot.into_inner().unwrap_or_else(PoisonError::into_inner) else {
+            break;
+        };
+        merged.runs += 1;
+        merged.suppressed += unit.suppressed;
+        merged.reports_dropped += unit.reports_dropped;
+        merged.injected_faults += unit.outcome.injected_faults.len() as u64;
+        merged.events_elided += unit.events_elided;
+        merged.trace_spilled_bytes += unit.spilled_bytes;
+        merged.trace_spill_segments += unit.spill_segments;
+        merged.mem_pressure_events += unit.pressure_events;
+        merged.shadow_cells_gced += unit.cells_gced;
+        merged.units_aborted_mem_budget += u64::from(unit.mem_budget_aborted);
+        merged.predict_candidates += unit.predict.candidates;
+        merged.predict_witnessed += unit.predict.witnessed;
+        merged.predict_witness_rejected += unit.predict.witness_rejected;
+        merged.predict_reversal_races += unit.predict.reversal_races;
+        merged.predict_capped += unit.predict.capped;
+        merged.units_forked += u64::from(unit.forked);
+        merged.prefix_steps_saved += unit.prefix_steps_saved;
+        merged.schedules_deduped += u64::from(unit.deduped);
+        merged.snapshot_bytes += unit.snapshot_bytes;
+        merged.outcomes.push(unit.outcome);
+        // Reports stay in discovery order (unit order, then
+        // within-unit detection order); downstream consumers treat the
+        // first report on a global as the representative one.
+        for r in unit.reports {
+            match by_key.entry(r.key()) {
+                std::collections::hash_map::Entry::Vacant(e) => {
+                    e.insert(merged.reports.len());
+                    merged.reports.push(r);
+                }
+                std::collections::hash_map::Entry::Occupied(e) => {
+                    // Keep the first unit's report, but adopt a read
+                    // hint from a later duplicate if it has one and
+                    // the kept report does not.
+                    let kept = &mut merged.reports[*e.get()];
+                    if kept.read_hint.is_none() {
+                        kept.read_hint = r.read_hint;
+                    }
+                }
+            }
+        }
+    }
+    merged.deadline_hit = claim
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+        .deadline_hit;
+    merged
 }
 
 /// Repeatedly executes `module` under fresh random schedules until
@@ -1658,7 +1266,7 @@ mod tests {
         assert!(forked.units_forked > 0, "{forked:?}");
         assert!(forked.prefix_steps_saved > 0, "{forked:?}");
         assert!(forked.snapshot_bytes > 0, "{forked:?}");
-        // Scratch mode reports all fork counters as zero.
+        // A fork at instruction zero reports all fork counters as zero.
         assert_eq!(
             (
                 scratch.units_forked,
@@ -1736,14 +1344,22 @@ mod tests {
                     r.trace_spilled_bytes,
                     r.trace_spill_segments,
                     r.mem_pressure_events,
-                    r.shadow_cells_gced
+                    r.shadow_cells_gced,
+                    r.units_forked,
+                    r.prefix_steps_saved,
+                    r.schedules_deduped,
+                    r.snapshot_bytes
                 ),
                 (
                     one.runs,
                     one.trace_spilled_bytes,
                     one.trace_spill_segments,
                     one.mem_pressure_events,
-                    one.shadow_cells_gced
+                    one.shadow_cells_gced,
+                    one.units_forked,
+                    one.prefix_steps_saved,
+                    one.schedules_deduped,
+                    one.snapshot_bytes
                 ),
                 "workers {workers}"
             );

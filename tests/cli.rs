@@ -422,6 +422,13 @@ fn explore_workers_and_hb_backend_flags() {
     assert!(epoch.contains("finding on `db`"), "{epoch}");
     assert!(reference.contains("finding on `db`"), "{reference}");
 
+    // `run --json` carries no timings, so the whole document — fork
+    // counters included — is byte-identical at any worker count.
+    // Memcached is the program whose sweep dedups units.
+    let serial = run_ok(&["run", "Memcached", "--quick", "--json", "--explore-workers", "1"]);
+    let pooled = run_ok(&["run", "Memcached", "--quick", "--json", "--explore-workers", "4"]);
+    assert_eq!(serial, pooled);
+
     // Bad values are rejected up front with a useful message.
     let zero = cli()
         .args(["run", "SSDB", "--quick", "--explore-workers", "0"])
