@@ -7,9 +7,9 @@
 //! so the VM's interpretation cost is excluded from the timed window.
 //! Alongside the per-iteration timings this target emits derived
 //! metrics (`events_per_sec_*`, `predict_capped_*`, `epoch_speedup`,
-//! `epoch_fast_path_rate`, `explore_wall_us_workers_*`,
-//! `fork_speedup_*`, `prefix_share_ratio`, `dedup_ratio`) into
-//! `BENCH_detect.json`.
+//! `epoch_fast_path_rate`, `elision_points_to_us`, `elision_classify_us`,
+//! `explore_wall_us_workers_*`, `fork_speedup_*`, `prefix_share_ratio`,
+//! `dedup_ratio`) into `BENCH_detect.json`.
 
 #[cfg(feature = "criterion")]
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -17,7 +17,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use owl_bench::harness::{criterion_group, criterion_main, Criterion};
 use owl::json::Json;
 use owl_bench::harness::metric;
-use owl_ir::analysis::ElisionMap;
+use owl_ir::analysis::{ElisionMap, PointsTo};
 use owl_ir::{FuncId, FxHashSet, InstRef, ModuleBuilder, Module, Type};
 use owl_race::{explore, ExplorerConfig, HbBackend, HbConfig, HbDetector, StreamConfig};
 use owl_vm::{ProgramInput, RandomScheduler, RunConfig, TraceEvent, TraceSink, VecSink, Vm};
@@ -129,6 +129,28 @@ fn mean_replay_secs(events: &[TraceEvent], backend: HbBackend) -> f64 {
         black_box(replay(events, backend));
     }
     t0.elapsed().as_secs_f64() / f64::from(reps)
+}
+
+/// Median and interquartile spread of `secs`, in microseconds.
+fn median_spread_us(mut secs: Vec<f64>) -> (u64, u64) {
+    secs.sort_by(f64::total_cmp);
+    let at = |q: usize| (secs[(secs.len() - 1) * q / 4] * 1e6) as u64;
+    (at(2), at(3) - at(1))
+}
+
+/// Seconds per call of each of `runs`, over `reps` rounds that call
+/// them in turn, so that load on a shared host falls on all of them
+/// alike.
+fn alternating_secs<const N: usize>(reps: usize, runs: [&dyn Fn(); N]) -> [Vec<f64>; N] {
+    let mut secs: [Vec<f64>; N] = std::array::from_fn(|_| Vec::with_capacity(reps));
+    for _ in 0..reps {
+        for (run, out) in runs.iter().zip(&mut secs) {
+            let t0 = Instant::now();
+            run();
+            out.push(t0.elapsed().as_secs_f64());
+        }
+    }
+    secs
 }
 
 /// The predictive backends, named as their metrics are.
@@ -283,6 +305,23 @@ fn bench_detector_replay(c: &mut Criterion) {
             Json::UInt((small_events.len() as f64 / secs) as u64),
         );
     }
+
+    // What the pre-pass itself costs on this workload, phase by phase:
+    // the points-to solve, and classification over one solution.
+    let pts = PointsTo::new(&m);
+    let [solve, classify] = alternating_secs(
+        11,
+        [
+            &|| {
+                black_box(PointsTo::new(&m));
+            },
+            &|| {
+                black_box(ElisionMap::analyze_with(&m, entry, &pts));
+            },
+        ],
+    );
+    metric("elision_points_to_us", Json::UInt(median_spread_us(solve).0));
+    metric("elision_classify_us", Json::UInt(median_spread_us(classify).0));
 
     // Per-class elided-site fractions plus how much of the trace the
     // elision actually removed from the shadow-memory path.
@@ -460,6 +499,10 @@ fn bench_explore_scaling(c: &mut Criterion) {
 /// snapshot prefix avoided re-executing, `dedup_ratio` the fraction of
 /// seed units that realized their input's pilot schedule and reused
 /// its result.
+///
+/// Each program's two modes run in turn, `FORK_REPS` rounds, and each
+/// row is the median with its interquartile spread, so that load on a
+/// shared host falls on both modes alike and a row's noise is in view.
 fn bench_fork_prefix(c: &mut Criterion) {
     // A seed-sweep-shaped budget: enough seeds per input that the
     // shared prefix is amortized the way `run`/`campaign` amortize it.
@@ -474,8 +517,8 @@ fn bench_fork_prefix(c: &mut Criterion) {
     };
 
     let mut group = c.benchmark_group("fork");
-    let mut forked_total = 0.0f64;
-    let mut scratch_total = 0.0f64;
+    let mut forked_total = 0u64;
+    let mut scratch_total = 0u64;
     let mut steps_total = 0u64;
     let mut saved_total = 0u64;
     let mut deduped_total = 0u64;
@@ -502,31 +545,17 @@ fn bench_fork_prefix(c: &mut Criterion) {
             b.iter(|| explore(&p.module, p.entry, &p.workloads, &scratch_cfg))
         });
 
-        // Best-of-reps: the min is the standard low-noise wall-time
-        // estimator on a shared box, and it is applied symmetrically
-        // to both modes.
-        let best = |cfg: &ExplorerConfig| {
-            (0..3)
-                .map(|_| {
-                    let t0 = Instant::now();
-                    black_box(explore(&p.module, p.entry, &p.workloads, cfg));
-                    t0.elapsed().as_secs_f64()
-                })
-                .fold(f64::INFINITY, f64::min)
+        let sweep = |cfg: &ExplorerConfig| {
+            black_box(explore(&p.module, p.entry, &p.workloads, cfg));
         };
-        let forked_secs = best(&forked_cfg);
-        let scratch_secs = best(&scratch_cfg);
-        forked_total += forked_secs;
-        scratch_total += scratch_secs;
-        metric(
-            &format!("explore_forked_us_{tag}"),
-            Json::UInt((forked_secs * 1e6) as u64),
-        );
-        metric(
-            &format!("explore_scratch_us_{tag}"),
-            Json::UInt((scratch_secs * 1e6) as u64),
-        );
-        metric(&format!("fork_speedup_{tag}"), Json::Float(scratch_secs / forked_secs));
+        let [forked_us, scratch_us] = alternating_secs(
+            FORK_REPS,
+            [&|| sweep(&forked_cfg), &|| sweep(&scratch_cfg)],
+        )
+        .map(median_spread_us);
+        forked_total += forked_us.0;
+        scratch_total += scratch_us.0;
+        fork_metrics(&tag, forked_us, scratch_us);
         metric(&format!("units_forked_{tag}"), Json::UInt(forked.units_forked));
         metric(
             &format!("prefix_steps_saved_{tag}"),
@@ -545,9 +574,12 @@ fn bench_fork_prefix(c: &mut Criterion) {
     }
     group.finish();
 
-    metric("explore_forked_us_total", Json::UInt((forked_total * 1e6) as u64));
-    metric("explore_scratch_us_total", Json::UInt((scratch_total * 1e6) as u64));
-    metric("fork_speedup_total", Json::Float(scratch_total / forked_total));
+    metric("explore_forked_us_total", Json::UInt(forked_total));
+    metric("explore_scratch_us_total", Json::UInt(scratch_total));
+    metric(
+        "fork_speedup_total",
+        Json::Float(scratch_total as f64 / forked_total as f64),
+    );
     metric(
         "prefix_share_ratio",
         Json::Float(if steps_total == 0 { 0.0 } else { saved_total as f64 / steps_total as f64 }),
@@ -580,20 +612,15 @@ fn bench_fork_prefix(c: &mut Criterion) {
         b.iter(|| explore(&sm, s_entry, &s_input, &scratch_cfg))
     });
     group.finish();
-    let best = |cfg: &ExplorerConfig| {
-        (0..3)
-            .map(|_| {
-                let t0 = Instant::now();
-                black_box(explore(&sm, s_entry, &s_input, cfg));
-                t0.elapsed().as_secs_f64()
-            })
-            .fold(f64::INFINITY, f64::min)
+    let sweep = |cfg: &ExplorerConfig| {
+        black_box(explore(&sm, s_entry, &s_input, cfg));
     };
-    let forked_secs = best(&forked_cfg);
-    let scratch_secs = best(&scratch_cfg);
-    metric("explore_forked_us_startup", Json::UInt((forked_secs * 1e6) as u64));
-    metric("explore_scratch_us_startup", Json::UInt((scratch_secs * 1e6) as u64));
-    metric("fork_speedup_startup", Json::Float(scratch_secs / forked_secs));
+    let [forked_us, scratch_us] = alternating_secs(
+        FORK_REPS,
+        [&|| sweep(&forked_cfg), &|| sweep(&scratch_cfg)],
+    )
+    .map(median_spread_us);
+    fork_metrics("startup", forked_us, scratch_us);
     metric("prefix_steps_saved_startup", Json::UInt(forked.prefix_steps_saved));
     metric("schedules_deduped_startup", Json::UInt(forked.schedules_deduped));
     metric("snapshot_bytes_startup", Json::UInt(forked.snapshot_bytes));
@@ -601,6 +628,22 @@ fn bench_fork_prefix(c: &mut Criterion) {
     metric(
         "prefix_share_ratio_startup",
         Json::Float(if steps == 0 { 0.0 } else { forked.prefix_steps_saved as f64 / steps as f64 }),
+    );
+}
+
+/// Rounds of each fork-mode timing in [`bench_fork_prefix`].
+const FORK_REPS: usize = 9;
+
+/// The timing rows of one [`bench_fork_prefix`] sweep: median and
+/// spread per mode, in microseconds, and the ratio of the medians.
+fn fork_metrics(tag: &str, forked_us: (u64, u64), scratch_us: (u64, u64)) {
+    metric(&format!("explore_forked_us_{tag}"), Json::UInt(forked_us.0));
+    metric(&format!("explore_forked_spread_us_{tag}"), Json::UInt(forked_us.1));
+    metric(&format!("explore_scratch_us_{tag}"), Json::UInt(scratch_us.0));
+    metric(&format!("explore_scratch_spread_us_{tag}"), Json::UInt(scratch_us.1));
+    metric(
+        &format!("fork_speedup_{tag}"),
+        Json::Float(scratch_us.0 as f64 / forked_us.0 as f64),
     );
 }
 

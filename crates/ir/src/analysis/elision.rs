@@ -36,6 +36,10 @@
 //! or one indirect call with no resolved targets, poisons the whole
 //! module and nothing is elided ([`ElisionStats::poisoned`]).
 //!
+//! Accesses borrow their location sets from the points-to solution as
+//! dense ids, which index every per-location table. Each function's
+//! block-entry locksets are recomputed only when its entry set changes.
+//!
 //! Soundness contract consumed by `owl_race`: if a site is elided, no
 //! execution has a racing access pair involving that site, so skipping
 //! its shadow lookup/update changes neither the report stream nor the
@@ -46,7 +50,7 @@ use super::dom::DomTree;
 use super::loops::LoopInfo;
 use super::pointsto::{AbsLoc, PointsTo};
 use crate::hash::FxHashSet;
-use crate::ids::{FuncId, GlobalId, InstId, InstRef};
+use crate::ids::{BlockId, FuncId, GlobalId, InstId, InstRef};
 use crate::inst::{Callee, Inst, Operand};
 use crate::module::Module;
 use serde::{Deserialize, Serialize};
@@ -106,21 +110,34 @@ pub struct ElisionMap {
 }
 
 /// One may-access of one abstract location set.
-struct Access {
+struct Access<'a> {
     site: InstRef,
     write: bool,
     /// Plain `Load`/`Store` — a candidate for elision. `MemCopy`
     /// accesses participate in proofs but are never elided themselves.
     candidate: bool,
-    locs: Vec<AbsLoc>,
+    /// The ids of the locations the address may point to, borrowed
+    /// from the points-to solution.
+    locs: &'a [u32],
 }
 
-/// Which thread roots can reach a function.
+/// Which thread roots can reach a function, or access a location.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Reach {
     None,
     One(usize),
     Many,
+}
+
+impl Reach {
+    /// Adds the roots of `other`.
+    fn merge(self, other: Reach) -> Reach {
+        match (self, other) {
+            (Reach::None, r) | (r, Reach::None) => r,
+            (Reach::One(a), Reach::One(b)) if a == b => self,
+            _ => Reach::Many,
+        }
+    }
 }
 
 /// Locks a function (or its transitive callees) may release.
@@ -290,58 +307,67 @@ impl<'a> Analysis<'a> {
             poisoned,
             ..ElisionStats::default()
         };
-        let mut classes = BTreeMap::new();
+        let mut classes = Vec::new();
 
         if !poisoned {
-            // Per-location access index.
-            let mut by_loc: BTreeMap<AbsLoc, (bool, Vec<usize>)> = BTreeMap::new();
-            for (i, a) in accesses.iter().enumerate() {
-                for &l in &a.locs {
-                    let e = by_loc.entry(l).or_default();
-                    e.0 |= a.write;
-                    e.1.push(i);
+            // Per location: the roots reaching its access sites
+            // (`Reach::None`: never accessed), and whether one writes.
+            let locs = self.pts.locations();
+            let mut reach = vec![Reach::None; locs.len()];
+            let mut written = vec![false; locs.len()];
+            for a in &accesses {
+                let r = self.reach[a.site.func.index()];
+                for &l in a.locs {
+                    reach[l as usize] = reach[l as usize].merge(r);
+                    written[l as usize] |= a.write;
                 }
             }
-            stats.locations = by_loc.len();
+            stats.locations = reach.iter().filter(|r| **r != Reach::None).count();
 
             let escaped = self.escape_set();
             let locksets = LocksetAnalysis::solve(&self);
 
-            let mut loc_class: BTreeMap<AbsLoc, ElisionClass> = BTreeMap::new();
-            for (&loc, (has_write, idxs)) in &by_loc {
-                if matches!(loc, AbsLoc::Func(_)) {
-                    continue; // code, not data memory
+            let mut loc_class = vec![None; locs.len()];
+            for (l, loc) in locs.iter().enumerate() {
+                if reach[l] == Reach::None || matches!(loc, AbsLoc::Func(_)) {
+                    continue; // unaccessed, or code rather than data memory
                 }
-                let class = if self.thread_local(loc, idxs, &accesses, &escaped) {
+                // Non-escaping allocation sites: every dynamic instance
+                // is private to its allocating thread, even when the
+                // allocating function runs on many threads (instances
+                // never share a concrete address — the VM never recycles
+                // allocations). Otherwise root confinement: every access
+                // site lives in code only one single-instance thread
+                // root can reach.
+                let private = matches!(loc, AbsLoc::Alloca(_) | AbsLoc::Heap(_)) && !escaped[l];
+                let class = if private || matches!(reach[l], Reach::One(r) if self.single[r]) {
                     ElisionClass::ThreadLocal
-                } else if !has_write {
+                } else if !written[l] {
                     ElisionClass::ReadOnlyShared
-                } else if locksets.common_lock(loc) {
+                } else if locksets.common_lock(l) {
                     ElisionClass::LockDominated
                 } else {
                     continue;
                 };
-                loc_class.insert(loc, class);
+                loc_class[l] = Some(class);
             }
-            stats.locations_elidable = loc_class.len();
+            stats.locations_elidable = loc_class.iter().flatten().count();
 
-            for a in accesses.iter().filter(|a| a.candidate) {
-                let Some(cls) = a
-                    .locs
-                    .iter()
-                    .map(|l| loc_class.get(l).copied())
-                    .collect::<Option<Vec<_>>>()
-                else {
-                    continue;
-                };
-                let class = if cls.iter().all(|c| *c == ElisionClass::ThreadLocal) {
+            'sites: for a in accesses.iter().filter(|a| a.candidate) {
+                let (mut local, mut locked) = (true, false);
+                for &l in a.locs {
+                    let Some(c) = loc_class[l as usize] else {
+                        continue 'sites;
+                    };
+                    local &= c == ElisionClass::ThreadLocal;
+                    locked |= c == ElisionClass::LockDominated;
+                }
+                let class = if local {
                     ElisionClass::ThreadLocal
-                } else if !a.write
-                    && cls.iter().all(|c| *c != ElisionClass::LockDominated)
-                {
+                } else if !a.write && !locked {
                     ElisionClass::ReadOnlyShared
                 } else {
-                    debug_assert!(a.write || cls.contains(&ElisionClass::LockDominated));
+                    debug_assert!(a.write || locked);
                     ElisionClass::LockDominated
                 };
                 match class {
@@ -350,11 +376,14 @@ impl<'a> Analysis<'a> {
                     ElisionClass::LockDominated => stats.lock_dominated += 1,
                 }
                 stats.sites_elided += 1;
-                classes.insert(a.site, class);
+                classes.push((a.site, class));
             }
         }
 
-        ElisionMap { classes, stats }
+        ElisionMap {
+            classes: classes.into_iter().collect(),
+            stats,
+        }
     }
 
     /// Thread roots (entry first, then distinct spawn targets), the
@@ -375,11 +404,7 @@ impl<'a> Analysis<'a> {
             let mut work = VecDeque::from([root]);
             visited[root.index()] = true;
             while let Some(f) = work.pop_front() {
-                self.reach[f.index()] = match self.reach[f.index()] {
-                    Reach::None => Reach::One(ri),
-                    Reach::One(r) if r == ri => Reach::One(r),
-                    _ => Reach::Many,
-                };
+                self.reach[f.index()] = self.reach[f.index()].merge(Reach::One(ri));
                 for targets in self.calls[f.index()].values() {
                     for &t in targets {
                         if !visited[t.index()] {
@@ -429,7 +454,8 @@ impl<'a> Analysis<'a> {
     }
 
     /// All may-accesses in root-reachable internal functions.
-    fn collect_accesses(&self) -> Vec<Access> {
+    fn collect_accesses(&self) -> Vec<Access<'a>> {
+        let pts = self.pts;
         let mut out = Vec::new();
         for (fi, f) in self.m.funcs.iter().enumerate() {
             if !f.is_internal || self.reach[fi] == Reach::None {
@@ -443,7 +469,7 @@ impl<'a> Analysis<'a> {
                         site,
                         write,
                         candidate,
-                        locs: self.pts.pts_operand(fid, addr).iter().copied().collect(),
+                        locs: pts.operand_locs(fid, addr),
                     });
                 }
             }
@@ -451,13 +477,16 @@ impl<'a> Analysis<'a> {
         out
     }
 
-    /// Locations another thread could ever name: every global, every
-    /// `ThreadCreate` argument's points-to set, and the transitive
-    /// closure of their cell contents. Allocation sites outside this
-    /// set are only ever addressed by the thread that allocated them.
-    fn escape_set(&self) -> BTreeSet<AbsLoc> {
-        let mut escaped: BTreeSet<AbsLoc> = (0..self.m.globals.len())
-            .map(|i| AbsLoc::Global(GlobalId::from_index(i)))
+    /// Locations another thread could ever name, by location id: every
+    /// global, every `ThreadCreate` argument's points-to set, and the
+    /// transitive closure of their cell contents. Allocation sites
+    /// outside this set are only ever addressed by the thread that
+    /// allocated them.
+    fn escape_set(&self) -> Vec<bool> {
+        let locs = self.pts.locations();
+        let mut escaped = vec![false; locs.len()];
+        let mut work: Vec<u32> = (0..locs.len() as u32)
+            .filter(|&l| matches!(locs[l as usize], AbsLoc::Global(_)))
             .collect();
         for (fi, f) in self.m.funcs.iter().enumerate() {
             if !f.is_internal || self.reach[fi] == Reach::None {
@@ -466,46 +495,29 @@ impl<'a> Analysis<'a> {
             let fid = FuncId::from_index(fi);
             for (_, inst) in f.iter_insts() {
                 if let Inst::ThreadCreate { arg, .. } = inst {
-                    escaped.extend(self.pts.pts_operand(fid, *arg).iter().copied());
+                    work.extend(self.pts.operand_locs(fid, *arg));
                 }
             }
         }
-        let mut work: VecDeque<AbsLoc> = escaped.iter().copied().collect();
-        while let Some(l) = work.pop_front() {
-            for &l2 in self.pts.cell(l) {
-                if escaped.insert(l2) {
-                    work.push_back(l2);
-                }
+        while let Some(l) = work.pop() {
+            if !std::mem::replace(&mut escaped[l as usize], true) {
+                work.extend(self.pts.cell_locs(l));
             }
         }
         escaped
     }
+}
 
-    fn thread_local(
-        &self,
-        loc: AbsLoc,
-        idxs: &[usize],
-        accesses: &[Access],
-        escaped: &BTreeSet<AbsLoc>,
-    ) -> bool {
-        // Non-escaping allocation sites: every dynamic instance is
-        // private to its allocating thread, even when the allocating
-        // function runs on many threads (instances never share a
-        // concrete address — the VM never recycles allocations).
-        if matches!(loc, AbsLoc::Alloca(_) | AbsLoc::Heap(_)) && !escaped.contains(&loc) {
-            return true;
-        }
-        // Root confinement: every access site lives in code only one
-        // single-instance thread root can reach.
-        let mut root = None;
-        for &i in idxs {
-            match self.reach[accesses[i].site.func.index()] {
-                Reach::One(r) if root.is_none() || root == Some(r) => root = Some(r),
-                _ => return false,
-            }
-        }
-        root.is_some_and(|r| self.single[r])
-    }
+/// One function's CFG, built once, with its block-entry locksets and
+/// the entry lockset they were computed from.
+struct Flow {
+    cfg: Cfg,
+    rpo: Vec<BlockId>,
+    /// Every edge out of a reachable block goes forward in `rpo`, so
+    /// one pass in reverse postorder reaches the fixpoint.
+    acyclic: bool,
+    entry: Option<BTreeSet<GlobalId>>,
+    block_in: Vec<Lockset>,
 }
 
 /// Interprocedural must-lockset solution.
@@ -514,11 +526,12 @@ struct LocksetAnalysis<'a> {
     universe: BTreeSet<GlobalId>,
     released: Vec<Released>,
     entry_sets: Vec<Lockset>,
-    /// Per abstract location, the meet of the must-locksets held at
-    /// its access sites. Sites in dead blocks never execute and
-    /// constrain nothing, so a location whose every site is dead stays
-    /// ⊤ (`None`).
-    common: BTreeMap<AbsLoc, Lockset>,
+    flows: Vec<Option<Flow>>,
+    /// Per location id, the meet of the must-locksets held at its
+    /// access sites. Sites in dead blocks never execute and constrain
+    /// nothing, so a location whose every site is dead stays ⊤
+    /// (`None`).
+    common: Vec<Lockset>,
 }
 
 impl<'a> LocksetAnalysis<'a> {
@@ -545,23 +558,25 @@ impl<'a> LocksetAnalysis<'a> {
             }
         }
 
+        let n = a.m.funcs.len();
         let mut s = LocksetAnalysis {
             a,
             universe,
-            released: vec![Released::Set(BTreeSet::new()); a.m.funcs.len()],
-            entry_sets: vec![None; a.m.funcs.len()],
-            common: BTreeMap::new(),
+            released: vec![Released::Set(BTreeSet::new()); n],
+            entry_sets: vec![None; n],
+            flows: (0..n).map(|_| None).collect(),
+            common: Vec::new(),
         };
         s.solve_released();
         s.solve_entry_sets();
-        let mut common: BTreeMap<AbsLoc, Lockset> = BTreeMap::new();
+        let mut common = vec![None; a.pts.locations().len()];
         for (fi, f) in a.m.funcs.iter().enumerate() {
             if f.is_internal && a.reach[fi] != Reach::None {
                 let fid = FuncId::from_index(fi);
-                s.sweep(fid, &s.intra_flow(fid), |i, st| {
+                s.sweep(fid, |i, st| {
                     for (addr, _, _) in accessed(f.inst(i)) {
-                        for &l in a.pts.pts_operand(fid, addr) {
-                            meet(common.entry(l).or_default(), st);
+                        for &l in a.pts.operand_locs(fid, addr) {
+                            meet(&mut common[l as usize], st);
                         }
                     }
                 });
@@ -571,42 +586,42 @@ impl<'a> LocksetAnalysis<'a> {
         s
     }
 
-    /// Fixpoint of the may-release summaries over the call graph.
+    /// Fixpoint of the may-release summaries over the call graph: what
+    /// each function releases itself, found in one scan, then what its
+    /// callees release.
     fn solve_released(&mut self) {
+        for (fi, f) in self.a.m.funcs.iter().enumerate() {
+            if !f.is_internal {
+                continue;
+            }
+            let fid = FuncId::from_index(fi);
+            let mut eff = Released::Set(BTreeSet::new());
+            for (_, inst) in f.iter_insts() {
+                if let Inst::MutexUnlock { addr } | Inst::CondWait { mutex: addr, .. } = inst {
+                    let p = self.a.pts.pts_operand(fid, *addr);
+                    if p.is_empty() {
+                        eff = Released::All;
+                    } else if let Released::Set(s) = &mut eff {
+                        s.extend(
+                            self.universe
+                                .iter()
+                                .filter(|g| p.contains(&AbsLoc::Global(**g))),
+                        );
+                    }
+                }
+            }
+            self.released[fi] = eff;
+        }
         let mut changed = true;
         while changed {
             changed = false;
-            for (fi, f) in self.a.m.funcs.iter().enumerate() {
-                if !f.is_internal {
-                    continue;
-                }
-                let fid = FuncId::from_index(fi);
+            for fi in 0..self.a.m.funcs.len() {
                 let mut eff = self.released[fi].clone();
-                for (_, inst) in f.iter_insts() {
-                    match inst {
-                        Inst::MutexUnlock { addr } | Inst::CondWait { mutex: addr, .. } => {
-                            let p = self.a.pts.pts_operand(fid, *addr);
-                            if p.is_empty() {
-                                eff = Released::All;
-                            } else if let Released::Set(s) = &mut eff {
-                                s.extend(
-                                    self.universe
-                                        .iter()
-                                        .filter(|g| p.contains(&AbsLoc::Global(**g)))
-                                        .copied(),
-                                );
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                for targets in self.a.calls[fi].values() {
-                    for t in targets {
-                        match (&mut eff, &self.released[t.index()]) {
-                            (Released::All, _) => {}
-                            (_, Released::All) => eff = Released::All,
-                            (Released::Set(s), Released::Set(o)) => s.extend(o.iter().copied()),
-                        }
+                for t in self.a.calls[fi].values().flatten() {
+                    match (&mut eff, &self.released[t.index()]) {
+                        (Released::All, _) => {}
+                        (_, Released::All) => eff = Released::All,
+                        (Released::Set(s), Released::Set(o)) => s.extend(o.iter().copied()),
                     }
                 }
                 if eff != self.released[fi] {
@@ -619,99 +634,110 @@ impl<'a> LocksetAnalysis<'a> {
 
     /// Fixpoint of the entry locksets: what a function's caller is
     /// guaranteed to hold at every call site. Thread roots start with
-    /// nothing (a fresh thread holds no locks).
+    /// nothing (a fresh thread holds no locks). A function's call sites
+    /// pass its locksets on again only after its entry lockset changed.
     fn solve_entry_sets(&mut self) {
         self.entry_sets[self.a.entry.index()] = Some(BTreeSet::new());
         for &root in &self.a.roots {
             self.entry_sets[root.index()] = Some(BTreeSet::new());
         }
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for fi in 0..self.a.m.funcs.len() {
-                let f = &self.a.m.funcs[fi];
-                if !f.is_internal || self.entry_sets[fi].is_none() {
+        let a = self.a;
+        let mut dirty: Vec<bool> = self.entry_sets.iter().map(Option::is_some).collect();
+        let mut at_calls = Vec::new();
+        while dirty.contains(&true) {
+            for fi in 0..a.m.funcs.len() {
+                let calls = &a.calls[fi];
+                if !std::mem::take(&mut dirty[fi]) || calls.is_empty() {
                     continue;
                 }
-                let fid = FuncId::from_index(fi);
-                let calls = &self.a.calls[fi];
                 // Calls in dead blocks never run and are never visited.
-                let mut at_calls = Vec::new();
-                self.sweep(fid, &self.intra_flow(fid), |i, st| {
+                self.sweep(FuncId::from_index(fi), |i, st| {
                     if let Some(targets) = calls.get(&i) {
                         at_calls.push((targets, st.clone()));
                     }
                 });
-                for (targets, state) in at_calls {
+                for (targets, state) in at_calls.drain(..) {
                     for t in targets {
-                        if meet(&mut self.entry_sets[t.index()], &state) {
-                            changed = true;
-                        }
+                        dirty[t.index()] |= meet(&mut self.entry_sets[t.index()], &state);
                     }
                 }
             }
         }
     }
 
-    /// Intraprocedural forward must-lockset dataflow: block-entry
-    /// states, meet = intersection over predecessors, iterated to
-    /// fixpoint in reverse postorder. The ∩-meet is the dataflow form
-    /// of the dominance obligation: a lock survives into the must-set
-    /// only if an acquisition covers *every* path to the block.
-    fn intra_flow(&self, fid: FuncId) -> Vec<Lockset> {
+    /// Brings `fid`'s block-entry locksets up to date with its entry
+    /// lockset: the intraprocedural forward must-lockset dataflow,
+    /// meet = intersection over predecessors, iterated to fixpoint in
+    /// reverse postorder. The ∩-meet is the dataflow form of the
+    /// dominance obligation: a lock survives into the must-set only if
+    /// an acquisition covers *every* path to the block.
+    fn update_flow(&mut self, fid: FuncId) {
         let f = self.a.m.func(fid);
-        let cfg = Cfg::new(f);
-        let rpo = cfg.reverse_postorder();
+        let mut flow = self.flows[fid.index()].take().unwrap_or_else(|| {
+            let cfg = Cfg::new(f);
+            let rpo = cfg.reverse_postorder();
+            let mut pos = vec![usize::MAX; cfg.len()];
+            for (k, b) in rpo.iter().enumerate() {
+                pos[b.index()] = k;
+            }
+            let forward =
+                |(k, b): (usize, &BlockId)| cfg.succs(*b).iter().all(|s| pos[s.index()] > k);
+            let acyclic = rpo.iter().enumerate().all(forward);
+            Flow {
+                cfg,
+                rpo,
+                acyclic,
+                entry: None,
+                block_in: Vec::new(),
+            }
+        });
         let entry_set = self.entry_sets[fid.index()].clone().unwrap_or_default();
-        let mut inb: Vec<Lockset> = vec![None; f.blocks.len()];
-        let mut outb: Vec<Lockset> = vec![None; f.blocks.len()];
-        loop {
-            let mut changed = false;
-            for &b in &rpo {
-                let mut acc: Lockset = if b.index() == 0 {
-                    Some(entry_set.clone())
-                } else {
-                    None
-                };
-                for &p in cfg.preds(b) {
-                    if let Some(o) = &outb[p.index()] {
-                        meet(&mut acc, o);
+        if flow.entry.as_ref() != Some(&entry_set) {
+            let mut inb: Vec<Lockset> = vec![None; f.blocks.len()];
+            let mut outb: Vec<Lockset> = vec![None; f.blocks.len()];
+            loop {
+                let mut changed = false;
+                for &b in &flow.rpo {
+                    let mut acc: Lockset = (b.index() == 0).then(|| entry_set.clone());
+                    for &p in flow.cfg.preds(b) {
+                        if let Some(o) = &outb[p.index()] {
+                            meet(&mut acc, o);
+                        }
+                    }
+                    if acc != inb[b.index()] {
+                        inb[b.index()] = acc.clone();
+                        changed = true;
+                    }
+                    let out = acc.map(|mut st| {
+                        for &i in &f.blocks[b.index()].insts {
+                            self.transfer(fid, i, &mut st);
+                        }
+                        st
+                    });
+                    if out != outb[b.index()] {
+                        outb[b.index()] = out;
+                        changed = true;
                     }
                 }
-                if acc != inb[b.index()] {
-                    inb[b.index()] = acc.clone();
-                    changed = true;
-                }
-                let out = acc.map(|mut st| {
-                    for &i in &f.blocks[b.index()].insts {
-                        self.transfer(fid, i, &mut st);
-                    }
-                    st
-                });
-                if out != outb[b.index()] {
-                    outb[b.index()] = out;
-                    changed = true;
+                if !changed || flow.acyclic {
+                    break;
                 }
             }
-            if !changed {
-                return inb;
-            }
+            flow.block_in = inb;
+            flow.entry = Some(entry_set);
         }
+        self.flows[fid.index()] = Some(flow);
     }
 
     /// One forward pass over every block of `fid` that some path
-    /// reaches, starting from its block-entry lockset in `block_in`:
-    /// `visit` sees each instruction with the must-lockset held
-    /// immediately before it. Instructions in dead blocks never run and
-    /// are not visited.
-    fn sweep(
-        &self,
-        fid: FuncId,
-        block_in: &[Lockset],
-        mut visit: impl FnMut(InstId, &BTreeSet<GlobalId>),
-    ) {
+    /// reaches, from its up-to-date block-entry locksets: `visit` sees
+    /// each instruction with the must-lockset held immediately before
+    /// it. Instructions in dead blocks never run and are not visited.
+    fn sweep(&mut self, fid: FuncId, mut visit: impl FnMut(InstId, &BTreeSet<GlobalId>)) {
+        self.update_flow(fid);
         let f = self.a.m.func(fid);
-        for (block, entry) in f.blocks.iter().zip(block_in) {
+        let flow = self.flows[fid.index()].as_ref().expect("flow just updated");
+        for (block, entry) in f.blocks.iter().zip(&flow.block_in) {
             let Some(mut st) = entry.clone() else {
                 continue;
             };
@@ -758,12 +784,10 @@ impl<'a> LocksetAnalysis<'a> {
         }
     }
 
-    /// Whether one lock is held at every access site of `loc` that
-    /// can execute.
-    fn common_lock(&self, loc: AbsLoc) -> bool {
-        self.common
-            .get(&loc)
-            .is_some_and(|held| held.as_ref().is_some_and(|s| !s.is_empty()))
+    /// Whether one lock is held at every access site of the location
+    /// with id `loc` that can execute.
+    fn common_lock(&self, loc: usize) -> bool {
+        self.common[loc].as_ref().is_some_and(|s| !s.is_empty())
     }
 }
 

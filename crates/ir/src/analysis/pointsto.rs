@@ -24,15 +24,21 @@
 //!   function; the imprecision is confined to memory cells, which is
 //!   what the vulnerability analyzer treats conservatively anyway.
 //!
+//! Nodes are dense ids laid out from the module: each function's
+//! instructions, parameters and return value, then one cell per
+//! location. A node holds the id of a hash-consed sorted location set,
+//! so a copy edge propagates by a cached union of two ids.
+//!
 //! Constraints are solved with a standard worklist: base constraints
 //! seed the sets, copy edges propagate them, and `load`/`store`/
 //! indirect-call constraints add edges on the fly as the sets of their
 //! pointer operands grow. A node is on the worklist at most once (an
 //! on-list flag, cleared when it is popped), and one visit propagates
-//! its whole current set, so growth while it waits costs no extra
-//! visit: a `global_addr` feeding N `gep`s is visited once, and
-//! straight-line code solves in linear time. The least fixpoint does
-//! not depend on visit order.
+//! its whole current set along its copy edges, so growth while it
+//! waits costs no extra visit. Deferred constraints see only the
+//! locations the node gained since its last visit (difference
+//! propagation), so each pair of a constraint and a location adds its
+//! edges once. The least fixpoint does not depend on visit order.
 //!
 //! Indirect calls are resolved on the fly from the `Func` locations
 //! flowing into the callee operand, which is also what
@@ -43,7 +49,8 @@ use crate::ids::{FuncId, GlobalId, InstId, InstRef};
 use crate::inst::{Callee, Inst, Operand};
 use crate::module::Module;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
+use std::rc::Rc;
 
 /// An abstract memory location: one per static allocation site.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -71,24 +78,12 @@ impl std::fmt::Display for AbsLoc {
     }
 }
 
-/// A pointer variable in the constraint system.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-enum Node {
-    /// The SSA result of an instruction.
-    Inst(InstRef),
-    /// The `n`-th parameter of a function.
-    Param(FuncId, u32),
-    /// The return value of a function.
-    Ret(FuncId),
-    /// The (single, field-insensitive) cell of an abstract location.
-    Cell(AbsLoc),
-}
-
 /// Solver statistics, exposed so the pipeline can report the cost of
 /// memory-awareness next to its detection gain.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PointsToStats {
-    /// Pointer variables in the constraint graph.
+    /// Nodes in the constraint graph: instructions, parameters a call
+    /// can reach, return values and location cells.
     pub nodes: usize,
     /// Base + copy + complex constraints generated from the IR.
     pub constraints: usize,
@@ -96,396 +91,517 @@ pub struct PointsToStats {
     pub iterations: u64,
 }
 
-/// A deferred `load`/`store`/call constraint attached to a pointer
-/// node; instantiated each time that node's points-to set grows.
-#[derive(Clone, Debug)]
+/// Where one function's nodes start: its instructions, then its
+/// parameters, then its return value.
+#[derive(Clone, Copy, Debug)]
+struct FuncNodes {
+    base: u32,
+    insts: u32,
+    params: u32,
+}
+
+/// The dense numbering of a module's nodes and locations.
+#[derive(Debug)]
+struct Layout {
+    funcs: Vec<FuncNodes>,
+    /// Every abstract location, in `AbsLoc` order: a location's id is
+    /// its index here, and its cell is node `cells + id`.
+    locs: Vec<AbsLoc>,
+    cells: u32,
+}
+
+impl Layout {
+    fn new(m: &Module) -> Self {
+        // No parameter past the widest call's arguments can receive a
+        // pointer: none gets a node, however many a function declares.
+        let mut widest = 1u32;
+        let (mut allocas, mut heaps) = (Vec::new(), Vec::new());
+        for (fi, f) in m.funcs.iter().enumerate().filter(|(_, f)| f.is_internal) {
+            for (i, inst) in f.insts.iter().enumerate() {
+                let r = InstRef::new(FuncId::from_index(fi), InstId::from_index(i));
+                match inst {
+                    Inst::Alloca { .. } => allocas.push(AbsLoc::Alloca(r)),
+                    Inst::Malloc { .. } => heaps.push(AbsLoc::Heap(r)),
+                    Inst::Call { args, .. } => widest = widest.max(args.len() as u32),
+                    _ => {}
+                }
+            }
+        }
+        let mut locs: Vec<AbsLoc> = (0..m.globals.len())
+            .map(|g| AbsLoc::Global(GlobalId::from_index(g)))
+            .collect();
+        locs.extend(allocas);
+        locs.extend(heaps);
+        locs.extend((0..m.funcs.len()).map(|f| AbsLoc::Func(FuncId::from_index(f))));
+        let (mut funcs, mut next) = (Vec::with_capacity(m.funcs.len()), 0usize);
+        for f in &m.funcs {
+            let params = f.num_params.min(widest);
+            funcs.push(FuncNodes {
+                base: next as u32,
+                insts: f.insts.len() as u32,
+                params,
+            });
+            next += f.insts.len() + params as usize + 1;
+        }
+        // Checked after the casts above: past `u32`, they truncated.
+        assert!(next + locs.len() < NONE as usize, "node ids overflow");
+        let cells = next as u32;
+        Layout { funcs, locs, cells }
+    }
+
+    /// The node of an operand evaluated in `f`, if it can carry a
+    /// pointer: `None` for constants and references outside the module.
+    fn operand(&self, f: FuncId, op: Operand) -> Option<u32> {
+        let n = self.funcs.get(f.index())?;
+        match op {
+            Operand::Value(v) if v.0 < n.insts => Some(n.base + v.0),
+            Operand::Param(p) if p < n.params => Some(n.base + n.insts + p),
+            _ => None,
+        }
+    }
+
+    fn ret(&self, f: FuncId) -> u32 {
+        let n = self.funcs[f.index()];
+        n.base + n.insts + n.params
+    }
+
+    /// The id of location `l`, if the module has it.
+    fn loc_id(&self, l: AbsLoc) -> Option<u32> {
+        self.locs.binary_search(&l).ok().map(|id| id as u32)
+    }
+}
+
+/// The id of the empty set in every [`SetTable`].
+const EMPTY: u32 = 0;
+
+/// Hash-consed sorted location sets: each distinct set is stored once
+/// and named by its index.
+#[derive(Default)]
+struct SetTable {
+    sets: Vec<Rc<[u32]>>,
+    ids: FxHashMap<Rc<[u32]>, u32>,
+    /// Union results, keyed by the ordered pair of operand ids.
+    unions: FxHashMap<(u32, u32), u32>,
+    scratch: Vec<u32>,
+}
+
+impl SetTable {
+    fn get(&self, id: u32) -> &[u32] {
+        &self.sets[id as usize]
+    }
+
+    fn intern(&mut self, set: &[u32]) -> u32 {
+        if let Some(&id) = self.ids.get(set) {
+            return id;
+        }
+        let id = self.sets.len() as u32;
+        let set: Rc<[u32]> = set.into();
+        self.sets.push(Rc::clone(&set));
+        self.ids.insert(set, id);
+        id
+    }
+
+    fn union(&mut self, a: u32, b: u32) -> u32 {
+        if a == b || b == EMPTY {
+            return a;
+        }
+        if a == EMPTY {
+            return b;
+        }
+        let key = (a.min(b), a.max(b));
+        if let Some(&u) = self.unions.get(&key) {
+            return u;
+        }
+        let (x, y) = (&self.sets[a as usize], &self.sets[b as usize]);
+        let mut out = std::mem::take(&mut self.scratch);
+        out.clear();
+        out.extend_from_slice(x);
+        out.extend_from_slice(y);
+        out.sort_unstable();
+        out.dedup();
+        let u = match out.len() {
+            n if n == x.len() => a,
+            n if n == y.len() => b,
+            _ => self.intern(&out),
+        };
+        self.scratch = out;
+        self.unions.insert(key, u);
+        u
+    }
+}
+
+/// A deferred constraint attached to a pointer node, instantiated for
+/// each location the node gains.
+#[derive(Clone, Copy)]
 enum Deferred {
     /// `dst ⊇ *p`: the node is loaded through.
-    LoadInto(usize),
+    LoadInto(u32),
     /// `*p ⊇ src`: the node is stored through.
-    StoreFrom(usize),
-    /// The node is the callee operand of an indirect call.
-    Call {
-        /// The call site.
-        site: InstRef,
-        /// Argument nodes, in position order (`None` for constants).
-        args: Vec<Option<usize>>,
-    },
+    StoreFrom(u32),
+    /// The node is the callee operand of the indirect call with this
+    /// index in [`Solver::calls`].
+    Call(u32),
 }
 
-/// The solved points-to relation over one module.
-#[derive(Debug)]
-pub struct PointsTo {
-    index: FxHashMap<Node, usize>,
-    /// Each node's points-to set, as an index into `sets`.
-    set_ids: Vec<usize>,
-    /// The distinct points-to sets, one copy each. Most nodes share a
-    /// set (every `gep` has its base's), and a pipeline run holds the
-    /// solution from the elision pre-pass to stage 4.
-    sets: Vec<BTreeSet<AbsLoc>>,
-    /// Resolved targets per indirect call site (arity-checked,
-    /// deterministic order).
-    indirect: BTreeMap<InstRef, Vec<FuncId>>,
-    stats: PointsToStats,
-    empty: BTreeSet<AbsLoc>,
+/// An indirect call site and what the solve resolved it to.
+struct IndirectCall {
+    site: InstRef,
+    /// The call's result node, and its argument nodes in position order
+    /// (`None` for constants).
+    res: u32,
+    args: Vec<Option<u32>>,
+    /// Internal targets of matching arity, sorted.
+    targets: Vec<FuncId>,
 }
+
+/// No deferred constraint: the end of a node's list.
+const NONE: u32 = u32::MAX;
 
 /// Constraint-graph state used only while solving.
-struct Solver {
-    index: FxHashMap<Node, usize>,
-    nodes: Vec<Node>,
-    sets: Vec<BTreeSet<AbsLoc>>,
+struct Solver<'m> {
+    m: &'m Module,
+    layout: &'m Layout,
+    table: SetTable,
+    /// Each node's set, and the part of it its last visit propagated.
+    set: Vec<u32>,
+    done: Vec<u32>,
     /// Copy edges: successors per node (`dst ⊇ src`).
-    succs: Vec<BTreeSet<usize>>,
-    deferred: Vec<Vec<Deferred>>,
+    succs: Vec<Vec<u32>>,
+    /// Deferred constraints as one list per node: its first entry in
+    /// `deferred`, and each entry's successor.
+    first: Vec<u32>,
+    deferred: Vec<(Deferred, u32)>,
+    /// Indirect call sites, in site order.
+    calls: Vec<IndirectCall>,
     /// Nodes whose set must be re-propagated, each at most once.
-    work: Vec<usize>,
+    work: Vec<u32>,
     /// Whether a node is on `work` (cleared when it is popped).
     queued: Vec<bool>,
-    indirect: BTreeMap<InstRef, Vec<FuncId>>,
-    /// Indirect-call targets already wired, to keep re-instantiation
-    /// idempotent.
-    wired_calls: BTreeSet<(InstRef, FuncId)>,
     constraints: usize,
 }
 
-impl Solver {
-    fn new() -> Self {
+impl<'m> Solver<'m> {
+    fn new(m: &'m Module, layout: &'m Layout) -> Self {
+        let nodes = layout.cells as usize + layout.locs.len();
+        let mut table = SetTable::default();
+        table.intern(&[]);
         Solver {
-            index: FxHashMap::default(),
-            nodes: Vec::new(),
-            sets: Vec::new(),
-            succs: Vec::new(),
+            m,
+            layout,
+            table,
+            set: vec![EMPTY; nodes],
+            done: vec![EMPTY; nodes],
+            succs: vec![Vec::new(); nodes],
+            first: vec![NONE; nodes],
             deferred: Vec::new(),
+            calls: Vec::new(),
             work: Vec::new(),
-            queued: Vec::new(),
-            indirect: BTreeMap::new(),
-            wired_calls: BTreeSet::new(),
+            queued: vec![false; nodes],
             constraints: 0,
         }
     }
 
-    fn node(&mut self, n: Node) -> usize {
-        if let Some(&i) = self.index.get(&n) {
-            return i;
-        }
-        let i = self.nodes.len();
-        self.index.insert(n, i);
-        self.nodes.push(n);
-        self.sets.push(BTreeSet::new());
-        self.succs.push(BTreeSet::new());
-        self.deferred.push(Vec::new());
-        self.queued.push(false);
-        i
-    }
-
-    /// Queues `n` for propagation unless it is already queued.
-    fn enqueue(&mut self, n: usize) {
-        if !self.queued[n] {
-            self.queued[n] = true;
-            self.work.push(n);
-        }
-    }
-
-    fn pop(&mut self) -> Option<usize> {
-        let n = self.work.pop()?;
-        self.queued[n] = false;
-        Some(n)
-    }
-
-    /// The node for an operand of function `f`, if it can carry a
-    /// pointer (constants cannot).
-    fn operand_node(&mut self, f: FuncId, op: Operand) -> Option<usize> {
-        match op {
-            Operand::Value(v) => Some(self.node(Node::Inst(InstRef::new(f, v)))),
-            Operand::Param(p) => Some(self.node(Node::Param(f, p))),
-            Operand::Const(_) => None,
-        }
-    }
-
-    fn base(&mut self, n: usize, loc: AbsLoc) {
+    fn base(&mut self, n: u32, loc: AbsLoc) {
         self.constraints += 1;
-        if self.sets[n].insert(loc) {
-            self.enqueue(n);
+        if let Some(l) = self.layout.loc_id(loc) {
+            let one = self.table.intern(&[l]);
+            self.flow(one, n);
         }
     }
 
-    fn copy(&mut self, src: usize, dst: usize) {
+    /// Copy edge `dst ⊇ src`. It carries `src`'s set at once, because
+    /// an edge added while solving may come after `src`'s last visit.
+    fn edge(&mut self, src: u32, dst: u32) {
         self.constraints += 1;
-        if src != dst && self.succs[src].insert(dst) && !self.sets[src].is_empty() {
-            self.enqueue(src);
+        if src != dst {
+            self.succs[src as usize].push(dst);
+            self.flow(self.set[src as usize], dst);
+        }
+    }
+
+    /// Adds set `s` to node `d`; if it grew, queues `d` unless it is
+    /// already queued.
+    fn flow(&mut self, s: u32, d: u32) {
+        let (u, i) = (self.table.union(self.set[d as usize], s), d as usize);
+        if u != self.set[i] {
+            self.set[i] = u;
+            if !std::mem::replace(&mut self.queued[i], true) {
+                self.work.push(d);
+            }
         }
     }
 
     /// Attaches a deferred constraint to pointer node `n`.
-    fn defer(&mut self, n: usize, c: Deferred) {
+    fn defer(&mut self, n: u32, c: Deferred) {
         self.constraints += 1;
-        self.deferred[n].push(c);
-        if !self.sets[n].is_empty() {
-            self.enqueue(n);
-        }
+        self.deferred.push((c, self.first[n as usize]));
+        self.first[n as usize] = (self.deferred.len() - 1) as u32;
     }
 
-    /// Wires parameter/return edges for a resolved indirect call.
-    fn wire_call(&mut self, site: InstRef, args: &[Option<usize>], target: FuncId, m: &Module) {
-        if !self.wired_calls.insert((site, target)) {
-            return;
-        }
-        let callee = m.func(target);
-        if !callee.is_internal || callee.num_params as usize != args.len() {
-            return;
-        }
-        for (k, arg) in args.iter().enumerate() {
-            if let Some(a) = arg {
-                let p = self.node(Node::Param(target, k as u32));
-                self.copy(*a, p);
-            }
-        }
-        let ret = self.node(Node::Ret(target));
-        let res = self.node(Node::Inst(site));
-        self.copy(ret, res);
-    }
-}
-
-impl PointsTo {
-    /// Builds and solves the points-to constraints of `m`.
-    pub fn new(m: &Module) -> Self {
-        let mut s = Solver::new();
-
-        // Constraint generation over every internal function.
+    /// The whole constraint system of every internal function.
+    fn generate(&mut self) {
+        let (m, layout) = (self.m, self.layout);
         for (fi, func) in m.funcs.iter().enumerate() {
             if !func.is_internal {
                 continue;
             }
             let fid = FuncId::from_index(fi);
+            let node = |op: Operand| layout.operand(fid, op);
             for (i, inst) in func.insts.iter().enumerate() {
                 let iref = InstRef::new(fid, InstId::from_index(i));
+                let n = layout.funcs[fi].base + i as u32;
                 match inst {
-                    Inst::GlobalAddr(g) => {
-                        let n = s.node(Node::Inst(iref));
-                        s.base(n, AbsLoc::Global(*g));
-                    }
-                    Inst::FuncAddr(f) => {
-                        let n = s.node(Node::Inst(iref));
-                        s.base(n, AbsLoc::Func(*f));
-                    }
-                    Inst::Alloca { .. } => {
-                        let n = s.node(Node::Inst(iref));
-                        s.base(n, AbsLoc::Alloca(iref));
-                    }
-                    Inst::Malloc { .. } => {
-                        let n = s.node(Node::Inst(iref));
-                        s.base(n, AbsLoc::Heap(iref));
-                    }
+                    Inst::GlobalAddr(g) => self.base(n, AbsLoc::Global(*g)),
+                    Inst::FuncAddr(f) => self.base(n, AbsLoc::Func(*f)),
+                    Inst::Alloca { .. } => self.base(n, AbsLoc::Alloca(iref)),
+                    Inst::Malloc { .. } => self.base(n, AbsLoc::Heap(iref)),
+                    // Field-insensitive: interior pointers alias their
+                    // base object.
                     Inst::Gep { base, .. } => {
-                        // Field-insensitive: interior pointers alias
-                        // their base object.
-                        if let Some(b) = s.operand_node(fid, *base) {
-                            let n = s.node(Node::Inst(iref));
-                            s.copy(b, n);
+                        if let Some(b) = node(*base) {
+                            self.edge(b, n);
                         }
                     }
                     Inst::Phi { incoming } => {
-                        for (_, v) in incoming {
-                            if let Some(src) = s.operand_node(fid, *v) {
-                                let n = s.node(Node::Inst(iref));
-                                s.copy(src, n);
-                            }
+                        for src in incoming.iter().filter_map(|(_, v)| node(*v)) {
+                            self.edge(src, n);
                         }
                     }
                     Inst::Load { addr, .. } | Inst::AtomicLoad { addr } => {
-                        if let Some(a) = s.operand_node(fid, *addr) {
-                            let n = s.node(Node::Inst(iref));
-                            s.defer(a, Deferred::LoadInto(n));
+                        if let Some(a) = node(*addr) {
+                            self.defer(a, Deferred::LoadInto(n));
                         }
                     }
                     Inst::Store { addr, val } | Inst::AtomicStore { addr, val } => {
-                        if let (Some(a), Some(v)) =
-                            (s.operand_node(fid, *addr), s.operand_node(fid, *val))
-                        {
-                            s.defer(a, Deferred::StoreFrom(v));
+                        if let (Some(a), Some(v)) = (node(*addr), node(*val)) {
+                            self.defer(a, Deferred::StoreFrom(v));
                         }
                     }
+                    // Word-level copy through memory: a load from
+                    // `src`'s cells into a synthetic value (the memcopy
+                    // inst itself) stored into `dst`'s cells.
                     Inst::MemCopy { dst, src, .. } => {
-                        // Word-level copy through memory: model as a
-                        // load from `src`'s cells into a synthetic
-                        // value (the memcopy inst itself) stored into
-                        // `dst`'s cells.
-                        let tmp = s.node(Node::Inst(iref));
-                        if let Some(sn) = s.operand_node(fid, *src) {
-                            s.defer(sn, Deferred::LoadInto(tmp));
+                        if let Some(s) = node(*src) {
+                            self.defer(s, Deferred::LoadInto(n));
                         }
-                        if let Some(dn) = s.operand_node(fid, *dst) {
-                            s.defer(dn, Deferred::StoreFrom(tmp));
+                        if let Some(d) = node(*dst) {
+                            self.defer(d, Deferred::StoreFrom(n));
                         }
                     }
-                    Inst::Call { callee, args } => match callee {
-                        Callee::Direct(t) => {
-                            if m.func(*t).is_internal
-                                && m.func(*t).num_params as usize == args.len()
-                            {
-                                for (k, arg) in args.iter().enumerate() {
-                                    if let Some(a) = s.operand_node(fid, *arg) {
-                                        let p = s.node(Node::Param(*t, k as u32));
-                                        s.copy(a, p);
-                                    }
-                                }
-                                let ret = s.node(Node::Ret(*t));
-                                let res = s.node(Node::Inst(iref));
-                                s.copy(ret, res);
-                            }
+                    Inst::Call {
+                        callee: Callee::Direct(t),
+                        args,
+                    } => {
+                        let args: Vec<Option<u32>> = args.iter().map(|a| node(*a)).collect();
+                        self.wire(&args, n, *t);
+                    }
+                    Inst::Call {
+                        callee: Callee::Indirect(p),
+                        args,
+                    } => {
+                        let args = args.iter().map(|a| node(*a)).collect();
+                        self.calls.push(IndirectCall {
+                            site: iref,
+                            res: n,
+                            args,
+                            targets: Vec::new(),
+                        });
+                        if let Some(c) = node(*p) {
+                            self.defer(c, Deferred::Call(self.calls.len() as u32 - 1));
                         }
-                        Callee::Indirect(p) => {
-                            let arg_nodes: Vec<Option<usize>> = args
-                                .iter()
-                                .map(|a| s.operand_node(fid, *a))
-                                .collect();
-                            s.indirect.entry(iref).or_default();
-                            if let Some(c) = s.operand_node(fid, *p) {
-                                s.defer(
-                                    c,
-                                    Deferred::Call {
-                                        site: iref,
-                                        args: arg_nodes,
-                                    },
-                                );
-                            }
-                        }
-                    },
+                    }
                     Inst::ThreadCreate { func, arg } if m.func(*func).is_internal => {
-                        if let Some(a) = s.operand_node(fid, *arg) {
-                            let p = s.node(Node::Param(*func, 0));
-                            s.copy(a, p);
+                        let (a, p) = (node(*arg), layout.operand(*func, Operand::Param(0)));
+                        if let (Some(a), Some(p)) = (a, p) {
+                            self.edge(a, p);
                         }
                     }
                     Inst::Ret(Some(v)) => {
-                        if let Some(src) = s.operand_node(fid, *v) {
-                            let r = s.node(Node::Ret(fid));
-                            s.copy(src, r);
+                        if let Some(src) = node(*v) {
+                            self.edge(src, layout.ret(fid));
                         }
                     }
                     _ => {}
                 }
             }
         }
+    }
 
-        // Worklist solve. Processing a node re-propagates its full set
-        // along copy edges and re-instantiates its deferred
-        // constraints; a set that grows and an edge that is created
-        // enqueue their node, so the loop reaches a fixpoint.
-        let mut iterations = 0u64;
-        while let Some(n) = s.pop() {
-            iterations += 1;
-            // Copy propagation: succ ⊇ n. No edge is added here, so the
-            // successor set can be borrowed out and put back.
-            let succs = std::mem::take(&mut s.succs[n]);
-            for &d in &succs {
-                let add: Vec<AbsLoc> = s.sets[n]
-                    .iter()
-                    .filter(|l| !s.sets[d].contains(*l))
-                    .copied()
-                    .collect();
-                if !add.is_empty() {
-                    s.sets[d].extend(add);
-                    s.enqueue(d);
-                }
-            }
-            s.succs[n] = succs;
-            // Deferred constraints keyed on n's set. They are only
-            // attached before solving, so they too can be borrowed out.
-            let deferred = std::mem::take(&mut s.deferred[n]);
-            let locs: Vec<AbsLoc> = s.sets[n].iter().copied().collect();
-            for c in &deferred {
-                match c {
-                    Deferred::LoadInto(dst) => {
-                        for l in &locs {
-                            let cell = s.node(Node::Cell(*l));
-                            s.copy(cell, *dst);
-                        }
-                    }
-                    Deferred::StoreFrom(src) => {
-                        for l in &locs {
-                            let cell = s.node(Node::Cell(*l));
-                            s.copy(*src, cell);
-                        }
-                    }
-                    Deferred::Call { site, args } => {
-                        for l in &locs {
-                            if let AbsLoc::Func(t) = l {
-                                let targets = s.indirect.entry(*site).or_default();
-                                let callee = m.func(*t);
-                                if callee.is_internal
-                                    && callee.num_params as usize == args.len()
-                                    && !targets.contains(t)
-                                {
-                                    targets.push(*t);
-                                    targets.sort();
-                                }
-                                s.wire_call(*site, args, *t, m);
-                            }
-                        }
-                    }
-                }
-            }
-            s.deferred[n] = deferred;
+    /// Argument → parameter and return → result edges of a call from
+    /// result node `res` to `target`, when `target` is internal and
+    /// takes `args.len()` arguments; whether it does.
+    fn wire(&mut self, args: &[Option<u32>], res: u32, target: FuncId) -> bool {
+        let callee = self.m.func(target);
+        if !callee.is_internal || callee.num_params as usize != args.len() {
+            return false;
         }
+        for (k, arg) in args.iter().enumerate() {
+            let p = self.layout.operand(target, Operand::Param(k as u32));
+            if let (Some(a), Some(p)) = (*arg, p) {
+                self.edge(a, p);
+            }
+        }
+        self.edge(self.layout.ret(target), res);
+        true
+    }
 
-        let stats = PointsToStats {
-            nodes: s.nodes.len(),
-            constraints: s.constraints,
-            iterations,
-        };
-        // Free the constraint graph first, so that deduplicating the
-        // sets does not add to the solve's peak memory.
-        drop((s.nodes, s.succs, s.deferred, s.work, s.queued, s.wired_calls));
-        let mut ids: FxHashMap<BTreeSet<AbsLoc>, usize> = FxHashMap::default();
-        let set_ids = s
-            .sets
-            .into_iter()
-            .map(|set| {
-                let next = ids.len();
-                *ids.entry(set).or_insert(next)
-            })
-            .collect();
-        let mut sets = vec![BTreeSet::new(); ids.len()];
-        for (set, id) in ids {
-            sets[id] = set;
-        }
-        PointsTo {
-            index: s.index,
-            set_ids,
-            sets,
-            indirect: s.indirect,
-            stats,
-            empty: BTreeSet::new(),
+    /// Instantiates deferred constraint `c` for location `l`, which its
+    /// pointer node just gained.
+    fn instantiate(&mut self, c: Deferred, l: u32) {
+        let cell = self.layout.cells + l;
+        match c {
+            Deferred::LoadInto(dst) => self.edge(cell, dst),
+            Deferred::StoreFrom(src) => self.edge(src, cell),
+            Deferred::Call(k) => {
+                let AbsLoc::Func(t) = self.layout.locs[l as usize] else {
+                    return;
+                };
+                let call = &mut self.calls[k as usize];
+                let (args, res) = (std::mem::take(&mut call.args), call.res);
+                if self.wire(&args, res, t) {
+                    let targets = &mut self.calls[k as usize].targets;
+                    targets.insert(targets.binary_search(&t).unwrap_or_else(|i| i), t);
+                }
+                self.calls[k as usize].args = args;
+            }
         }
     }
 
-    fn set_of(&self, n: Node) -> &BTreeSet<AbsLoc> {
-        self.index
-            .get(&n)
-            .map(|&i| &self.sets[self.set_ids[i]])
-            .unwrap_or(&self.empty)
+    /// Worklist solve to the least fixpoint; returns the visit count.
+    /// Every node that generation gave a set is already queued.
+    fn solve(&mut self) -> u64 {
+        let mut iterations = 0;
+        let mut gained = Vec::new();
+        while let Some(n) = self.work.pop() {
+            let i = n as usize;
+            self.queued[i] = false;
+            iterations += 1;
+            let (now, before) = (self.set[i], self.done[i]);
+            self.done[i] = now;
+            // Copy edges carry the whole set; no edge is added here, so
+            // the successor list can be borrowed out and put back.
+            let succs = std::mem::take(&mut self.succs[i]);
+            for &d in &succs {
+                self.flow(now, d);
+            }
+            self.succs[i] = succs;
+            if self.first[i] == NONE {
+                continue;
+            }
+            let old = self.table.get(before);
+            gained.clear();
+            let new = self.table.get(now).iter().copied();
+            gained.extend(new.filter(|l| old.binary_search(l).is_err()));
+            let mut k = self.first[i];
+            while k != NONE {
+                let (c, next) = self.deferred[k as usize];
+                for &l in &gained {
+                    self.instantiate(c, l);
+                }
+                k = next;
+            }
+        }
+        iterations
+    }
+}
+
+/// The solved points-to relation over one module.
+#[derive(Debug)]
+pub struct PointsTo {
+    layout: Layout,
+    /// Each node's points-to set, as an index into `sets`.
+    set_ids: Vec<u32>,
+    /// The distinct sets some node holds, one copy each; set 0 is
+    /// empty. Most nodes share a set (every `gep` has its base's), and
+    /// a pipeline run holds the solution from the elision pre-pass to
+    /// stage 4.
+    sets: Vec<BTreeSet<AbsLoc>>,
+    /// The same sets as sorted location ids, for the elision pre-pass.
+    loc_ids: Vec<Box<[u32]>>,
+    /// Resolved targets per indirect call site, in site order
+    /// (arity-checked, deterministic order).
+    indirect: Vec<(InstRef, Vec<FuncId>)>,
+    stats: PointsToStats,
+}
+
+impl PointsTo {
+    /// Builds and solves the points-to constraints of `m`, which must
+    /// pass [`crate::verify_module`].
+    pub fn new(m: &Module) -> Self {
+        let layout = Layout::new(m);
+        let mut s = Solver::new(m, &layout);
+        s.generate();
+        let iterations = s.solve();
+        let stats = PointsToStats {
+            nodes: s.set.len(),
+            constraints: s.constraints,
+            iterations,
+        };
+        // Only the distinct sets some node holds become answers.
+        let mut answer = vec![NONE; s.table.sets.len()];
+        answer[EMPTY as usize] = 0;
+        let (mut sets, mut loc_ids) = (vec![BTreeSet::new()], vec![Box::<[u32]>::default()]);
+        let set_ids = s
+            .set
+            .iter()
+            .map(|&id| {
+                if answer[id as usize] == NONE {
+                    answer[id as usize] = sets.len() as u32;
+                    let locs = s.table.get(id);
+                    sets.push(locs.iter().map(|&l| layout.locs[l as usize]).collect());
+                    loc_ids.push(locs.into());
+                }
+                answer[id as usize]
+            })
+            .collect();
+        let indirect = s.calls.into_iter().map(|c| (c.site, c.targets)).collect();
+        PointsTo {
+            layout,
+            set_ids,
+            sets,
+            loc_ids,
+            indirect,
+            stats,
+        }
+    }
+
+    fn answer(&self, node: Option<u32>) -> usize {
+        node.map_or(0, |n| self.set_ids[n as usize] as usize)
     }
 
     /// Points-to set of an instruction's SSA result (empty when the
     /// result is not a pointer the analysis tracked).
     pub fn pts_inst(&self, r: InstRef) -> &BTreeSet<AbsLoc> {
-        self.set_of(Node::Inst(r))
+        self.pts_operand(r.func, Operand::Value(r.inst))
     }
 
     /// Points-to set of an operand evaluated in function `f`.
     pub fn pts_operand(&self, f: FuncId, op: Operand) -> &BTreeSet<AbsLoc> {
-        match op {
-            Operand::Value(v) => self.set_of(Node::Inst(InstRef::new(f, v))),
-            Operand::Param(p) => self.set_of(Node::Param(f, p)),
-            Operand::Const(_) => &self.empty,
-        }
+        &self.sets[self.answer(self.layout.operand(f, op))]
     }
 
     /// What the (single) cell of an abstract location may hold.
     pub fn cell(&self, l: AbsLoc) -> &BTreeSet<AbsLoc> {
-        self.set_of(Node::Cell(l))
+        let node = self.layout.loc_id(l).map(|id| self.layout.cells + id);
+        &self.sets[self.answer(node)]
+    }
+
+    /// Every abstract location of the module, in order: a location's
+    /// index here is the id [`Self::operand_locs`] and
+    /// [`Self::cell_locs`] answer in.
+    pub(crate) fn locations(&self) -> &[AbsLoc] {
+        &self.layout.locs
+    }
+
+    /// [`Self::pts_operand`] as sorted location ids.
+    pub(crate) fn operand_locs(&self, f: FuncId, op: Operand) -> &[u32] {
+        &self.loc_ids[self.answer(self.layout.operand(f, op))]
+    }
+
+    /// [`Self::cell`] of the location with id `loc`, as sorted location
+    /// ids.
+    pub(crate) fn cell_locs(&self, loc: u32) -> &[u32] {
+        &self.loc_ids[self.answer(Some(self.layout.cells + loc))]
     }
 
     /// May the two pointer operands refer to the same object?
@@ -508,7 +624,11 @@ impl PointsTo {
     /// `None` when `site` is not an indirect call; an empty slice when
     /// nothing flowed in (callers should fall back to an arity match).
     pub fn resolve_targets(&self, site: InstRef) -> Option<&[FuncId]> {
-        self.indirect.get(&site).map(|v| v.as_slice())
+        let k = self
+            .indirect
+            .binary_search_by_key(&site, |(s, _)| *s)
+            .ok()?;
+        Some(&self.indirect[k].1)
     }
 
     /// All indirect call sites seen, with their resolved targets.

@@ -262,9 +262,14 @@ fn printer_roundtrips_every_opcode_textually() {
 /// point, and single-byte corruptions of printed corpus programs. The
 /// parser must return a module or a [`owl_ir::ParseError`] naming one of
 /// the input's lines, and never panic; the verifier must then accept or
-/// reject what it returned, and never panic either.
+/// reject what it returned, and never panic either. A module that
+/// verifies reaches the analyses that trust a verified module: the
+/// points-to solve, and the check-elision pre-pass from every function
+/// without parameters. They index their tables by ids taken from the
+/// module, and must not panic either.
 mod hostile_input {
-    use owl_ir::{module_to_string, parse_module, verify_module};
+    use owl_ir::analysis::{ElisionMap, PointsTo};
+    use owl_ir::{module_to_string, parse_module, verify_module, FuncId, Module};
     use proptest::prelude::*;
     use std::sync::OnceLock;
 
@@ -286,7 +291,9 @@ mod hostile_input {
         let text = String::from_utf8_lossy(bytes);
         match parse_module(&text) {
             Ok(m) => {
-                let _ = verify_module(&m);
+                if verify_module(&m).is_ok() {
+                    analyze(&m);
+                }
             }
             Err(e) => {
                 let lines = text.lines().count();
@@ -295,6 +302,17 @@ mod hostile_input {
                     "error on line {} of {lines}: {e}\n{text}",
                     e.line
                 );
+            }
+        }
+    }
+
+    /// Runs the analyses a verified module reaches, from every entry
+    /// that takes no parameters.
+    fn analyze(m: &Module) {
+        let pts = PointsTo::new(m);
+        for (fi, f) in m.funcs.iter().enumerate() {
+            if f.is_internal && f.num_params == 0 {
+                let _ = ElisionMap::analyze_with(m, FuncId::from_index(fi), &pts);
             }
         }
     }

@@ -20,7 +20,11 @@
 //! Programs: the 7 corpus and 4 extension programs, plus 24 generated
 //! straight-line, lock-heavy programs (private, locked and racy global
 //! accesses, lock-taking helpers, escaping and private heap buffers,
-//! resolved indirect calls), up to 1000 accesses per worker.
+//! resolved indirect calls), up to 1000 accesses per worker, and 12
+//! generated structured programs (locks held across loops with pointer
+//! phis, a three-deep call chain entered under different locksets, a
+//! helper that releases its caller's mutex, `CondWait`, a worker
+//! spawned in a loop).
 
 use owl_ir::analysis::{AbsLoc, ElisionMap, ElisionStats, PointsTo};
 use owl_ir::{FuncId, GlobalId, Inst, InstId, InstRef, Module, ModuleBuilder, Operand, Type};
@@ -376,4 +380,263 @@ fn generated_elision_is_pinned() {
         })
         .collect();
     assert_eq!(rows, PINNED_GENERATED);
+}
+
+/// Structured program `index`: the control flow and calls the
+/// straight-line programs above lack. Each of 2–4 workers runs 3, 8 or
+/// 20 rounds, each round one of:
+///
+/// * a lock held across a loop whose pointer phi walks a shared buffer;
+/// * a loop whose pointer phi merges the worker's private buffer with
+///   a shared one, locking inside the body only;
+/// * a call into the three-deep chain `top → mid → leaf`, entered at
+///   any level and holding one or two locks (in odd programs after a
+///   big lock, mutex 0), so each callee meets different entry locksets
+///   from different callers; the callees come first in function order,
+///   so the entry-set fixpoint takes a round per level;
+/// * a call to `relock`, which releases the caller's mutex and takes
+///   it back (a non-empty may-release summary), between two accesses;
+/// * a `CondWait` loop under a lock, on a flag `main` writes;
+/// * a pointer published through a global cell and written through
+///   after reloading it;
+/// * a private access.
+///
+/// `main` spawns a `looper` worker once, or in a loop for every fourth
+/// program, and then the workers.
+fn structured(index: u64) -> (Module, FuncId) {
+    let mut rng = Rng(0xc0de ^ index.wrapping_mul(0xd1b5_4a32_d192_ed03));
+    let threads = 2 + index % 3;
+    let rounds = [3, 8, 20][(index / 3 % 3) as usize];
+    let phi_loops = index.is_multiple_of(2);
+    let chain = index % 3 != 2;
+    let big_lock = index % 2 == 1;
+    let releaser = !index.is_multiple_of(4);
+    let cond_wait = index % 3 == 1;
+    let spawn_loop = index % 4 == 2;
+
+    let mut mb = ModuleBuilder::new(format!("structured-{index}"));
+    let shared: Vec<GlobalId> = (0..LOCKS)
+        .map(|k| mb.global(format!("shared{k}"), 8, Type::I64))
+        .collect();
+    let mutexes: Vec<GlobalId> = (0..LOCKS)
+        .map(|k| mb.global(format!("mutex{k}"), 1, Type::I64))
+        .collect();
+    let cv = mb.global("cv", 1, Type::I64);
+    let ready = mb.global("ready", 1, Type::I64);
+    let mailbox = mb.global("mailbox", 1, Type::Ptr);
+    let spawned = mb.global("spawned", 4, Type::I64);
+    let relocked = mb.global("relocked", 4, Type::I64);
+    let signalled = mb.global("signalled", 4, Type::I64);
+    let published = mb.global("published", 4, Type::I64);
+    let private: Vec<GlobalId> = (0..threads)
+        .map(|t| mb.global(format!("private{t}"), 16, Type::I64))
+        .collect();
+
+    let leaf = mb.declare_func("leaf", 1);
+    let mid = mb.declare_func("mid", 1);
+    let top = mb.declare_func("top", 1);
+    let relock = mb.declare_func("relock", 1);
+    {
+        let mut b = mb.build_func(leaf);
+        let v = b.load(Operand::Param(0), Type::I64);
+        b.store(Operand::Param(0), Operand::Value(v));
+        b.ret(Some(Operand::Param(0)));
+    }
+    {
+        let mut b = mb.build_func(mid);
+        let r = b.call(leaf, vec![Operand::Param(0)]);
+        let next = b.gep(r, 1);
+        b.store(next, 4);
+        b.ret(Some(Operand::Value(next)));
+    }
+    {
+        let mut b = mb.build_func(top);
+        let r = b.call(mid, vec![Operand::Param(0)]);
+        b.load(r, Type::I64);
+        b.ret(Some(Operand::Value(r)));
+    }
+    {
+        let mut b = mb.build_func(relock);
+        b.unlock(Operand::Param(0));
+        b.yield_now();
+        b.lock(Operand::Param(0));
+        b.ret(None);
+    }
+    let looper = mb.declare_func("looper", 1);
+    {
+        let mut b = mb.build_func(looper);
+        let a = b.global_addr(spawned);
+        let s = b.gep(a, 1);
+        b.store(s, 1);
+        b.load(a, Type::I64);
+        b.ret(None);
+    }
+
+    let workers: Vec<FuncId> = (0..threads)
+        .map(|t| mb.declare_func(format!("worker{t}"), 1))
+        .collect();
+    for (t, &f) in workers.iter().enumerate() {
+        let mut b = mb.build_func(f);
+        let own = b.global_addr(private[t]);
+        let shared_at: Vec<InstId> = shared.iter().map(|&g| b.global_addr(g)).collect();
+        let mutex_at: Vec<InstId> = mutexes.iter().map(|&g| b.global_addr(g)).collect();
+        for _ in 0..rounds {
+            let k = rng.below(LOCKS as u64) as usize;
+            match rng.below(7) {
+                0 if phi_loops => {
+                    b.lock(mutex_at[k]);
+                    let start = b.gep(shared_at[k], 0);
+                    let pre = b.current_block();
+                    let (head, body, exit) = (b.block(), b.block(), b.block());
+                    b.jmp(head);
+                    b.switch_to(head);
+                    let p = b.phi(vec![]);
+                    let go = b.input(rng.below(4) as i64);
+                    b.br(go, body, exit);
+                    b.switch_to(body);
+                    let v = b.load(p, Type::I64);
+                    b.store(p, Operand::Value(v));
+                    let next = b.gep(p, 1);
+                    b.jmp(head);
+                    b.set_phi(p, vec![(pre, start.into()), (body, next.into())]);
+                    b.switch_to(exit);
+                    b.unlock(mutex_at[k]);
+                }
+                1 if phi_loops => {
+                    let pre = b.current_block();
+                    let (head, body, exit) = (b.block(), b.block(), b.block());
+                    b.jmp(head);
+                    b.switch_to(head);
+                    let p = b.phi(vec![]);
+                    let go = b.input(rng.below(4) as i64);
+                    b.br(go, body, exit);
+                    b.switch_to(body);
+                    b.lock(mutex_at[k]);
+                    b.store(p, 6);
+                    b.unlock(mutex_at[k]);
+                    let next = b.gep(shared_at[k], rng.below(8) as i64);
+                    b.jmp(head);
+                    b.set_phi(p, vec![(pre, own.into()), (body, next.into())]);
+                    b.switch_to(exit);
+                }
+                2 if chain => {
+                    let j = rng.below(LOCKS as u64) as usize;
+                    let mut held = vec![k, j];
+                    if big_lock {
+                        held.insert(0, 0);
+                    }
+                    held.sort_unstable();
+                    held.dedup();
+                    for &h in &held {
+                        b.lock(mutex_at[h]);
+                    }
+                    let s = b.gep(shared_at[k], rng.below(8) as i64);
+                    let callee = [top, mid, leaf][rng.below(3) as usize];
+                    b.call(callee, vec![s.into()]);
+                    for &h in held.iter().rev() {
+                        b.unlock(mutex_at[h]);
+                    }
+                }
+                3 if releaser => {
+                    let at = b.global_addr(relocked);
+                    let s = b.gep(at, rng.below(4) as i64);
+                    b.lock(mutex_at[k]);
+                    b.store(s, 1);
+                    b.call(relock, vec![mutex_at[k].into()]);
+                    b.load(s, Type::I64);
+                    b.unlock(mutex_at[k]);
+                }
+                4 if cond_wait => {
+                    b.lock(mutex_at[k]);
+                    let ready_at = b.global_addr(ready);
+                    let (head, wait, done) = (b.block(), b.block(), b.block());
+                    b.jmp(head);
+                    b.switch_to(head);
+                    let r = b.load(ready_at, Type::I64);
+                    b.br(r, done, wait);
+                    b.switch_to(wait);
+                    let cv_at = b.global_addr(cv);
+                    b.cond_wait(cv_at, mutex_at[k]);
+                    b.jmp(head);
+                    b.switch_to(done);
+                    let at = b.global_addr(signalled);
+                    let s = b.gep(at, rng.below(4) as i64);
+                    b.store(s, 2);
+                    b.unlock(mutex_at[k]);
+                }
+                5 => {
+                    let mb_at = b.global_addr(mailbox);
+                    let target = if rng.below(2) == 0 {
+                        own
+                    } else {
+                        b.global_addr(published)
+                    };
+                    b.lock(mutex_at[k]);
+                    b.store(mb_at, Operand::Value(target));
+                    let back = b.load(mb_at, Type::Ptr);
+                    b.store(back, 3);
+                    b.unlock(mutex_at[k]);
+                }
+                _ => {
+                    let s = b.gep(own, rng.below(16) as i64);
+                    b.store(s, 5);
+                }
+            }
+        }
+        b.ret(None);
+    }
+
+    let main = mb.declare_func("main", 0);
+    {
+        let mut b = mb.build_func(main);
+        let ready_at = b.global_addr(ready);
+        b.store(ready_at, 1);
+        if spawn_loop {
+            let (head, done) = (b.block(), b.block());
+            b.jmp(head);
+            b.switch_to(head);
+            b.thread_create(looper, 0);
+            let again = b.input(0);
+            b.br(again, head, done);
+            b.switch_to(done);
+        } else {
+            let t = b.thread_create(looper, 0);
+            b.thread_join(t);
+        }
+        let tids: Vec<InstId> = workers.iter().map(|&f| b.thread_create(f, 0)).collect();
+        for tid in tids {
+            b.thread_join(tid);
+        }
+        b.ret(None);
+    }
+    (mb.finish(), main)
+}
+
+/// Recorded before the points-to solver moved to dense node ids and
+/// the lockset dataflow to one cached flow per function.
+const PINNED_STRUCTURED: &[&str] = &[
+    "structured-0: sites=14/17 tl=5 ro=0 ld=9 locs=6/7 poisoned=false sites=f1393d67913fe535 pts=b03ab63cf146d2a6",
+    "structured-1: sites=19/19 tl=19 ro=0 ld=0 locs=8/8 poisoned=false sites=922741a98034fcdb pts=d3a1822c46f89137",
+    "structured-2: sites=17/19 tl=14 ro=0 ld=3 locs=9/10 poisoned=false sites=d6179066ebba7f55 pts=d029c431d6241683",
+    "structured-3: sites=8/28 tl=5 ro=0 ld=3 locs=6/10 poisoned=false sites=3ca742199b40ca91 pts=f269b04f0e4755ce",
+    "structured-4: sites=21/44 tl=10 ro=0 ld=11 locs=7/12 poisoned=false sites=f0ec9dffdb36c89a pts=3f8345ba71b56c85",
+    "structured-5: sites=11/52 tl=11 ro=0 ld=0 locs=3/9 poisoned=false sites=cb0a0759acfca187 pts=66ecb016578c51fb",
+    "structured-6: sites=1/67 tl=1 ro=0 ld=0 locs=1/11 poisoned=false sites=bf163f2670aea3b5 pts=3bf95845f43451f3",
+    "structured-7: sites=16/94 tl=12 ro=0 ld=4 locs=6/13 poisoned=false sites=a589658ff84a72cb pts=d956ba21ba0f679c",
+    "structured-8: sites=37/128 tl=3 ro=0 ld=34 locs=6/12 poisoned=false sites=ddc066c6c133b141 pts=c606b73cdad6c6a5",
+    "structured-9: sites=5/13 tl=5 ro=0 ld=0 locs=4/5 poisoned=false sites=f65498d9e9ec66bc pts=6123508fa9be6890",
+    "structured-10: sites=5/17 tl=5 ro=0 ld=0 locs=3/9 poisoned=false sites=56015dcf82fcf365 pts=bdb83f51b00b1302",
+    "structured-11: sites=11/24 tl=11 ro=0 ld=0 locs=6/9 poisoned=false sites=a98ad6fe3a14d1cd pts=52468a47e4992597",
+];
+
+#[test]
+fn structured_elision_is_pinned() {
+    let rows: Vec<String> = (0..12)
+        .map(|index| {
+            let (m, entry) = structured(index);
+            owl_ir::assert_verified(&m);
+            row(&format!("structured-{index}"), &m, entry)
+        })
+        .collect();
+    assert_eq!(rows, PINNED_STRUCTURED);
 }
