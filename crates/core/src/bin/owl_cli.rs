@@ -14,7 +14,8 @@
 //! owl-cli shutdown <socket>            # graceful drain, wait for `bye`
 //! ```
 //!
-//! Exit codes: `0` success, `1` failure, `2` usage error, and — for
+//! Exit codes: `0` success, `1` failure, `2` usage error (an option
+//! the command does not take included), and — for
 //! `submit` — the typed daemon outcomes `3` admission-rejected,
 //! `4` deadline-exceeded, `5` quarantined.
 
@@ -57,7 +58,7 @@ fn usage() -> ExitCode {
          campaign <dir> [--quick] [--resume] [--json]\n                            run the whole corpus with a durable journal in <dir>\n  \
          hints <program> [--quick] print Figure-4/5 hints for every finding\n  \
          audit <program> [--quick] demo §7.2 path auditing\n  \
-         serve <dir> [--socket <path>] [--workers <n>] [--queue <n>]\n       [--max-inflight-bytes <n>] [--kill-after <n>]\n                            resident daemon: store + metrics in <dir>,\n                            line-JSON protocol on <dir>/owl.sock\n  \
+         serve <dir> [--socket <path>] [--workers <n>] [--queue <n>]\n       [--max-inflight-bytes <n>] [--default-deadline-ms <n>]\n       [--kill-after <n>]\n                            resident daemon: store + metrics in <dir>,\n                            line-JSON protocol on <dir>/owl.sock\n  \
          submit <socket> <program> [--quick] [--deadline-ms <n>] [--json]\n                            submit one program; exits 0 result, 3 rejected,\n                            4 deadline-exceeded, 5 quarantined\n  \
          status <socket>           print daemon counters as JSON\n  \
          shutdown <socket>         graceful drain; exits 0 on `bye`\n\
@@ -70,10 +71,9 @@ fn usage() -> ExitCode {
          detector options (run/hints/audit/campaign):\n  \
          --explore-workers <n>     threads exploring schedules in the detection\n                            stage (default 1; reports are identical for any\n                            count and excluded from the campaign fingerprint)\n  \
          --hb-backend <b>          race-detection backend, one of:\n{backends}  \
-         --max-trace-mem <n[K|M|G]>\n                            bound the detector's in-flight trace window;\n                            cold segments spill to disk and are replayed\n                            (reports are identical at any budget; without a\n                            spill dir over-budget units abort with a typed\n                            memory-budget verdict)\n  \
          --no-elide                disable the static check-elision pre-pass\n                            (reports are identical either way; elision only\n                            skips shadow-memory work at proved-safe sites)\n  \
          --no-fork                 fork each detection input at instruction zero:\n                            every seed runs in full, no startup prefix is\n                            shared and no schedule is deduped (reports are\n                            identical either way and a journal resumes\n                            across the switch)\n  \
-         --elide-report            print the pre-pass per-site classification\n                            for <program> and exit\n\
+         --elide-report            print the pre-pass per-site classification\n                            for <program> and exit (run/hints/audit)\n\
          campaign options:\n  \
          --resume                  continue a journal instead of refusing it\n  \
          --max-attempts <n>        per-program retry budget (default 3)\n  \
@@ -137,29 +137,79 @@ fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Optio
     }
 }
 
-/// Parses a memory size: plain bytes or with a case-insensitive
-/// K/M/G (KiB/MiB/GiB) suffix. Zero is rejected — a zero budget
-/// would abort every exploration unit before its first event.
-fn parse_mem_size(raw: &str) -> Result<u64, String> {
-    let (digits, mult) = match raw.as_bytes().last() {
-        Some(b'k' | b'K') => (&raw[..raw.len() - 1], 1u64 << 10),
-        Some(b'm' | b'M') => (&raw[..raw.len() - 1], 1u64 << 20),
-        Some(b'g' | b'G') => (&raw[..raw.len() - 1], 1u64 << 30),
-        _ => (raw, 1),
+/// The options [`config`] parses, which every command that runs the
+/// pipeline accepts.
+const PIPELINE_OPTIONS: [&str; 10] = [
+    "--quick",
+    "--fault-seed",
+    "--fault-rate",
+    "--max-verify-attempts",
+    "--explore-workers",
+    "--hb-backend",
+    "--no-elide",
+    "--no-fork",
+    "--no-points-to",
+    "--no-summaries",
+];
+
+/// Every option `cmd` accepts, or `None` for an unknown command.
+fn options(cmd: &str) -> Option<Vec<&'static str>> {
+    let own: &[&str] = match cmd {
+        "run" => &[
+            "--atomicity",
+            "--json",
+            "--elide-report",
+            "--stage-deadline-ms",
+        ],
+        "hints" | "audit" => &["--atomicity", "--elide-report", "--stage-deadline-ms"],
+        "campaign" => &[
+            // Taken only to be refused, with its reason, in the
+            // campaign arm.
+            "--stage-deadline-ms",
+            "--resume",
+            "--json",
+            "--max-attempts",
+            "--backoff-ms",
+            "--backoff-seed",
+            "--kill-after",
+            "--workers",
+            "--metrics",
+        ],
+        "serve" => &[
+            "--stage-deadline-ms",
+            "--socket",
+            "--workers",
+            "--queue",
+            "--max-inflight-bytes",
+            "--default-deadline-ms",
+            "--kill-after",
+        ],
+        "submit" => {
+            return Some(vec![
+                "--quick",
+                "--deadline-ms",
+                "--sleep-ms",
+                "--inject-panic",
+                "--json",
+            ])
+        }
+        "list" | "status" | "shutdown" => return Some(Vec::new()),
+        _ => return None,
     };
-    if digits.is_empty() {
-        return Err(format!("`{raw}` has no digits"));
-    }
-    let n: u64 = digits
-        .parse()
-        .map_err(|_| format!("`{raw}` is not a byte count with an optional K/M/G suffix"))?;
-    let bytes = n
-        .checked_mul(mult)
-        .ok_or_else(|| format!("`{raw}` overflows a 64-bit byte count"))?;
-    if bytes == 0 {
-        return Err("a zero trace-memory budget would abort every unit".to_string());
-    }
-    Ok(bytes)
+    Some(PIPELINE_OPTIONS.iter().chain(own).copied().collect())
+}
+
+/// Checks every `--name` token of `args` against `accepted`: an option
+/// the command does not take is a usage error, never silently ignored
+/// (a typo would otherwise run the defaults and exit 0).
+fn check_options(cmd: &str, accepted: &[&str], args: &[String]) -> Result<(), String> {
+    let Some(opt) = args
+        .iter()
+        .find(|a| a.starts_with("--") && !accepted.contains(&a.as_str()))
+    else {
+        return Ok(());
+    };
+    Err(format!("unknown option {opt} for {cmd}"))
 }
 
 fn config(args: &[String]) -> Result<OwlConfig, String> {
@@ -206,16 +256,6 @@ fn config(args: &[String]) -> Result<OwlConfig, String> {
             )
         })?;
     }
-    if let Some(raw) = flag_value(args, "--max-trace-mem")? {
-        let bytes =
-            parse_mem_size(raw).map_err(|msg| format!("--max-trace-mem: {msg}"))?;
-        cfg.detect.stream.max_trace_mem = Some(bytes);
-        // Default spill destination for one-shot commands; campaign
-        // and serve redirect this into their own directory.
-        cfg.detect.stream.spill_dir = Some(
-            std::env::temp_dir().join(format!("owl-trace-spill-{}", std::process::id())),
-        );
-    }
     if args.iter().any(|a| a == "--no-elide") {
         cfg.elide = false;
     }
@@ -236,6 +276,13 @@ fn main() -> ExitCode {
     let Some(cmd) = args.first() else {
         return usage();
     };
+    let Some(accepted) = options(cmd) else {
+        return usage();
+    };
+    if let Err(msg) = check_options(cmd, &accepted, &args[1..]) {
+        eprintln!("{msg}");
+        return ExitCode::from(2);
+    }
     match cmd.as_str() {
         "list" => {
             println!("corpus programs:");
@@ -371,16 +418,6 @@ fn main() -> ExitCode {
                             c(Counter::ElisionEventsElided)
                         );
                     }
-                    if cfg.detect.stream.max_trace_mem.is_some() {
-                        println!(
-                            "trace memory: {} pressure event(s), {} segment(s) / {} byte(s) \
-                             spilled, {} shadow cell(s) GCed",
-                            c(Counter::MemPressureEvents),
-                            c(Counter::TraceSpillSegments),
-                            c(Counter::TraceSpilledBytes),
-                            c(Counter::ShadowCellsGced)
-                        );
-                    }
                     if cfg.detect.hb_backend.is_predictive() {
                         println!(
                             "prediction: {} candidate(s), {} witnessed ({} by sync reversal), \
@@ -488,17 +525,13 @@ fn main() -> ExitCode {
                 );
                 return ExitCode::from(2);
             }
-            let mut cfg = match config(&args) {
+            let cfg = match config(&args) {
                 Ok(cfg) => cfg,
                 Err(msg) => {
                     eprintln!("{msg}");
                     return ExitCode::from(2);
                 }
             };
-            if cfg.detect.stream.max_trace_mem.is_some() {
-                cfg.detect.stream.spill_dir =
-                    Some(std::path::Path::new(dir).join("trace-spill"));
-            }
             let mut ccfg = CampaignConfig::new(cfg);
             let campaign_flags = (|| -> Result<(), String> {
                 if let Some(n) = parse_flag::<u64>(&args, "--max-attempts")? {
@@ -611,17 +644,13 @@ fn main() -> ExitCode {
             if dir.starts_with("--") {
                 return usage();
             }
-            let mut owl = match config(&args) {
+            let owl = match config(&args) {
                 Ok(cfg) => cfg,
                 Err(msg) => {
                     eprintln!("{msg}");
                     return ExitCode::from(2);
                 }
             };
-            if owl.detect.stream.max_trace_mem.is_some() {
-                owl.detect.stream.spill_dir =
-                    Some(std::path::Path::new(dir).join("trace-spill"));
-            }
             let mut scfg = ServeConfig::new(dir);
             scfg.owl = owl;
             // The daemon always records metrics: BENCH_serve.json and

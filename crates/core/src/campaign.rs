@@ -24,7 +24,7 @@
 use crate::config::OwlConfig;
 use crate::counters::Counter;
 use crate::journal::{
-    encode_error, encode_summary, Journal, JournalError, JournalKilled, JournalRecord,
+    encode_error, encode_summary, fnv1a64, Journal, JournalError, JournalKilled, JournalRecord,
     ProgramSummary, RecoveryReport, SharedJournal,
 };
 use crate::json::Json;
@@ -35,7 +35,6 @@ use crate::pipeline::{
 };
 use crate::queue::{DeadlineQueue, Pop};
 use owl_corpus::CorpusProgram;
-use owl_race::spill::fnv1a64;
 use owl_verify::VerifyOutcome;
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -138,22 +137,21 @@ pub fn campaign_fingerprint(owl: &OwlConfig, programs: &[String]) -> String {
     // [`CampaignConfig::workers`].
     let mut owl = owl.clone();
     owl.detect.workers = 1;
-    // Spill plumbing is scheduling-only too: the spill directory,
-    // segment naming, and fault-injection switches never change
-    // results (reports are byte-identical at any setting),
-    // so normalize them out as well. `max_trace_mem` stays — a unit
-    // that blows the hard budget is *aborted*, which is an observable
-    // result difference.
-    let max_trace_mem = owl.detect.stream.max_trace_mem;
-    owl.detect.stream = owl_race::StreamConfig {
-        max_trace_mem,
-        ..owl_race::StreamConfig::default()
-    };
     // Prefix-sharing fork mode is an execution strategy, not a result
     // knob — reports and outcomes are byte-identical fork on or off —
     // so a journal may be resumed across `--no-fork`.
     owl.detect.fork = true;
-    let ident = format!("{owl:?}|{programs:?}");
+    // `ExplorerConfig` once held a trace-memory budget, `stream`,
+    // between `elided_sites` and `fork`. Rendering its default text
+    // where it stood gives every configuration without a budget the
+    // fingerprint it had then, so journals and serve stores written by
+    // those builds still resume and still hit.
+    let ident = format!("{owl:?}|{programs:?}").replacen(
+        ", fork: true }, race_verify: ",
+        ", stream: StreamConfig { max_trace_mem: None, spill_dir: None, \
+         tag_prefix: \"unit\", spill_kill: None }, fork: true }, race_verify: ",
+        1,
+    );
     format!("{:016x}", fnv1a64(ident.as_bytes()))
 }
 
@@ -422,12 +420,10 @@ fn set_status(
 }
 
 /// Reconstructs a consolidated [`PipelineHealth`] from the record
-/// stream: stages 3–5 from their unit records, the counters summed
-/// over `ProgramFinished` records, plus
-/// [`Counter::UnitsAbortedMemBudget`] from quarantine records carrying
-/// a memory-budget abort. Every quarantine, a stage-5 verdict aborted
-/// inside a `FindingAnalyzed` record included, counts through the
-/// pipeline's own rule, so the totals equal the live runs'. The journal
+/// stream: stages 3–5 from their unit records and the counters summed
+/// over `ProgramFinished` records. Every quarantine, a stage-5 verdict
+/// aborted inside a `FindingAnalyzed` record included, counts through
+/// the pipeline's own rule, so the totals equal the live runs'. The journal
 /// recovery counters come only from `recovery`, the journal's
 /// open-time repair. The detection stage's [`crate::StageHealth`] is
 /// not journaled and reads 0.
@@ -469,14 +465,6 @@ pub fn health_from_records(records: &[JournalRecord], recovery: &RecoveryReport)
                 };
                 absorb_attempts(sh, *attempts, *injected_faults);
                 apply_quarantine_health(sh, error);
-                if let PipelineError::VerifierAborted {
-                    cause: owl_verify::AbortCause::MemoryBudget,
-                    attempts: aborted_units,
-                    ..
-                } = error
-                {
-                    health.counters[Counter::UnitsAbortedMemBudget] += aborted_units;
-                }
             }
             _ => {}
         }

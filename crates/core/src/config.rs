@@ -46,7 +46,6 @@ impl Default for OwlConfig {
                 workers: 1,
                 hb_backend: owl_race::HbBackend::default(),
                 elided_sites: None,
-                stream: owl_race::StreamConfig::default(),
                 fork: true,
             },
             race_verify: RaceVerifyConfig {

@@ -9,12 +9,15 @@
 //! entry and one `name` arm; no surface needs touching.
 //!
 //! * [`Counter::ALL`] order is wire order: JSON objects list counters
-//!   in it, so it must only ever grow at the position a new row
-//!   belongs, never reorder.
+//!   in it, so a new row goes in at the position it belongs and the
+//!   rows never reorder.
 //! * Every counter merges by sum ([`Counters::add`]).
-//! * Decoding reads by name and treats a missing or non-integer value
-//!   as 0 ([`Counters::from_json`]), so files written before a counter
-//!   existed still open.
+//! * Decoding reads by name, ignores unknown keys, and treats a
+//!   missing or non-integer value as 0 ([`Counters::from_json`]), so
+//!   files written before a counter existed still open, and a row may
+//!   be retired: files that still carry its key open too. Retiring a
+//!   row removes it from the wire order; the rows left keep their
+//!   relative order.
 
 use crate::json::Json;
 use owl_race::ExploreResult;
@@ -52,21 +55,8 @@ pub enum Counter {
     /// Data-access events whose epoch shadow-memory work was skipped at
     /// elided sites, summed over both detection sweeps.
     ElisionEventsElided,
-    /// Bytes of trace the detection units spilled to segment
-    /// files under memory pressure, summed over both sweeps.
-    TraceSpilledBytes,
-    /// Spill segments written (each verified by checksum on replay and
-    /// deleted).
-    TraceSpillSegments,
-    /// Times a detection unit's in-flight window crossed the soft
-    /// memory limit.
-    MemPressureEvents,
     /// Shadow cells the detectors' thread-exit/free GC reclaimed.
     ShadowCellsGced,
-    /// Detection units aborted with a typed memory-budget verdict
-    /// because their trace outgrew `--max-trace-mem` with nowhere to
-    /// spill.
-    UnitsAbortedMemBudget,
     /// Conflicting access pairs the predictive detection backends
     /// submitted to the witness machinery, summed over both detection
     /// sweeps. Zero for non-predictive backends.
@@ -108,7 +98,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in wire order.
-    pub const ALL: [Counter; 24] = [
+    pub const ALL: [Counter; 20] = [
         Counter::SummaryCacheHits,
         Counter::SummaryCacheMisses,
         Counter::JournalDiscardedBytes,
@@ -119,11 +109,7 @@ impl Counter {
         Counter::ElisionSitesLockDominated,
         Counter::ElisionSitesReadOnly,
         Counter::ElisionEventsElided,
-        Counter::TraceSpilledBytes,
-        Counter::TraceSpillSegments,
-        Counter::MemPressureEvents,
         Counter::ShadowCellsGced,
-        Counter::UnitsAbortedMemBudget,
         Counter::PredictCandidates,
         Counter::PredictWitnessed,
         Counter::PredictWitnessRejected,
@@ -148,11 +134,7 @@ impl Counter {
             Counter::ElisionSitesLockDominated => "elision_sites_lock_dominated",
             Counter::ElisionSitesReadOnly => "elision_sites_read_only",
             Counter::ElisionEventsElided => "elision_events_elided",
-            Counter::TraceSpilledBytes => "trace_spilled_bytes",
-            Counter::TraceSpillSegments => "trace_spill_segments",
-            Counter::MemPressureEvents => "mem_pressure_events",
             Counter::ShadowCellsGced => "shadow_cells_gced",
-            Counter::UnitsAbortedMemBudget => "units_aborted_mem_budget",
             Counter::PredictCandidates => "predict_candidates",
             Counter::PredictWitnessed => "predict_witnessed",
             Counter::PredictWitnessRejected => "predict_witness_rejected",
@@ -177,9 +159,19 @@ impl Counter {
     }
 }
 
+/// Slots in a [`Counters`] array: one per [`Counter`] row, and unused
+/// ones where the four retired trace-memory rows stood, so the array
+/// keeps its former 192 bytes. At 160 bytes, building the corpus models
+/// right after a journaled campaign round ran about 100 µs (24–36%)
+/// slower: the effect follows the malloc size class of the journal's
+/// worker-allocated counter boxes, which the main thread frees (see
+/// EXPERIMENTS.md, "Trace-memory budget removed").
+const SLOTS: usize = 24;
+const _: () = assert!(Counter::ALL.len() <= SLOTS);
+
 /// One value per [`Counter`], indexed by it.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Counters([u64; Counter::ALL.len()]);
+pub struct Counters([u64; SLOTS]);
 
 impl Counters {
     /// Adds every counter of `other` into this one.
@@ -222,11 +214,7 @@ impl Counters {
             (Counter::DetectorSuppressed, r.suppressed as u64),
             (Counter::DetectorReportsDropped, r.reports_dropped as u64),
             (Counter::ElisionEventsElided, r.events_elided),
-            (Counter::TraceSpilledBytes, r.trace_spilled_bytes),
-            (Counter::TraceSpillSegments, r.trace_spill_segments),
-            (Counter::MemPressureEvents, r.mem_pressure_events),
             (Counter::ShadowCellsGced, r.shadow_cells_gced),
-            (Counter::UnitsAbortedMemBudget, r.units_aborted_mem_budget),
             (Counter::PredictCandidates, r.predict_candidates),
             (Counter::PredictWitnessed, r.predict_witnessed),
             (Counter::PredictWitnessRejected, r.predict_witness_rejected),

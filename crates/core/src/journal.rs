@@ -27,9 +27,9 @@
 //! The checksum is FNV-1a/64 over the exact bytes of the record JSON
 //! (the canonical form emitted by [`crate::json`]). It is verified
 //! byte-for-byte on open and must be spelled exactly as written, so any
-//! in-place corruption — not just torn writes — is detected. The frame
-//! and the torn-tail scan are shared with trace spill segments
-//! ([`owl_race::spill::LineFrame`], [`owl_race::spill::valid_prefix`]).
+//! in-place corruption — not just torn writes — is detected. The
+//! daemon's result store is a journal too, so it shares the frame and
+//! the torn-tail scan.
 //!
 //! ## Recovery policy
 //!
@@ -56,7 +56,6 @@
 use crate::counters::Counters;
 use crate::json::{self, Json};
 use crate::pipeline::{PipelineError, PipelineResult, Stage};
-use owl_race::spill::{valid_prefix, LineFrame};
 use owl_race::RaceReport;
 use owl_static::{DepKind, VulnReport};
 use owl_verify::{AbortCause, VerifyOutcome};
@@ -69,8 +68,8 @@ use std::path::{Path, PathBuf};
 /// Panic payload of an armed journal kill point (see
 /// [`Journal::set_kill_after`]). Supervisors must re-raise it: it
 /// simulates the process dying, not a recoverable stage failure.
-/// Shared with the trace spill layer's kill switch, so it lives in
-/// [`owl_vm`] and is re-exported here.
+/// It lives in [`owl_vm`], beside [`FaultKind::JournalKill`], and is
+/// re-exported here.
 pub use owl_vm::JournalKilled;
 
 /// What `Journal::open` found and repaired.
@@ -859,18 +858,71 @@ fn decode_record(v: &Json) -> Option<JournalRecord> {
     })
 }
 
-const FRAME: LineFrame = LineFrame::new("\",\"rec\":", "}");
+/// FNV-1a 64-bit — small, dependency-free, and plenty for torn-write
+/// and bit-rot detection on a line-sized payload. The checksum of
+/// every journal line.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// How every journal line starts; the CRC's sixteen hex digits follow.
+const CRC_PREFIX: &str = "{\"crc\":\"";
+/// What sits between the CRC and the payload.
+const REC_KEY: &str = "\",\"rec\":";
+
+/// The framed line for `payload`, trailing newline included:
+/// `{"crc":"<16 lowercase hex>","rec":<payload>}`, the CRC being
+/// [`fnv1a64`] over the payload bytes.
+fn frame(payload: &str) -> String {
+    let crc = fnv1a64(payload.as_bytes());
+    format!("{CRC_PREFIX}{crc:016x}{REC_KEY}{payload}}}\n")
+}
+
+/// The checksummed payload of one newline-stripped line, or `None` on
+/// any damage. The CRC must be spelled exactly as [`frame`] writes it —
+/// sixteen lowercase hex digits — so that every single-bit flip of a
+/// line is damage, including one that upper-cases a CRC digit.
+fn unframe(line: &[u8]) -> Option<&[u8]> {
+    let (crc, rest) = line
+        .strip_prefix(CRC_PREFIX.as_bytes())?
+        .split_at_checked(16)?;
+    let payload = rest.strip_prefix(REC_KEY.as_bytes())?.strip_suffix(b"}")?;
+    (crc == format!("{:016x}", fnv1a64(payload)).as_bytes()).then_some(payload)
+}
 
 /// Formats one journal line, trailing newline included.
 fn format_line(rec: &JournalRecord) -> String {
-    FRAME.line(&encode_record(rec).to_json_string())
+    frame(&encode_record(rec).to_json_string())
 }
 
 /// Validates one newline-stripped journal line: frame and checksum
 /// over the exact payload bytes, then record decode.
 fn parse_line(line: &[u8]) -> Option<JournalRecord> {
-    let payload = std::str::from_utf8(FRAME.payload(line)?).ok()?;
+    let payload = std::str::from_utf8(unframe(line)?).ok()?;
     decode_record(&json::parse(payload).ok()?)
+}
+
+/// The torn-tail scan: parses the newline-terminated lines at the
+/// start of `data` and stops at the first one that is torn (no newline
+/// before EOF) or that [`parse_line`] rejects. Returns the records and
+/// the length of that valid prefix, which is where recovery truncates
+/// the file.
+fn valid_prefix(data: &[u8]) -> (Vec<JournalRecord>, usize) {
+    let mut records = Vec::new();
+    let mut end = 0;
+    for line in data.split_inclusive(|&b| b == b'\n') {
+        let Some(rec) = line.strip_suffix(b"\n").and_then(parse_line) else {
+            break;
+        };
+        records.push(rec);
+        end += line.len();
+    }
+    (records, end)
 }
 
 /// An open, recovered, append-only run journal.
@@ -901,7 +953,7 @@ impl Journal {
             .open(&path)?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
-        let (records, valid_end) = valid_prefix(&bytes, parse_line);
+        let (records, valid_end) = valid_prefix(&bytes);
         let discarded = &bytes[valid_end..];
         let discarded_records = if discarded.is_empty() {
             0
@@ -1412,6 +1464,96 @@ mod tests {
         }
     }
 
+    /// A journal exactly as builds with the trace-memory budget wrote
+    /// it: a unit quarantine and a program quarantine for a
+    /// memory-budget abort, and a `ProgramFinished` record whose
+    /// counters carry the budget's four retired keys. It must open
+    /// whole, every record decoding.
+    const BUDGET_ERA_JOURNAL: &str = concat!(
+        r#"{"crc":"b360d2d883913ca8","rec":{"t":"campaign-started","fingerprint":"0123456789abcdef","programs":["MySQL","SSDB"]}}"#,
+        "\n",
+        r#"{"crc":"b347843847b5a533","rec":{"t":"quarantined","program":"MySQL","key":null,"global":null,"error":{"kind":"verifier-aborted","stage":"detect","cause":"memory-budget","attempts":12},"attempts":12,"faults":0}}"#,
+        "\n",
+        r#"{"crc":"d1e4644c65a3fb79","rec":{"t":"program-quarantined","program":"MySQL","attempts":1,"error":{"kind":"verifier-aborted","stage":"detect","cause":"memory-budget","attempts":12}}}"#,
+        "\n",
+        r#"{"crc":"019ae593dc11f8d2","rec":{"t":"program-finished","program":"SSDB","attempts":1,"summary":{"raw":3,"adhoc":0,"annotated":3,"eliminated":0,"remaining":1,"vulnerable":1,"faults":0,"quarantined":0,"findings":[]},"counters":{"summary_cache_hits":0,"summary_cache_misses":0,"journal_discarded_bytes":0,"journal_discarded_records":0,"detector_suppressed":0,"detector_reports_dropped":0,"elision_sites_thread_local":0,"elision_sites_lock_dominated":0,"elision_sites_read_only":0,"elision_events_elided":0,"trace_spilled_bytes":4096,"trace_spill_segments":3,"mem_pressure_events":5,"shadow_cells_gced":7,"units_aborted_mem_budget":2,"predict_candidates":0,"predict_witnessed":0,"predict_witness_rejected":0,"predict_reversal_races":0,"predict_capped":0,"units_forked":8,"prefix_steps_saved":0,"schedules_deduped":0,"snapshot_bytes":0}}}"#,
+        "\n",
+    );
+
+    #[test]
+    fn memory_budget_era_journal_opens_whole() {
+        let path = tmp_path("budget-era");
+        std::fs::write(&path, BUDGET_ERA_JOURNAL).unwrap();
+        let j = Journal::open(&path).unwrap();
+        assert_eq!(
+            j.recovery(),
+            &RecoveryReport {
+                valid_records: 4,
+                ..RecoveryReport::default()
+            }
+        );
+        let error = PipelineError::VerifierAborted {
+            stage: Stage::Detect,
+            cause: AbortCause::MemoryBudget,
+            attempts: 12,
+        };
+        let mut counters = Counters::default();
+        counters[Counter::ShadowCellsGced] = 7;
+        counters[Counter::UnitsForked] = 8;
+        let expected = vec![
+            JournalRecord::CampaignStarted {
+                fingerprint: "0123456789abcdef".into(),
+                programs: vec!["MySQL".into(), "SSDB".into()],
+            },
+            JournalRecord::Quarantined {
+                program: "MySQL".into(),
+                key: None,
+                global: None,
+                error: error.clone(),
+                attempts: 12,
+                injected_faults: 0,
+            },
+            JournalRecord::ProgramQuarantined {
+                program: "MySQL".into(),
+                attempts: 1,
+                error,
+            },
+            JournalRecord::ProgramFinished {
+                program: "SSDB".into(),
+                attempts: 1,
+                summary: ProgramSummary {
+                    raw_reports: 3,
+                    post_annotation_reports: 3,
+                    remaining: 1,
+                    vulnerable: 1,
+                    ..ProgramSummary::default()
+                },
+                counters: Box::new(counters),
+            },
+        ];
+        assert_eq!(j.records(), expected.as_slice());
+
+        // The unit quarantine counts in the detection stage's health;
+        // the program quarantine counts in the campaign summary, where
+        // program-level outcomes have always been counted.
+        let health = crate::campaign::health_from_records(j.records(), j.recovery());
+        assert_eq!(health.detect.quarantined, 1);
+        assert_eq!(health.detect.attempts, 12);
+        assert_eq!(health.counters[Counter::ShadowCellsGced], 7);
+        let summary = crate::campaign::CampaignSummary::from_records(j.records());
+        assert_eq!((summary.units_quarantined, summary.quarantined()), (1, 1));
+        assert_eq!(summary.finished(), 1);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn fnv_vectors() {
+        // Published FNV-1a 64 test vectors.
+        assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63dc4c8601ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    }
+
     /// A word stream that records are read off; zeros once it runs dry.
     struct Words<'a>(std::slice::Iter<'a, u64>);
 
@@ -1662,7 +1804,7 @@ mod tests {
                 .iter()
                 .map(|&b| if b < 128 { TOKENS[b as usize % TOKENS.len()] } else { b })
                 .collect();
-            let framed = FRAME.line(&String::from_utf8_lossy(&tokens));
+            let framed = frame(&String::from_utf8_lossy(&tokens));
             let _ = parse_line(framed.trim_end_matches('\n').as_bytes());
             prop_assert!(parse_line(&garbage).is_none());
 

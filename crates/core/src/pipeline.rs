@@ -593,14 +593,7 @@ impl<'m> Owl<'m> {
         match front_end {
             FrontEnd::Race => {
                 let reports =
-                    match self.detect_and_annotate(&mut result, workloads, deadline, &mut pts_slot)
-                    {
-                        Ok(reports) => reports,
-                        Err(error) => {
-                            result.error = Some(error);
-                            return Ok(result);
-                        }
-                    };
+                    self.detect_and_annotate(&mut result, workloads, deadline, &mut pts_slot);
                 let verifier = RaceVerifier::new(self.module, self.config.race_verify.clone());
                 let verify = |i: usize| verifier.verify(self.entry, primary, &reports[i]);
                 self.stages_3_to_5(
@@ -637,21 +630,14 @@ impl<'m> Owl<'m> {
     /// configuration and no deadline (seeded explorer, seeded fault
     /// plan), which is what makes it safe for a journaled run to
     /// re-execute on resume instead of journaling its reports.
-    ///
-    /// Returns a [`PipelineError::VerifierAborted`] with
-    /// [`AbortCause::MemoryBudget`] when any exploration unit blew the
-    /// `--max-trace-mem` hard limit and had no spill directory to
-    /// degrade into — the unit's reports were discarded, so continuing
-    /// to the verifiers would verify an incomplete stream.
     fn detect_and_annotate(
         &self,
         result: &mut PipelineResult,
         workloads: &[ProgramInput],
         deadline: Option<Duration>,
         pts_slot: &mut Option<Arc<PointsTo>>,
-    ) -> Result<Vec<RaceReport>, PipelineError> {
+    ) -> Vec<RaceReport> {
         let PipelineResult {
-            program: name,
             stats,
             health,
             annotations: annotated,
@@ -665,7 +651,6 @@ impl<'m> Owl<'m> {
         // are byte-identical with it on or off. It solves the run's
         // points-to analysis, which stage 4 then reuses.
         let mut detect_cfg = self.config.detect.clone();
-        detect_cfg.stream.tag_prefix = spill_tag(&detect_cfg.stream.tag_prefix, name);
         if self.config.elide {
             let t = Instant::now();
             let pts = self.points_to(pts_slot, health);
@@ -684,7 +669,7 @@ impl<'m> Owl<'m> {
         let raw = explore_with_deadline(self.module, self.entry, workloads, &detect_cfg, deadline);
         let raw_detect = t0.elapsed();
         stats.raw_reports = raw.reports.len();
-        absorb_sweep(health, &raw).inspect_err(|_| stats.detect_time = t0.elapsed())?;
+        absorb_sweep(health, &raw);
 
         // Stage 2: adhoc-synchronization hints + annotate + re-detect.
         let t_static = Instant::now();
@@ -705,7 +690,7 @@ impl<'m> Owl<'m> {
             explore_with_deadline(self.module, self.entry, workloads, &annotated_cfg, deadline);
         stats.race_detect_time = raw_detect + t_rerun.elapsed();
         stats.post_annotation_reports = reduced.reports.len();
-        absorb_sweep(health, &reduced).inspect_err(|_| stats.detect_time = t0.elapsed())?;
+        absorb_sweep(health, &reduced);
         let dropped = raw.reports_dropped + reduced.reports_dropped;
         if dropped > 0 {
             eprintln!(
@@ -715,7 +700,7 @@ impl<'m> Owl<'m> {
         }
         stats.detect_time = t0.elapsed();
         *annotated = annotations;
-        Ok(reduced.reports)
+        reduced.reports
     }
 
     /// The atomicity front-end's detection: every workload's seeded
@@ -1278,43 +1263,12 @@ fn quarantine_record(
     }
 }
 
-/// The spill-segment filename prefix of one run: the caller's prefix,
-/// then the program name, so neither two programs nor two concurrent
-/// runs of one program sharing a spill directory can collide. Sanitized
-/// so a name with path separators cannot escape the directory.
-fn spill_tag(prefix: &str, name: &str) -> String {
-    format!("{prefix}-{name}")
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
-                c
-            } else {
-                '-'
-            }
-        })
-        .collect()
-}
-
-/// Folds one detection sweep into the health report. A sweep with a
-/// unit aborted over its memory budget becomes the typed error: that
-/// unit's reports were discarded, so the stream is incomplete.
-fn absorb_sweep(
-    health: &mut PipelineHealth,
-    sweep: &owl_race::ExploreResult,
-) -> Result<(), PipelineError> {
+/// Folds one detection sweep into the health report.
+fn absorb_sweep(health: &mut PipelineHealth, sweep: &owl_race::ExploreResult) {
     health.detect.attempts += sweep.runs;
     health.detect.injected_faults += sweep.injected_faults;
     health.detect.deadline_hits += sweep.deadline_hit as u64;
-    let counters = Counters::from_explore(sweep);
-    health.counters.add(&counters);
-    match counters[Counter::UnitsAbortedMemBudget] {
-        0 => Ok(()),
-        attempts => Err(PipelineError::VerifierAborted {
-            stage: Stage::Detect,
-            cause: AbortCause::MemoryBudget,
-            attempts,
-        }),
-    }
+    health.counters.add(&Counters::from_explore(sweep));
 }
 
 /// Folds a unit's verification attempts and injected faults into its

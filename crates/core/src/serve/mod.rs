@@ -322,11 +322,7 @@ fn execute_job(shared: &Arc<ServeShared>, job: Job, worker_id: usize) -> bool {
         if job.inject_panic {
             panic!("injected serve fault (request {})", job.id);
         }
-        // The request id prefixes this run's spill segments: two
-        // in-flight runs of one program share the spill directory.
-        let mut cfg = job.owl.clone();
-        cfg.detect.stream.tag_prefix = format!("req{}", job.id);
-        let owl = Owl::new(&p.module, p.entry, cfg);
+        let owl = Owl::new(&p.module, p.entry, job.owl.clone());
         owl.run(p.name, &p.workloads, &p.exploit_inputs)
     }));
 
@@ -359,9 +355,8 @@ fn execute_job(shared: &Arc<ServeShared>, job: Job, worker_id: usize) -> bool {
     };
 
     if let Some(error) = result.error {
-        // Keep the failed run's health visible in `status` — a
-        // memory-budget abort must surface its pressure and abort
-        // counters even though no summary is stored.
+        // Keep the failed run's health visible in `status` even though
+        // no summary is stored.
         shared
             .health
             .lock()

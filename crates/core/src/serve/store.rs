@@ -402,9 +402,9 @@ mod tests {
         let mut pooled = OwlConfig::quick();
         pooled.detect.workers = 8;
         assert_eq!(fp, ResultStore::fingerprint(&pooled, "Libsafe"));
-        let mut tagged = OwlConfig::quick();
-        tagged.detect.stream.tag_prefix = "req7".to_string();
-        assert_eq!(fp, ResultStore::fingerprint(&tagged, "Libsafe"));
+        let mut unforked = OwlConfig::quick();
+        unforked.detect.fork = false;
+        assert_eq!(fp, ResultStore::fingerprint(&unforked, "Libsafe"));
         assert_ne!(fp, ResultStore::fingerprint(&quick, "SSDB"));
         assert_ne!(fp, ResultStore::fingerprint(&OwlConfig::default(), "Libsafe"));
     }

@@ -49,35 +49,31 @@
 //!
 //! With fork mode off (`--no-fork`) the same sweep forks at
 //! instruction zero: the snapshot is of the fresh VM (no steps, no
-//! recorded picks, a fresh detector, an empty budget window), the
-//! pilot records no schedule, and every seed executes in full.
+//! recorded picks, a fresh detector), the pilot records no schedule,
+//! and every seed executes in full.
 //!
 //! None of this changes results — reports, outcomes, and every
 //! counter but the fork counters are byte-identical fork on or off, at
-//! any worker count × spill budget (pinned by
-//! `tests/explore_pinned.rs`). Only the four fork counters
-//! ([`ExploreResult::units_forked`], `prefix_steps_saved`,
-//! `schedules_deduped`, `snapshot_bytes`), all 0 with fork mode off,
-//! and wall-clock time differ.
+//! any worker count (pinned by `tests/explore_pinned.rs`). Only the
+//! four fork counters ([`ExploreResult::units_forked`],
+//! `prefix_steps_saved`, `schedules_deduped`, `snapshot_bytes`), all 0
+//! with fork mode off, and wall-clock time differ.
 //!
 //! ## Detection inline
 //!
 //! Both unit runners — the shared prefix (`run_prefix`) and a unit
-//! from its snapshot (`run_forked_unit`) — feed their detector from
-//! the VM's emit hook, on the thread running the unit, through one
-//! `BudgetSink`. No unit spawns a thread; parallelism is per unit, via
-//! [`ExplorerConfig::workers`].
+//! from its snapshot (`run_forked_unit`) — hand the VM the unit's
+//! [`HbDetector`] as its trace sink, so every event meets the shadow
+//! state as it happens, on the thread running the unit. No unit spawns
+//! a thread; parallelism is per unit, via [`ExplorerConfig::workers`].
 
 use crate::hb::{HbAnnotation, HbBackend, HbConfig, HbDetector};
 use crate::report::RaceReport;
-use crate::spill::{self, SpillKillSwitch};
 use owl_ir::{FuncId, FxHashMap, FxHashSet, InstRef, Module};
 use owl_vm::{
     ExecOutcome, PctScheduler, ProgramInput, RandomScheduler, RunConfig, Scheduler, Snapshot,
-    ThreadId, TraceEvent, TraceSink, Vm,
+    ThreadId, Vm,
 };
-use std::collections::VecDeque;
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -93,52 +89,6 @@ pub enum ExploreStrategy {
         /// Number of priority change points.
         depth: usize,
     },
-}
-
-/// Memory governance of the VM → detector hand-off.
-///
-/// Every `(input, seed)` unit feeds its detector from the VM's emit
-/// hook, on the thread running the unit, through one budgeted sink.
-/// `max_trace_mem` bounds the event window that sink holds, and only
-/// that window: past the soft limit (half the budget) the window
-/// spills to a checksummed segment file under `spill_dir` and is
-/// immediately replayed into the detector; past the hard limit with
-/// nowhere to spill, the unit aborts with a typed memory-budget verdict
-/// instead of growing without bound. Without a budget no window is
-/// kept and every event goes straight to the detector.
-///
-/// None of this changes results: reports, outcomes and counters are
-/// byte-identical at any spill threshold (pinned by
-/// `tests/explore_pinned.rs`), because spill points depend only on
-/// event sizes.
-#[derive(Clone, Debug)]
-pub struct StreamConfig {
-    /// Hard cap, in bytes, on a unit's in-flight event window
-    /// (`--max-trace-mem`). `None` = unbounded.
-    pub max_trace_mem: Option<u64>,
-    /// Where spill segments go. `None` with a budget set means the
-    /// unit aborts as soon as the window crosses the hard limit.
-    pub spill_dir: Option<PathBuf>,
-    /// Leading part of every segment file name,
-    /// `<tag_prefix>-u<input>-s<seed>-<seq>.seg` (`-prefix` in place of
-    /// `-s<seed>` for a fork-mode shared prefix). The pipeline appends
-    /// the program name to it, so a caller running several pipelines
-    /// over one spill directory at once (the daemon) sets a distinct
-    /// prefix per run.
-    pub tag_prefix: String,
-    /// Crash-injection switch for the spill writer (tests only).
-    pub spill_kill: Option<SpillKillSwitch>,
-}
-
-impl Default for StreamConfig {
-    fn default() -> Self {
-        StreamConfig {
-            max_trace_mem: None,
-            spill_dir: None,
-            tag_prefix: "unit".to_string(),
-            spill_kill: None,
-        }
-    }
 }
 
 /// Exploration parameters.
@@ -166,9 +116,6 @@ pub struct ExplorerConfig {
     /// not change any result — only how much shadow work the epoch
     /// backend performs.
     pub elided_sites: Option<Arc<FxHashSet<InstRef>>>,
-    /// Memory budget and spill settings of each unit's detector sink
-    /// (see [`StreamConfig`]).
-    pub stream: StreamConfig,
     /// Prefix-sharing fork mode (`--no-fork` clears it): run each
     /// input's single-threaded startup prefix once, snapshot the VM at
     /// the first point two threads could interleave, launch every
@@ -192,7 +139,6 @@ impl Default for ExplorerConfig {
             workers: 1,
             hb_backend: HbBackend::default(),
             elided_sites: None,
-            stream: StreamConfig::default(),
             fork: true,
         }
     }
@@ -219,21 +165,9 @@ pub struct ExploreResult {
     /// the static elision pre-pass, summed over runs (0 under the
     /// reference backend, which always does the full work).
     pub events_elided: u64,
-    /// Bytes of trace spilled to segment files, summed over units.
-    pub trace_spilled_bytes: u64,
-    /// Spill segments written (each immediately replayed and deleted).
-    pub trace_spill_segments: u64,
-    /// Times a unit's in-flight window crossed the soft memory limit
-    /// (each either spilled or, with nowhere to spill, aborted).
-    pub mem_pressure_events: u64,
     /// Shadow cells reclaimed by the detectors' thread-exit/free GC,
     /// summed over units.
     pub shadow_cells_gced: u64,
-    /// Units aborted because their trace outgrew
-    /// [`StreamConfig::max_trace_mem`] with nowhere to spill. Aborted
-    /// units contribute no reports; the pipeline turns a non-zero
-    /// count into a typed memory-budget verdict.
-    pub units_aborted_mem_budget: u64,
     /// Conflicting pairs the predictive backends submitted to the
     /// witness machinery, summed over units (0 for non-predictive
     /// backends; see [`crate::PredictStats`]).
@@ -310,11 +244,7 @@ struct UnitOutput {
     reports_dropped: usize,
     events_elided: u64,
     outcome: ExecOutcome,
-    spilled_bytes: u64,
-    spill_segments: u64,
-    pressure_events: u64,
     cells_gced: u64,
-    mem_budget_aborted: bool,
     predict: crate::PredictStats,
     /// Unit executed from a mid-run snapshot (fork mode pilot or a
     /// schedule-divergent unit).
@@ -342,192 +272,25 @@ impl UnitOutput {
             ..self.clone()
         }
     }
-}
 
-/// What the memory budget did to one unit's event stream.
-#[derive(Clone, Debug, Default)]
-struct StreamStats {
-    spilled_bytes: u64,
-    spill_segments: u64,
-    pressure_events: u64,
-    aborted: bool,
-}
-
-/// The event window and spill bookkeeping of one unit under the memory
-/// budget. `Clone` so every unit starts from the shared prefix's
-/// window, which makes its counters come out exactly as if it had run
-/// its whole trace from instruction zero.
-#[derive(Clone, Default)]
-struct BudgetWindow {
-    window: VecDeque<TraceEvent>,
-    window_bytes: u64,
-    seq: u64,
-    stats: StreamStats,
-}
-
-impl BudgetWindow {
-    /// Feeds one event toward `detector`, enforcing the budget. With
-    /// no budget the event goes straight through; with one it buffers
-    /// into the window, which spills (and immediately replays) whole
-    /// segments past the soft limit (half the budget). Sets
-    /// `stats.aborted` when the budget cannot be honored: the window
-    /// crossed the hard limit with nowhere to spill, or the spill
-    /// itself failed with a typed [`spill::SpillError`].
-    fn push(
-        &mut self,
-        ev: TraceEvent,
-        detector: &mut HbDetector,
-        stream: &StreamConfig,
-        tag: &str,
-    ) {
-        let Some(hard) = stream.max_trace_mem else {
-            detector.on_event_owned(ev);
-            return;
-        };
-        let soft = (hard / 2).max(1);
-        self.window_bytes += spill::approx_event_bytes(&ev) as u64;
-        self.window.push_back(ev);
-        if self.window_bytes <= soft {
-            return;
-        }
-        match &stream.spill_dir {
-            Some(dir) => {
-                self.stats.pressure_events += 1;
-                let spilled = (|| -> Result<u64, spill::SpillError> {
-                    std::fs::create_dir_all(dir)?;
-                    let path = dir.join(format!("{tag}-{}.seg", self.seq));
-                    if path.exists() {
-                        // Leftover from a killed run: restore the
-                        // every-line-valid invariant before reuse.
-                        let _ = spill::recover_segment(&path);
-                    }
-                    let bytes = spill::write_segment(
-                        &path,
-                        self.window.iter(),
-                        stream.spill_kill.as_ref(),
-                    )?;
-                    spill::replay_segment(&path, detector)?;
-                    std::fs::remove_file(&path)?;
-                    Ok(bytes)
-                })();
-                match spilled {
-                    Ok(bytes) => {
-                        self.stats.spilled_bytes += bytes;
-                        self.stats.spill_segments += 1;
-                        self.seq += 1;
-                        self.window.clear();
-                        self.window_bytes = 0;
-                    }
-                    Err(_) => self.stats.aborted = true,
-                }
-            }
-            None if self.window_bytes > hard => {
-                self.stats.pressure_events += 1;
-                self.stats.aborted = true;
-            }
-            None => {}
-        }
-    }
-}
-
-/// The trace sink of both unit runners: the VM's emit hook feeds the
-/// unit's detector through it, on the calling thread, with the memory
-/// budget's window in between. Once the budget proves unsatisfiable
-/// the sink drops every further event but the VM runs on, so an
-/// aborted unit's outcome is the one a complete run has. A spill
-/// kill-switch panic unwinds straight out of the VM run.
-struct BudgetSink<'a> {
-    detector: HbDetector,
-    window: BudgetWindow,
-    stream: &'a StreamConfig,
-    tag: String,
-}
-
-impl<'a> BudgetSink<'a> {
-    /// A sink continuing `detector` and `window` for unit `unit` of
-    /// input `input_idx`, which names its spill segments.
-    fn new(
-        cfg: &'a ExplorerConfig,
-        input_idx: usize,
-        unit: &str,
-        detector: HbDetector,
-        window: BudgetWindow,
-    ) -> Self {
-        BudgetSink {
-            detector,
-            window,
-            stream: &cfg.stream,
-            tag: format!("{}-u{input_idx}-{unit}", cfg.stream.tag_prefix),
-        }
-    }
-
-    /// A sink with a fresh detector behind an empty window.
-    fn fresh(cfg: &'a ExplorerConfig, input_idx: usize, unit: &str) -> Self {
-        let detector = HbDetector::new(HbConfig {
-            annotations: cfg.annotations.clone(),
-            backend: cfg.hb_backend,
-            ..HbConfig::default()
-        });
-        Self::new(cfg, input_idx, unit, detector, BudgetWindow::default())
-    }
-
-    /// Ends the unit's run. Unless the budget aborted it, the trailing
-    /// window drains into the detector and the predictive pass runs
-    /// (before any counter is read, so its reports and stats land in
-    /// this output). An aborted unit saw only a prefix of its trace: it
-    /// skips prediction and its partial reports are discarded, so the
-    /// (quarantined) result never mixes complete and truncated
-    /// detection.
-    fn finish(self, module: &Module, outcome: ExecOutcome) -> UnitOutput {
-        let BudgetSink {
-            mut detector,
-            window,
-            ..
-        } = self;
-        let BudgetWindow {
-            window: trailing,
-            stats,
-            ..
-        } = window;
-        if !stats.aborted {
-            for ev in trailing {
-                detector.on_event_owned(ev);
-            }
-            detector.run_prediction();
-        }
+    /// Ends a unit's run: the predictive pass runs over the detector's
+    /// recorded trace (before any counter is read, so its reports and
+    /// stats land in this output), then the detector's reports and
+    /// counters are collected.
+    fn finish(module: &Module, mut detector: HbDetector, outcome: ExecOutcome) -> UnitOutput {
+        detector.run_prediction();
         UnitOutput {
             suppressed: detector.suppressed(),
             reports_dropped: detector.reports_dropped(),
             events_elided: detector.epoch_stats().map_or(0, |s| s.events_elided()),
             cells_gced: detector.shadow_cells_gced(),
             predict: detector.predict_stats(),
-            reports: if stats.aborted {
-                Vec::new()
-            } else {
-                detector.finish(module)
-            },
+            reports: detector.finish(module),
             outcome,
-            spilled_bytes: stats.spilled_bytes,
-            spill_segments: stats.spill_segments,
-            pressure_events: stats.pressure_events,
-            mem_budget_aborted: stats.aborted,
             forked: false,
             deduped: false,
             prefix_steps_saved: 0,
             snapshot_bytes: 0,
-        }
-    }
-}
-
-impl TraceSink for BudgetSink<'_> {
-    fn on_event(&mut self, ev: &TraceEvent) {
-        self.on_event_owned(ev.clone());
-    }
-
-    fn on_event_owned(&mut self, ev: TraceEvent) {
-        if !self.window.stats.aborted {
-            self.window
-                .push(ev, &mut self.detector, self.stream, &self.tag);
         }
     }
 }
@@ -540,6 +303,16 @@ fn build_sched(cfg: &ExplorerConfig, seed: u64) -> Box<dyn Scheduler> {
             Box::new(PctScheduler::new(seed, depth, cfg.expected_steps))
         }
     }
+}
+
+/// A fresh detector for one unit under `cfg`'s backend and
+/// annotations.
+fn build_detector(cfg: &ExplorerConfig) -> HbDetector {
+    HbDetector::new(HbConfig {
+        annotations: cfg.annotations.clone(),
+        backend: cfg.hb_backend,
+        ..HbConfig::default()
+    })
 }
 
 /// A VM at instruction zero of `input`, with `cfg`'s elided sites.
@@ -705,14 +478,12 @@ fn matches_trace(sched: &mut dyn Scheduler, trace: &RealizedTrace) -> bool {
 }
 
 /// Everything one input's units share: the machine snapshot at the
-/// fork point, the recorded prefix pick calls, the in-flight budget
-/// window, and the detector state over the prefix events. A fork at
-/// instruction zero has no steps, no calls, an empty window, a fresh
-/// detector and 0 bytes.
+/// fork point, the recorded prefix pick calls, and the detector state
+/// over the prefix events. A fork at instruction zero has no steps, no
+/// calls, a fresh detector and 0 bytes.
 struct ForkPrefix {
     snap: Snapshot,
     calls: Vec<PickCall>,
-    window: BudgetWindow,
     detector: HbDetector,
     steps: u64,
     bytes: u64,
@@ -749,23 +520,22 @@ enum PrefixResult {
 
 /// Runs one input's shared prefix: a fresh VM under the first seed's
 /// scheduler (wrapped to record pick calls) up to the first point
-/// where ≥ 2 threads could interleave, feeding the prefix events
-/// through the budget window into the prefix detector exactly as a
-/// unit run from instruction zero would. With fork mode off nothing
-/// runs: the fork point is instruction zero.
+/// where ≥ 2 threads could interleave, feeding the prefix events into
+/// the prefix detector exactly as a unit run from instruction zero
+/// would. With fork mode off nothing runs: the fork point is
+/// instruction zero.
 fn run_prefix(
     module: &Module,
     entry: FuncId,
     input: &ProgramInput,
-    input_idx: usize,
     cfg: &ExplorerConfig,
 ) -> PrefixResult {
     let mut rec = RecordingScheduler::new(build_sched(cfg, cfg.base_seed), usize::MAX, 0);
     let mut vm = build_vm(module, entry, input, cfg);
-    let mut sink = BudgetSink::fresh(cfg, input_idx, "prefix");
+    let mut detector = build_detector(cfg);
     if cfg.fork {
-        if let Some(outcome) = vm.run_until_concurrent(&mut rec, &mut sink) {
-            return PrefixResult::Finished(Box::new(sink.finish(module, outcome)));
+        if let Some(outcome) = vm.run_until_concurrent(&mut rec, &mut detector) {
+            return PrefixResult::Finished(Box::new(UnitOutput::finish(module, detector, outcome)));
         }
     }
     let snap = vm.snapshot();
@@ -776,42 +546,32 @@ fn run_prefix(
             bytes: if cfg.fork { snap.approx_bytes() } else { 0 },
             snap,
             calls: rec.calls,
-            window: sink.window,
-            detector: sink.detector,
+            detector,
         }),
         rec.inner,
     )
 }
 
-/// Runs one unit from the fork point: forks the prefix detector,
-/// clones the budget window, and resumes the snapshot under `sched`,
-/// continuing the event stream exactly where the prefix left off (a
-/// budget the prefix already broke keeps dropping events). With
-/// `record_hint` set (the pilot in fork mode) the suffix decision
-/// trace comes back for dedup. The unit's counters equal a run from
-/// instruction zero because its stats are the shared prefix's stats
-/// plus its own suffix activity.
+/// Runs one unit from the fork point: forks the prefix detector and
+/// resumes the snapshot under `sched`, continuing the event stream
+/// exactly where the prefix left off. With `record_hint` set (the
+/// pilot in fork mode) the suffix decision trace comes back for dedup.
+/// The unit's counters equal a run from instruction zero because its
+/// detector carries the shared prefix's state plus its own suffix
+/// activity.
 fn run_forked_unit(
     module: &Module,
     prefix: &ForkPrefix,
     mut sched: Box<dyn Scheduler>,
     record_hint: Option<usize>,
-    input_idx: usize,
-    seed: u64,
     cfg: &ExplorerConfig,
 ) -> (UnitOutput, Option<RealizedTrace>) {
-    let mut sink = BudgetSink::new(
-        cfg,
-        input_idx,
-        &format!("s{seed}"),
-        prefix.detector.fork(),
-        prefix.window.clone(),
-    );
+    let mut detector = prefix.detector.fork();
     let vm = Vm::resume(module, prefix.snap.clone());
     let (outcome, trace) = match record_hint {
         Some(hint) => {
             let mut rec = RecordingScheduler::new(sched, DEDUP_TRACE_CAP, hint);
-            let outcome = vm.run(&mut rec, &mut sink);
+            let outcome = vm.run(&mut rec, &mut detector);
             let trace = RealizedTrace {
                 calls: rec.calls,
                 signature: rec.signature,
@@ -819,9 +579,9 @@ fn run_forked_unit(
             };
             (outcome, Some(trace))
         }
-        None => (vm.run(sched.as_mut(), &mut sink), None),
+        None => (vm.run(sched.as_mut(), &mut detector), None),
     };
-    let mut out = sink.finish(module, outcome);
+    let mut out = UnitOutput::finish(module, detector, outcome);
     out.forked = cfg.fork;
     (out, trace)
 }
@@ -891,7 +651,7 @@ pub fn explore_with_deadline(
         };
         debug_assert_eq!(first, input_idx * per_input);
         let limit = first + per_input;
-        match run_prefix(module, entry, input, input_idx, cfg) {
+        match run_prefix(module, entry, input, cfg) {
             PrefixResult::Finished(template) => {
                 // The whole execution was forced: every later seed is
                 // marched through the same singleton picks, so one
@@ -905,15 +665,7 @@ pub fn explore_with_deadline(
             PrefixResult::Forked(prefix, pilot_sched) => {
                 let record =
                     cfg.fork.then(|| cfg.expected_steps.min(DEDUP_TRACE_CAP as u64) as usize);
-                let (mut pilot, trace) = run_forked_unit(
-                    module,
-                    &prefix,
-                    pilot_sched,
-                    record,
-                    input_idx,
-                    cfg.base_seed,
-                    cfg,
-                );
+                let (mut pilot, trace) = run_forked_unit(module, &prefix, pilot_sched, record, cfg);
                 pilot.snapshot_bytes = prefix.bytes;
                 // The dedup key: the pilot's complete suffix schedule.
                 // A truncated one, or none (fork mode off), dedups
@@ -928,15 +680,8 @@ pub fn explore_with_deadline(
                         let out = if deduped {
                             pilot.reused(prefix.steps)
                         } else {
-                            let (mut out, _) = run_forked_unit(
-                                module,
-                                &prefix,
-                                prefix.sched(cfg, seed),
-                                None,
-                                input_idx,
-                                seed,
-                                cfg,
-                            );
+                            let (mut out, _) =
+                                run_forked_unit(module, &prefix, prefix.sched(cfg, seed), None, cfg);
                             out.prefix_steps_saved = prefix.steps;
                             out
                         };
@@ -978,11 +723,7 @@ pub fn explore_with_deadline(
         merged.reports_dropped += unit.reports_dropped;
         merged.injected_faults += unit.outcome.injected_faults.len() as u64;
         merged.events_elided += unit.events_elided;
-        merged.trace_spilled_bytes += unit.spilled_bytes;
-        merged.trace_spill_segments += unit.spill_segments;
-        merged.mem_pressure_events += unit.pressure_events;
         merged.shadow_cells_gced += unit.cells_gced;
-        merged.units_aborted_mem_budget += u64::from(unit.mem_budget_aborted);
         merged.predict_candidates += unit.predict.candidates;
         merged.predict_witnessed += unit.predict.witnessed;
         merged.predict_witness_rejected += unit.predict.witness_rejected;
@@ -1167,77 +908,6 @@ mod tests {
         assert_eq!(site_pairs(&r.reports).len(), r.reports.len());
     }
 
-    fn scratch_dir(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "owl-explorer-test-{}-{name}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    fn cfg_with_stream(stream: StreamConfig) -> ExplorerConfig {
-        ExplorerConfig {
-            runs_per_input: 10,
-            stream,
-            ..ExplorerConfig::default()
-        }
-    }
-
-    #[test]
-    fn budget_with_spill_dir_completes_and_matches_inline() {
-        let (m, main) = narrow_race();
-        let base = explore(&m, main, &[], &cfg_with_stream(StreamConfig::default()));
-        let dir = scratch_dir("spill");
-        let r = explore(
-            &m,
-            main,
-            &[],
-            &cfg_with_stream(StreamConfig {
-                max_trace_mem: Some(256),
-                spill_dir: Some(dir.clone()),
-                ..StreamConfig::default()
-            }),
-        );
-        assert!(r.trace_spill_segments > 0, "tiny budget must force spills");
-        assert!(r.trace_spilled_bytes > 0);
-        assert!(r.mem_pressure_events >= r.trace_spill_segments);
-        assert_eq!(r.units_aborted_mem_budget, 0);
-        assert_eq!(r.reports, base.reports, "spilling must not change reports");
-        // Every segment is replayed and deleted on the spot.
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
-            .map(|rd| rd.filter_map(|e| e.ok()).collect())
-            .unwrap_or_default();
-        assert!(leftovers.is_empty(), "{leftovers:?}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn budget_without_spill_dir_aborts_units_typed() {
-        let (m, main) = narrow_race();
-        let base = explore(&m, main, &[], &cfg_with_stream(StreamConfig::default()));
-        let r = explore(
-            &m,
-            main,
-            &[],
-            &cfg_with_stream(StreamConfig {
-                max_trace_mem: Some(64),
-                spill_dir: None,
-                ..StreamConfig::default()
-            }),
-        );
-        assert_eq!(r.units_aborted_mem_budget, r.runs, "every unit overflows");
-        assert!(r.mem_pressure_events > 0);
-        assert!(
-            r.reports.is_empty(),
-            "aborted units must not leak partial reports: {:?}",
-            r.reports
-        );
-        // The sink drops events after the abort, but the VM runs on:
-        // an aborted unit's outcome is the complete run's.
-        assert_eq!(r.outcomes, base.outcomes);
-    }
-
     #[test]
     fn fork_matches_scratch_and_counts_its_work() {
         let (m, main) = narrow_race();
@@ -1316,7 +986,6 @@ mod tests {
     #[test]
     fn streaming_parallel_workers_stay_byte_identical() {
         let (m, main) = narrow_race();
-        let dir = scratch_dir("parallel");
         let run = |workers: usize| {
             explore(
                 &m,
@@ -1325,11 +994,6 @@ mod tests {
                 &ExplorerConfig {
                     runs_per_input: 12,
                     workers,
-                    stream: StreamConfig {
-                        max_trace_mem: Some(512),
-                        spill_dir: Some(dir.clone()),
-                        ..StreamConfig::default()
-                    },
                     ..ExplorerConfig::default()
                 },
             )
@@ -1341,9 +1005,6 @@ mod tests {
             assert_eq!(
                 (
                     r.runs,
-                    r.trace_spilled_bytes,
-                    r.trace_spill_segments,
-                    r.mem_pressure_events,
                     r.shadow_cells_gced,
                     r.units_forked,
                     r.prefix_steps_saved,
@@ -1352,9 +1013,6 @@ mod tests {
                 ),
                 (
                     one.runs,
-                    one.trace_spilled_bytes,
-                    one.trace_spill_segments,
-                    one.mem_pressure_events,
                     one.shadow_cells_gced,
                     one.units_forked,
                     one.prefix_steps_saved,
@@ -1364,6 +1022,5 @@ mod tests {
                 "workers {workers}"
             );
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -66,7 +66,6 @@ mod hb;
 mod lockset;
 mod predict;
 mod report;
-pub mod spill;
 mod vc;
 
 pub use atomicity::{AtomicityDetector, AtomicityPattern, AtomicityReport};
@@ -74,10 +73,9 @@ pub use epoch::EpochStats;
 pub use predict::PredictStats;
 pub use explorer::{
     executions_until, explore, explore_with_deadline, site_pairs, ExploreResult, ExploreStrategy,
-    ExplorerConfig, StreamConfig,
+    ExplorerConfig,
 };
 pub use hb::{global_name_for_addr, HbAnnotation, HbBackend, HbConfig, HbDetector};
 pub use lockset::LocksetDetector;
 pub use report::{Access, RaceReport};
-pub use spill::{approx_event_bytes, SegmentRecovery, SpillError, SpillKillSwitch};
 pub use vc::VectorClock;

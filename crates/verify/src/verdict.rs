@@ -23,10 +23,10 @@ pub enum AbortCause {
     /// The verifier panicked and a supervisor caught it (the verdict
     /// is synthesized by the supervisor, not the verifier itself).
     Panicked,
-    /// The unit's in-flight trace outgrew the configured memory budget
-    /// (`--max-trace-mem`) and could not be spilled to disk. The
-    /// memory watchdog aborts the unit with this typed verdict instead
-    /// of letting it OOM; campaigns quarantine it and continue.
+    /// A detection unit's trace outgrew a memory budget. Only builds
+    /// that had the trace-memory budget wrote it; nothing raises it
+    /// now. It stays so that journals and serve stores holding a
+    /// memory-budget quarantine still decode whole.
     MemoryBudget,
 }
 

@@ -123,42 +123,79 @@ fn flag_missing_or_flaglike_value_is_rejected() {
 }
 
 #[test]
-fn max_trace_mem_accepts_suffixes_and_bounds_the_run() {
-    // A suffixed budget (case-insensitive) parses, the run completes,
-    // and the trace-memory governance line is reported.
-    let out = run_ok(&["run", "SSDB", "--quick", "--max-trace-mem", "64k"]);
-    assert!(out.contains("trace memory:"), "{out}");
-    assert!(out.contains("reports:"), "{out}");
+fn unknown_options_exit_2() {
+    // A typo'd option, and the retired trace-memory budget, are usage
+    // errors: neither may run the defaults and exit 0.
+    let dir = std::env::temp_dir().join(format!("owl-cli-unknown-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let d = dir.to_str().expect("utf8 temp path");
+    for (args, named) in [
+        (
+            &["run", "Libsafe", "--quick", "--wokers", "4", "--no-elid"][..],
+            "--wokers for run",
+        ),
+        (
+            &["run", "Libsafe", "--quick", "--max-trace-mem", "4K"][..],
+            "--max-trace-mem for run",
+        ),
+        (
+            &["campaign", d, "--quick", "--max-trace-mem", "4K"][..],
+            "--max-trace-mem for campaign",
+        ),
+        (&["hints", "Libsafe", "--json"][..], "--json for hints"),
+        (&["list", "--quick"][..], "--quick for list"),
+    ] {
+        let out = cli().args(args).output().expect("spawn");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: usage errors exit 2");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("unknown option {named}")),
+            "{args:?}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+    }
+    assert!(!dir.exists(), "a refused campaign writes nothing");
 }
 
 #[test]
-fn max_trace_mem_rejects_zero_garbage_and_overflow() {
-    for (value, needle) in [
-        ("0", "zero trace-memory budget"),
-        ("0K", "zero trace-memory budget"),
-        ("xyz", "not a byte count"),
-        ("12Q", "not a byte count"),
-        ("K", "has no digits"),
-        ("99999999999999G", "overflows"),
-    ] {
-        let out = cli()
-            .args(["run", "SSDB", "--quick", "--max-trace-mem", value])
-            .output()
-            .expect("spawn");
-        assert!(!out.status.success(), "--max-trace-mem {value} must fail");
-        assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains(needle), "{value}: {err}");
-        assert!(err.contains("--max-trace-mem"), "{value}: {err}");
-    }
+fn every_option_the_usage_prints_is_accepted() {
+    let usage = String::from_utf8(cli().output().expect("spawn").stderr).expect("utf8 usage");
+    let mut opts: Vec<&str> = usage
+        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+        .filter(|w| w.len() > 2 && w.starts_with("--"))
+        .collect();
+    opts.sort_unstable();
+    opts.dedup();
+    assert!(
+        opts.len() >= 20,
+        "the usage text lists its options: {opts:?}"
+    );
 
-    let out = cli()
-        .args(["run", "SSDB", "--max-trace-mem"])
-        .output()
-        .expect("spawn");
-    assert!(!out.status.success());
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("requires a value"), "{err}");
+    // Each probe fails right after the option check: a program that
+    // does not exist, a directory that cannot be created (its parent
+    // is a file), a socket that is not there. A value option given no
+    // value fails its own check, which comes after this one.
+    let blocker = std::env::temp_dir().join(format!("owl-cli-probe-{}", std::process::id()));
+    std::fs::write(&blocker, b"").expect("scratch file");
+    let bad = blocker.join("dir");
+    let bad = bad.to_str().expect("utf8 temp path");
+    let probes: [&[&str]; 4] = [
+        &["run", "NoSuchProgram"],
+        &["campaign", bad],
+        &["serve", bad],
+        &["submit", bad, "Libsafe"],
+    ];
+    for opt in opts {
+        let accepted = probes.iter().any(|probe| {
+            let out = cli().args(*probe).arg(opt).output().expect("spawn");
+            !String::from_utf8_lossy(&out.stderr).contains("unknown option")
+        });
+        assert!(
+            accepted,
+            "the usage text prints `{opt}`, which no command accepts"
+        );
+    }
+    let _ = std::fs::remove_file(&blocker);
 }
 
 #[test]
@@ -465,7 +502,12 @@ fn no_fork_flag_is_valueless_and_composes() {
     // result: the findings lines match a default (forked) run exactly.
     let forked = run_ok(&["run", "SSDB", "--quick"]);
     let scratch = run_ok(&[
-        "run", "SSDB", "--quick", "--no-fork", "--explore-workers", "2", "--max-trace-mem", "64k",
+        "run",
+        "SSDB",
+        "--quick",
+        "--no-fork",
+        "--explore-workers",
+        "2",
     ]);
     let key_line = |out: &str| {
         out.lines()

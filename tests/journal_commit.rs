@@ -5,8 +5,8 @@
 //! plus one commit for the campaign header. What is on disk must not
 //! change with it: the same records, in the same order, byte for byte.
 
+use owl::journal::fnv1a64;
 use owl::{run_campaign, CampaignConfig, Journal, MetricsRecorder, Owl, OwlConfig, ProgramSummary};
-use owl_race::spill::fnv1a64;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -21,8 +21,13 @@ use std::sync::Arc;
 /// began to dedup against its pilot alone: only Memcached's
 /// `ProgramFinished` record changed, `units_forked` 14 → 20 and
 /// `schedules_deduped` 10 → 4; putting 14 and 10 back and re-framing
-/// the line reproduces the previous journal byte for byte.
-const SERIAL_QUICK_JOURNAL_DIGEST: &str = "684ed9e88e6047e2";
+/// the line reproduces the previous journal byte for byte. Re-pinned
+/// again when the trace-memory budget went: its four counters (DESIGN.md
+/// §19 names them) left every `ProgramFinished` record, where each read
+/// 0; putting the four zero-valued keys back in their places and
+/// re-framing each line reproduces the previous journal byte for byte
+/// (`684ed9e88e6047e2`).
+const SERIAL_QUICK_JOURNAL_DIGEST: &str = "a913f1b417824322";
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let mut p = std::env::temp_dir();

@@ -11,7 +11,7 @@
 //!   predict_witnessed`), and the witness counters are internally
 //!   consistent;
 //! * **determinism** — reports and predict counters are byte-identical
-//!   at any worker count, spilled or not;
+//!   at any worker count;
 //! * **lock discipline** — a program whose shared accesses are all
 //!   protected by one mutex predicts nothing, even though the
 //!   candidate enumerator considers its conflicting pairs.
@@ -22,36 +22,18 @@
 //! prediction layer alone.
 
 use owl_ir::{FuncId, InstRef, ModuleBuilder, Type};
-use owl_race::{
-    explore, ExploreResult, ExplorerConfig, HbBackend, HbConfig, HbDetector, StreamConfig,
-};
+use owl_race::{explore, ExploreResult, ExplorerConfig, HbBackend, HbConfig, HbDetector};
 use owl_vm::{ProgramInput, RandomScheduler, RunConfig, TraceSink, VecSink, Vm};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use std::path::PathBuf;
 
 const PREDICTIVE: [HbBackend; 2] = [HbBackend::SyncPreserving, HbBackend::SyncReversal];
 
 fn sweep(p: &owl_corpus::CorpusProgram, backend: HbBackend, workers: usize) -> ExploreResult {
-    sweep_budgeted(p, backend, workers, None, None)
-}
-
-fn sweep_budgeted(
-    p: &owl_corpus::CorpusProgram,
-    backend: HbBackend,
-    workers: usize,
-    budget: Option<u64>,
-    spill_dir: Option<PathBuf>,
-) -> ExploreResult {
     let cfg = ExplorerConfig {
         runs_per_input: 4,
         workers,
         hb_backend: backend,
-        stream: StreamConfig {
-            max_trace_mem: budget,
-            spill_dir,
-            ..StreamConfig::default()
-        },
         ..ExplorerConfig::default()
     };
     explore(&p.module, p.entry, &p.workloads, &cfg)
@@ -120,12 +102,7 @@ fn predictive_backends_subsume_reference_across_corpus() {
     }
 }
 
-fn scratch_dir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("owl-predict-spill-{}-{tag}", std::process::id()))
-}
-
-/// Predictions are byte-identical at any worker count and under a
-/// spilling memory budget (the trace window's capacity).
+/// Predictions are byte-identical at any worker count.
 #[test]
 fn predictive_reports_identical_at_any_worker_count_and_capacity() {
     for p in owl_corpus::all_programs() {
@@ -140,18 +117,6 @@ fn predictive_reports_identical_at_any_worker_count_and_capacity() {
                 );
                 assert_eq!(predict_counters(&r), predict_counters(&baseline), "{}", p.name);
             }
-            // Spilled replay must reconstruct the same trace and
-            // therefore the same predictions.
-            let dir = scratch_dir(&format!("{}-{}", p.name, backend.name()));
-            let r = sweep_budgeted(&p, backend, 2, Some(512), Some(dir.clone()));
-            let _ = std::fs::remove_dir_all(&dir);
-            assert_eq!(
-                r.reports, baseline.reports,
-                "{} ({backend:?}): spilling changed predictions",
-                p.name
-            );
-            assert_eq!(r.units_aborted_mem_budget, 0, "{}", p.name);
-            assert_eq!(predict_counters(&r), predict_counters(&baseline), "{}", p.name);
         }
     }
 }
