@@ -13,12 +13,12 @@
 
 #[cfg(feature = "criterion")]
 use criterion::{criterion_group, criterion_main, Criterion};
-#[cfg(not(feature = "criterion"))]
-use owl_bench::harness::{criterion_group, criterion_main, Criterion};
 use owl::json::Json;
 use owl_bench::harness::metric;
+#[cfg(not(feature = "criterion"))]
+use owl_bench::harness::{criterion_group, criterion_main, Criterion};
 use owl_ir::analysis::{ElisionMap, PointsTo};
-use owl_ir::{FuncId, FxHashSet, InstRef, ModuleBuilder, Module, Type};
+use owl_ir::{FuncId, FxHashSet, InstRef, Module, ModuleBuilder, Type};
 use owl_race::{explore, ExplorerConfig, HbBackend, HbConfig, HbDetector};
 use owl_vm::{ProgramInput, RandomScheduler, RunConfig, TraceEvent, TraceSink, VecSink, Vm};
 use std::collections::HashSet;
@@ -207,7 +207,9 @@ fn bench_detector_replay(c: &mut Criterion) {
     group.bench_function("replay_reference", |b| {
         b.iter(|| replay(&events, HbBackend::Reference))
     });
-    group.bench_function("replay_epoch", |b| b.iter(|| replay(&events, HbBackend::Epoch)));
+    group.bench_function("replay_epoch", |b| {
+        b.iter(|| replay(&events, HbBackend::Epoch))
+    });
     group.bench_function("replay_epoch_elide", |b| {
         b.iter(|| replay(&marked, HbBackend::Epoch))
     });
@@ -262,8 +264,14 @@ fn bench_detector_replay(c: &mut Criterion) {
     let syncp_secs = mean_predictive_secs(&m, &events, HbBackend::SyncPreserving);
     let syncrev_secs = mean_predictive_secs(&m, &events, HbBackend::SyncReversal);
     metric("events_per_sec_syncp", Json::UInt(throughput(syncp_secs)));
-    metric("events_per_sec_syncrev", Json::UInt(throughput(syncrev_secs)));
-    metric("syncp_overhead_over_epoch", Json::Float(syncp_secs / epoch_secs));
+    metric(
+        "events_per_sec_syncrev",
+        Json::UInt(throughput(syncrev_secs)),
+    );
+    metric(
+        "syncp_overhead_over_epoch",
+        Json::Float(syncp_secs / epoch_secs),
+    );
     metric(
         "syncrev_overhead_over_epoch",
         Json::Float(syncrev_secs / epoch_secs),
@@ -320,8 +328,14 @@ fn bench_detector_replay(c: &mut Criterion) {
             },
         ],
     );
-    metric("elision_points_to_us", Json::UInt(median_spread_us(solve).0));
-    metric("elision_classify_us", Json::UInt(median_spread_us(classify).0));
+    metric(
+        "elision_points_to_us",
+        Json::UInt(median_spread_us(solve).0),
+    );
+    metric(
+        "elision_classify_us",
+        Json::UInt(median_spread_us(classify).0),
+    );
 
     // Per-class elided-site fractions plus how much of the trace the
     // elision actually removed from the shadow-memory path.
@@ -373,7 +387,8 @@ fn bench_capture_handoff(c: &mut Criterion) {
     let (m, entry) = workload_module(32, 1024);
     let run = |sink: &mut dyn TraceSink| {
         let mut sched = RandomScheduler::new(11);
-        let _ = Vm::new(&m, entry, ProgramInput::empty(), RunConfig::default()).run(&mut sched, sink);
+        let _ =
+            Vm::new(&m, entry, ProgramInput::empty(), RunConfig::default()).run(&mut sched, sink);
     };
 
     let mut group = c.benchmark_group("capture");
@@ -494,15 +509,16 @@ fn bench_fork_prefix(c: &mut Criterion) {
         let sweep = |cfg: &ExplorerConfig| {
             black_box(explore(&p.module, p.entry, &p.workloads, cfg));
         };
-        let [forked_us, scratch_us] = alternating_secs(
-            FORK_REPS,
-            [&|| sweep(&forked_cfg), &|| sweep(&scratch_cfg)],
-        )
-        .map(median_spread_us);
+        let [forked_us, scratch_us] =
+            alternating_secs(FORK_REPS, [&|| sweep(&forked_cfg), &|| sweep(&scratch_cfg)])
+                .map(median_spread_us);
         forked_total += forked_us.0;
         scratch_total += scratch_us.0;
         fork_metrics(&tag, forked_us, scratch_us);
-        metric(&format!("units_forked_{tag}"), Json::UInt(forked.units_forked));
+        metric(
+            &format!("units_forked_{tag}"),
+            Json::UInt(forked.units_forked),
+        );
         metric(
             &format!("prefix_steps_saved_{tag}"),
             Json::UInt(forked.prefix_steps_saved),
@@ -511,7 +527,10 @@ fn bench_fork_prefix(c: &mut Criterion) {
             &format!("schedules_deduped_{tag}"),
             Json::UInt(forked.schedules_deduped),
         );
-        metric(&format!("snapshot_bytes_{tag}"), Json::UInt(forked.snapshot_bytes));
+        metric(
+            &format!("snapshot_bytes_{tag}"),
+            Json::UInt(forked.snapshot_bytes),
+        );
 
         steps_total += forked.outcomes.iter().map(|o| o.steps).sum::<u64>();
         saved_total += forked.prefix_steps_saved;
@@ -528,11 +547,19 @@ fn bench_fork_prefix(c: &mut Criterion) {
     );
     metric(
         "prefix_share_ratio",
-        Json::Float(if steps_total == 0 { 0.0 } else { saved_total as f64 / steps_total as f64 }),
+        Json::Float(if steps_total == 0 {
+            0.0
+        } else {
+            saved_total as f64 / steps_total as f64
+        }),
     );
     metric(
         "dedup_ratio",
-        Json::Float(if runs_total == 0 { 0.0 } else { deduped_total as f64 / runs_total as f64 }),
+        Json::Float(if runs_total == 0 {
+            0.0
+        } else {
+            deduped_total as f64 / runs_total as f64
+        }),
     );
 
     // The startup-weighted regime. The corpus models compress each
@@ -547,9 +574,18 @@ fn bench_fork_prefix(c: &mut Criterion) {
     let s_input = [ProgramInput::empty()];
     let forked = explore(&sm, s_entry, &s_input, &forked_cfg);
     let scratch = explore(&sm, s_entry, &s_input, &scratch_cfg);
-    assert_eq!(forked.reports, scratch.reports, "startup sweep: fork changed reports");
-    assert_eq!(forked.outcomes, scratch.outcomes, "startup sweep: fork changed outcomes");
-    assert!(!forked.reports.is_empty(), "startup sweep found no race — bench is inert");
+    assert_eq!(
+        forked.reports, scratch.reports,
+        "startup sweep: fork changed reports"
+    );
+    assert_eq!(
+        forked.outcomes, scratch.outcomes,
+        "startup sweep: fork changed outcomes"
+    );
+    assert!(
+        !forked.reports.is_empty(),
+        "startup sweep found no race — bench is inert"
+    );
     let mut group = c.benchmark_group("fork");
     group.bench_function("explore_forked_startup", |b| {
         b.iter(|| explore(&sm, s_entry, &s_input, &forked_cfg))
@@ -561,19 +597,27 @@ fn bench_fork_prefix(c: &mut Criterion) {
     let sweep = |cfg: &ExplorerConfig| {
         black_box(explore(&sm, s_entry, &s_input, cfg));
     };
-    let [forked_us, scratch_us] = alternating_secs(
-        FORK_REPS,
-        [&|| sweep(&forked_cfg), &|| sweep(&scratch_cfg)],
-    )
-    .map(median_spread_us);
+    let [forked_us, scratch_us] =
+        alternating_secs(FORK_REPS, [&|| sweep(&forked_cfg), &|| sweep(&scratch_cfg)])
+            .map(median_spread_us);
     fork_metrics("startup", forked_us, scratch_us);
-    metric("prefix_steps_saved_startup", Json::UInt(forked.prefix_steps_saved));
-    metric("schedules_deduped_startup", Json::UInt(forked.schedules_deduped));
+    metric(
+        "prefix_steps_saved_startup",
+        Json::UInt(forked.prefix_steps_saved),
+    );
+    metric(
+        "schedules_deduped_startup",
+        Json::UInt(forked.schedules_deduped),
+    );
     metric("snapshot_bytes_startup", Json::UInt(forked.snapshot_bytes));
     let steps: u64 = forked.outcomes.iter().map(|o| o.steps).sum();
     metric(
         "prefix_share_ratio_startup",
-        Json::Float(if steps == 0 { 0.0 } else { forked.prefix_steps_saved as f64 / steps as f64 }),
+        Json::Float(if steps == 0 {
+            0.0
+        } else {
+            forked.prefix_steps_saved as f64 / steps as f64
+        }),
     );
 }
 
@@ -584,9 +628,18 @@ const FORK_REPS: usize = 9;
 /// spread per mode, in microseconds, and the ratio of the medians.
 fn fork_metrics(tag: &str, forked_us: (u64, u64), scratch_us: (u64, u64)) {
     metric(&format!("explore_forked_us_{tag}"), Json::UInt(forked_us.0));
-    metric(&format!("explore_forked_spread_us_{tag}"), Json::UInt(forked_us.1));
-    metric(&format!("explore_scratch_us_{tag}"), Json::UInt(scratch_us.0));
-    metric(&format!("explore_scratch_spread_us_{tag}"), Json::UInt(scratch_us.1));
+    metric(
+        &format!("explore_forked_spread_us_{tag}"),
+        Json::UInt(forked_us.1),
+    );
+    metric(
+        &format!("explore_scratch_us_{tag}"),
+        Json::UInt(scratch_us.0),
+    );
+    metric(
+        &format!("explore_scratch_spread_us_{tag}"),
+        Json::UInt(scratch_us.1),
+    );
     metric(
         &format!("fork_speedup_{tag}"),
         Json::Float(scratch_us.0 as f64 / forked_us.0 as f64),
@@ -691,8 +744,7 @@ fn bench_seed_retirement(_c: &mut Criterion) {
                     ..ExplorerConfig::default()
                 };
                 let r = explore(&p.module, p.entry, &p.workloads, &cfg);
-                let found: HashSet<_> =
-                    r.reports.iter().map(|rep| (rep.addr, rep.key())).collect();
+                let found: HashSet<_> = r.reports.iter().map(|rep| (rep.addr, rep.key())).collect();
                 for race in target.intersection(&found) {
                     cost.entry(*race).or_insert(runs);
                 }
@@ -705,7 +757,10 @@ fn bench_seed_retirement(_c: &mut Criterion) {
                 }
             }
             let attacks_at = attacks_at.unwrap_or_else(|| {
-                panic!("{} ({name}): attacks not covered within {FULL_BUDGET} schedules", p.name)
+                panic!(
+                    "{} ({name}): attacks not covered within {FULL_BUDGET} schedules",
+                    p.name
+                )
             });
             let seed_cost: u64 = target
                 .iter()
@@ -728,7 +783,10 @@ fn bench_seed_retirement(_c: &mut Criterion) {
             &format!("schedules_to_coverage_total_{name}"),
             Json::UInt(attack_totals[slot]),
         );
-        metric(&format!("seed_cost_total_{name}"), Json::UInt(cost_totals[slot]));
+        metric(
+            &format!("seed_cost_total_{name}"),
+            Json::UInt(cost_totals[slot]),
+        );
         if name != "epoch" {
             metric(
                 &format!("seeds_retired_{name}"),

@@ -5,9 +5,9 @@
 
 #[cfg(feature = "criterion")]
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use owl::{Owl, OwlConfig};
 #[cfg(not(feature = "criterion"))]
 use owl_bench::harness::{criterion_group, criterion_main, BatchSize, Criterion};
-use owl::{Owl, OwlConfig};
 use owl_race::{explore, ExplorerConfig, HbConfig, HbDetector};
 use owl_static::{AdhocSyncDetector, VulnAnalyzer, VulnConfig};
 use owl_verify::{RaceVerifier, RaceVerifyConfig};

@@ -16,7 +16,10 @@ fn median_us(mut v: Vec<f64>) -> f64 {
 }
 
 fn main() {
-    let reps: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(30);
+    let reps: usize = std::env::args()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(30);
     let mut programs = owl_corpus::all_programs();
     programs.extend([
         owl_corpus::extensions::heap_relay(),
@@ -24,7 +27,10 @@ fn main() {
         owl_corpus::extensions::kernel_double_fetch(),
     ]);
     let forked_cfg = owl::OwlConfig::default().detect;
-    let no_fork_cfg = owl_race::ExplorerConfig { fork: false, ..forked_cfg.clone() };
+    let no_fork_cfg = owl_race::ExplorerConfig {
+        fork: false,
+        ..forked_cfg.clone()
+    };
     let (mut tot_f, mut tot_n) = (0.0, 0.0);
     let (mut tot_forked, mut tot_deduped) = (0, 0);
     for p in &programs {

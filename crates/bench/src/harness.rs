@@ -284,7 +284,9 @@ mod tests {
             b.iter_batched(|| vec![1u8; 64], |v| v.len(), BatchSize::SmallInput)
         });
         let mut group = c.benchmark_group("grp");
-        group.sample_size(10).bench_function("inner", |b| b.iter(|| 1));
+        group
+            .sample_size(10)
+            .bench_function("inner", |b| b.iter(|| 1));
         group.finish();
         metric("self_test_events_per_sec", Json::UInt(42));
 
@@ -295,7 +297,10 @@ mod tests {
                 .and_then(|j| j.as_u64()),
             Some(42)
         );
-        assert_eq!(doc.get("harness").and_then(|j| j.as_str()), Some("fallback"));
+        assert_eq!(
+            doc.get("harness").and_then(|j| j.as_str()),
+            Some("fallback")
+        );
         let benches = doc.get("benches").and_then(|j| j.as_arr()).expect("array");
         let names: Vec<&str> = benches
             .iter()

@@ -45,7 +45,13 @@ const EXIT_QUARANTINED: u8 = 5;
 fn backend_help() -> String {
     owl_race::HbBackend::ALL
         .iter()
-        .map(|b| format!("                            `{}` — {}\n", b.name(), b.summary()))
+        .map(|b| {
+            format!(
+                "                            `{}` — {}\n",
+                b.name(),
+                b.summary()
+            )
+        })
         .collect()
 }
 
@@ -620,10 +626,7 @@ fn main() -> ExitCode {
                                     Json::UInt(outcome.summary.records),
                                 )])),
                             ));
-                            pairs.push((
-                                "health".to_string(),
-                                encode_health(&outcome.health),
-                            ));
+                            pairs.push(("health".to_string(), encode_health(&outcome.health)));
                         }
                         println!("{}", doc.to_json_string());
                     } else {

@@ -123,7 +123,11 @@ pub fn backoff_delay(base: Duration, program: &str, attempt: u64, seed: u64) -> 
     key.extend_from_slice(&attempt.to_le_bytes());
     key.extend_from_slice(program.as_bytes());
     let draw = fnv1a64(&key);
-    let jitter_ns = if exp_ns == 0 { 0 } else { draw % (exp_ns / 2 + 1) };
+    let jitter_ns = if exp_ns == 0 {
+        0
+    } else {
+        draw % (exp_ns / 2 + 1)
+    };
     (exp + Duration::from_nanos(jitter_ns)).min(Duration::from_secs(30))
 }
 
@@ -572,10 +576,7 @@ fn worker_loop(shared: &WorkerShared<'_>, worker_id: usize) {
                 true
             }
             AttemptStep::Killed(payload) => {
-                let mut slot = shared
-                    .killed
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
+                let mut slot = shared.killed.lock().unwrap_or_else(PoisonError::into_inner);
                 if slot.is_none() {
                     *slot = Some(payload);
                 }
@@ -681,8 +682,7 @@ fn run_attempt(
                 if let Some(m) = &cfg.metrics {
                     m.counter("campaign_requeues", 1);
                 }
-                let delay =
-                    backoff_delay(cfg.backoff_base, p.name, attempt, cfg.backoff_seed);
+                let delay = backoff_delay(cfg.backoff_base, p.name, attempt, cfg.backoff_seed);
                 AttemptStep::Retry {
                     due: Instant::now() + delay,
                 }
@@ -753,7 +753,14 @@ pub(crate) fn record_attempt_metrics(
         started,
         s.elision_solve_time,
     );
-    m.span("program", program, worker, attempt, started, started.elapsed());
+    m.span(
+        "program",
+        program,
+        worker,
+        attempt,
+        started,
+        started.elapsed(),
+    );
     let h = &result.health;
     m.counter(
         "verify_retries",

@@ -56,11 +56,11 @@
 use crate::counters::Counters;
 use crate::json::{self, Json};
 use crate::pipeline::{PipelineError, PipelineResult, Stage};
+use owl_ir::{FuncId, InstId, InstRef, VulnClass};
 use owl_race::RaceReport;
 use owl_static::{DepKind, VulnReport};
 use owl_verify::{AbortCause, VerifyOutcome};
 use owl_vm::FaultKind;
-use owl_ir::{FuncId, InstId, InstRef, VulnClass};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -444,7 +444,10 @@ fn parse_dep(s: &str) -> Option<DepKind> {
 }
 
 fn encode_iref(r: InstRef) -> Json {
-    Json::Arr(vec![Json::UInt(r.func.0 as u64), Json::UInt(r.inst.0 as u64)])
+    Json::Arr(vec![
+        Json::UInt(r.func.0 as u64),
+        Json::UInt(r.inst.0 as u64),
+    ])
 }
 
 fn decode_iref(v: &Json) -> Option<InstRef> {

@@ -70,8 +70,8 @@ pub use journal::{
 };
 pub use metrics::{Histogram, MetricsRecorder, SpanRecord};
 pub use pipeline::{
-    Finding, Owl, PipelineError, PipelineHealth, PipelineResult, PipelineStats, Quarantined,
-    Stage, StageHealth,
+    Finding, Owl, PipelineError, PipelineHealth, PipelineResult, PipelineStats, Quarantined, Stage,
+    StageHealth,
 };
 
 // Re-export the substrate crates so downstream users need only one

@@ -145,7 +145,12 @@ impl Histogram {
             ("max_us", Json::UInt(self.max_us)),
             (
                 "buckets",
-                Json::Arr(self.buckets[..last].iter().map(|&n| Json::UInt(n)).collect()),
+                Json::Arr(
+                    self.buckets[..last]
+                        .iter()
+                        .map(|&n| Json::UInt(n))
+                        .collect(),
+                ),
             ),
         ])
     }
@@ -327,10 +332,7 @@ impl MetricsRecorder {
         let gauges = Json::obj_owned(inner.gauges.iter().map(|(name, g)| {
             (
                 name.clone(),
-                Json::obj([
-                    ("last", Json::UInt(g.last)),
-                    ("peak", Json::UInt(g.peak)),
-                ]),
+                Json::obj([("last", Json::UInt(g.last)), ("peak", Json::UInt(g.peak))]),
             )
         }));
         Json::obj([
@@ -366,7 +368,9 @@ impl MetricsRecorder {
         let spans_path = dir.join("spans.jsonl");
         std::fs::write(&spans_path, self.spans_jsonl())?;
         let summary_path = dir.join(format!("BENCH_{bench}.json"));
-        let mut doc = self.summary_named(bench, workers, programs).to_json_string();
+        let mut doc = self
+            .summary_named(bench, workers, programs)
+            .to_json_string();
         doc.push('\n');
         std::fs::write(&summary_path, doc)?;
         Ok((spans_path, summary_path))
@@ -476,7 +480,9 @@ mod tests {
         assert!(spans.ends_with("spans.jsonl"));
         assert!(summary.ends_with("BENCH_campaign.json"));
         let doc = crate::json::parse(
-            std::fs::read_to_string(&summary).expect("summary readable").trim(),
+            std::fs::read_to_string(&summary)
+                .expect("summary readable")
+                .trim(),
         )
         .expect("summary parses");
         assert_eq!(doc.get("bench").and_then(|j| j.as_str()), Some("campaign"));

@@ -404,10 +404,7 @@ fn execute_job(shared: &Arc<ServeShared>, job: Job, worker_id: usize) -> bool {
             // The simulated hard kill: no response (the client sees
             // EOF — its in-flight request is cleanly reported lost),
             // the payload is re-raised by `serve` once the pool stops.
-            let mut slot = shared
-                .killed
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
+            let mut slot = shared.killed.lock().unwrap_or_else(PoisonError::into_inner);
             if slot.is_none() {
                 *slot = Some(payload);
             }
@@ -754,9 +751,7 @@ pub fn serve(cfg: ServeConfig) -> Result<ServeReport, JournalError> {
                 match listener.accept() {
                     Ok((stream, _)) => {
                         let shared = Arc::clone(&shared);
-                        conns.push(std::thread::spawn(move || {
-                            connection_loop(shared, stream)
-                        }));
+                        conns.push(std::thread::spawn(move || connection_loop(shared, stream)));
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                         std::thread::sleep(Duration::from_millis(10));
@@ -840,7 +835,10 @@ mod tests {
     fn resolve_program_accepts_cli_names() {
         assert_eq!(resolve_program("libsafe").unwrap().name, "Libsafe");
         assert_eq!(resolve_program("SSDB").unwrap().name, "SSDB");
-        assert_eq!(resolve_program("heap-relay").unwrap().name, resolve_program("heaprelay").unwrap().name);
+        assert_eq!(
+            resolve_program("heap-relay").unwrap().name,
+            resolve_program("heaprelay").unwrap().name
+        );
         assert!(resolve_program("bank").is_some());
         assert!(resolve_program("no-such-program").is_none());
     }

@@ -282,10 +282,9 @@ pub fn status_pairs(s: &StatusReport) -> Vec<(&'static str, Json)> {
 /// Encodes a response as one wire line (no trailing newline).
 pub fn encode_response(resp: &Response) -> String {
     let v = match resp {
-        Response::Accepted { id } => Json::obj([
-            ("resp", Json::str("accepted")),
-            ("id", Json::UInt(*id)),
-        ]),
+        Response::Accepted { id } => {
+            Json::obj([("resp", Json::str("accepted")), ("id", Json::UInt(*id))])
+        }
         Response::Rejected { reason } => Json::obj([
             ("resp", Json::str("rejected")),
             ("reason", Json::str(reason.as_str())),
@@ -376,10 +375,7 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
                 queue_depth: u("queue_depth"),
                 active: u("active"),
                 inflight_bytes: u("inflight_bytes"),
-                draining: v
-                    .get("draining")
-                    .and_then(|j| j.as_bool())
-                    .unwrap_or(false),
+                draining: v.get("draining").and_then(|j| j.as_bool()).unwrap_or(false),
                 executed: u("executed"),
                 cache_hits: u("cache_hits"),
                 shed_queue_full: u("shed_queue_full"),

@@ -26,9 +26,7 @@
 
 use crate::campaign::campaign_fingerprint;
 use crate::config::OwlConfig;
-use crate::journal::{
-    Journal, JournalError, JournalRecord, ProgramSummary, RecoveryReport,
-};
+use crate::journal::{Journal, JournalError, JournalRecord, ProgramSummary, RecoveryReport};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -378,7 +376,8 @@ mod tests {
         }))
         .expect_err("kill point fires during the flush");
         assert!(
-            err.downcast_ref::<crate::journal::JournalKilled>().is_some(),
+            err.downcast_ref::<crate::journal::JournalKilled>()
+                .is_some(),
             "JournalKilled re-raised"
         );
         // The store is dead: later commits fail fast instead of
@@ -406,6 +405,9 @@ mod tests {
         unforked.detect.fork = false;
         assert_eq!(fp, ResultStore::fingerprint(&unforked, "Libsafe"));
         assert_ne!(fp, ResultStore::fingerprint(&quick, "SSDB"));
-        assert_ne!(fp, ResultStore::fingerprint(&OwlConfig::default(), "Libsafe"));
+        assert_ne!(
+            fp,
+            ResultStore::fingerprint(&OwlConfig::default(), "Libsafe")
+        );
     }
 }

@@ -865,8 +865,15 @@ mod tests {
         }
         let (m, main) = finish(mb);
         let map = ElisionMap::analyze(&m, main);
-        for site in access_sites(&m, "w").into_iter().chain(access_sites(&m, "main")) {
-            assert_eq!(map.class_of(site), Some(ElisionClass::ThreadLocal), "{site}");
+        for site in access_sites(&m, "w")
+            .into_iter()
+            .chain(access_sites(&m, "main"))
+        {
+            assert_eq!(
+                map.class_of(site),
+                Some(ElisionClass::ThreadLocal),
+                "{site}"
+            );
         }
         assert_eq!(map.stats().sites_elided, 3);
     }
@@ -1001,8 +1008,15 @@ mod tests {
         }
         let (m, main) = finish(mb);
         let map = ElisionMap::analyze(&m, main);
-        for site in access_sites(&m, "w").into_iter().chain(access_sites(&m, "main")) {
-            assert_eq!(map.class_of(site), Some(ElisionClass::ReadOnlyShared), "{site}");
+        for site in access_sites(&m, "w")
+            .into_iter()
+            .chain(access_sites(&m, "main"))
+        {
+            assert_eq!(
+                map.class_of(site),
+                Some(ElisionClass::ReadOnlyShared),
+                "{site}"
+            );
         }
     }
 
@@ -1030,7 +1044,11 @@ mod tests {
         let (m, main) = finish(mb);
         let map = ElisionMap::analyze(&m, main);
         for site in access_sites(&m, "w") {
-            assert_eq!(map.class_of(site), Some(ElisionClass::ThreadLocal), "{site}");
+            assert_eq!(
+                map.class_of(site),
+                Some(ElisionClass::ThreadLocal),
+                "{site}"
+            );
         }
     }
 

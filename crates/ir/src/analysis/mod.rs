@@ -11,11 +11,11 @@ pub mod loops;
 pub mod pointsto;
 
 pub use callgraph::CallGraph;
-pub use elision::{ElisionClass, ElisionMap, ElisionStats};
 pub use cfg::Cfg;
 pub use ctrldep::ControlDeps;
 pub use defuse::DefUse;
 pub use dom::{DomTree, PostDomTree};
+pub use elision::{ElisionClass, ElisionMap, ElisionStats};
 pub use loops::{Loop, LoopInfo};
 pub use pointsto::{AbsLoc, PointsTo, PointsToStats};
 

@@ -386,12 +386,7 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// Folds one realized pick into an FNV-1a schedule signature.
 fn fnv1a_pick(hash: u64, chosen: ThreadId, step: u64) -> u64 {
     let mut h = hash;
-    for b in chosen
-        .0
-        .to_le_bytes()
-        .into_iter()
-        .chain(step.to_le_bytes())
-    {
+    for b in chosen.0.to_le_bytes().into_iter().chain(step.to_le_bytes()) {
         h ^= u64::from(b);
         h = h.wrapping_mul(FNV_PRIME);
     }
@@ -663,8 +658,9 @@ pub fn explore_with_deadline(
                 fill(first, *template);
             }
             PrefixResult::Forked(prefix, pilot_sched) => {
-                let record =
-                    cfg.fork.then(|| cfg.expected_steps.min(DEDUP_TRACE_CAP as u64) as usize);
+                let record = cfg
+                    .fork
+                    .then(|| cfg.expected_steps.min(DEDUP_TRACE_CAP as u64) as usize);
                 let (mut pilot, trace) = run_forked_unit(module, &prefix, pilot_sched, record, cfg);
                 pilot.snapshot_bytes = prefix.bytes;
                 // The dedup key: the pilot's complete suffix schedule.
@@ -680,8 +676,13 @@ pub fn explore_with_deadline(
                         let out = if deduped {
                             pilot.reused(prefix.steps)
                         } else {
-                            let (mut out, _) =
-                                run_forked_unit(module, &prefix, prefix.sched(cfg, seed), None, cfg);
+                            let (mut out, _) = run_forked_unit(
+                                module,
+                                &prefix,
+                                prefix.sched(cfg, seed),
+                                None,
+                                cfg,
+                            );
                             out.prefix_steps_saved = prefix.steps;
                             out
                         };

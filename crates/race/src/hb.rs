@@ -349,10 +349,7 @@ impl HbDetector {
     /// its parent's knowledge. `None` when no live thread has a clock
     /// yet (nothing can be proved reclaimable).
     fn min_live_clock(&self) -> Option<VectorClock> {
-        let mut it = self
-            .live
-            .iter()
-            .filter_map(|t| self.clocks.get(t.index()));
+        let mut it = self.live.iter().filter_map(|t| self.clocks.get(t.index()));
         let mut min = it.next()?.clone();
         for c in it {
             min.meet(c);

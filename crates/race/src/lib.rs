@@ -70,12 +70,12 @@ mod vc;
 
 pub use atomicity::{AtomicityDetector, AtomicityPattern, AtomicityReport};
 pub use epoch::EpochStats;
-pub use predict::PredictStats;
 pub use explorer::{
     executions_until, explore, explore_with_deadline, site_pairs, ExploreResult, ExploreStrategy,
     ExplorerConfig,
 };
 pub use hb::{global_name_for_addr, HbAnnotation, HbBackend, HbConfig, HbDetector};
 pub use lockset::LocksetDetector;
+pub use predict::PredictStats;
 pub use report::{Access, RaceReport};
 pub use vc::VectorClock;

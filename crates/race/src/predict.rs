@@ -268,7 +268,10 @@ impl Predictor {
     /// pairs the HB sweep has reported — those need no witness.
     /// Deterministic: candidates walk addresses in order, occurrences
     /// in trace order, and every scheduler decision is index-based.
-    pub(crate) fn predict(&mut self, already: &FxHashSet<(InstRef, InstRef)>) -> Vec<PredictedRace> {
+    pub(crate) fn predict(
+        &mut self,
+        already: &FxHashSet<(InstRef, InstRef)>,
+    ) -> Vec<PredictedRace> {
         if self.offered > MAX_TRACE_EVENTS {
             self.stats.capped = 1;
             return Vec::new();
@@ -334,7 +337,9 @@ impl Predictor {
                         None
                     } else {
                         match closure(idx, i, j) {
-                            Ok(cl) => try_witness(&self.events, idx, &mut scratch, &cl, i, j, self.mode),
+                            Ok(cl) => {
+                                try_witness(&self.events, idx, &mut scratch, &cl, i, j, self.mode)
+                            }
                             Err(NoClosure::Ordered) => None,
                             Err(NoClosure::Capped) => {
                                 self.stats.capped = 1;
@@ -519,8 +524,12 @@ impl TraceIndex {
     fn push(&mut self, e: &PEvent, i: usize) {
         let t = self.dense_thread(e.tid);
         let op = match e.kind {
-            PKind::Read { addr, .. } => Op::Read { loc: self.loc(addr) },
-            PKind::Write { addr, .. } => Op::Write { loc: self.loc(addr) },
+            PKind::Read { addr, .. } => Op::Read {
+                loc: self.loc(addr),
+            },
+            PKind::Write { addr, .. } => Op::Write {
+                loc: self.loc(addr),
+            },
             PKind::AtomicRead { addr } => Op::AtomicRead {
                 loc: self.loc(addr),
                 obj: self.sync(SyncObj::AtomicAddr(addr)),
@@ -550,8 +559,12 @@ impl TraceIndex {
         self.thread_events[tu].push(i);
         let mut rf = NONE;
         match op {
-            Op::Read { loc } | Op::AtomicRead { loc, .. } => rf = self.locs[loc as usize].last_writer,
-            Op::Write { loc } | Op::AtomicWrite { loc, .. } => self.locs[loc as usize].last_writer = i as u32,
+            Op::Read { loc } | Op::AtomicRead { loc, .. } => {
+                rf = self.locs[loc as usize].last_writer
+            }
+            Op::Write { loc } | Op::AtomicWrite { loc, .. } => {
+                self.locs[loc as usize].last_writer = i as u32
+            }
             Op::Lock { obj } => {
                 self.lock_sites.insert(e.site);
                 self.has_cond_reacquire |= self.unlock_sites.contains(&e.site);
@@ -979,7 +992,13 @@ fn schedule(
 /// verifies it is a correct reordering ending in the co-enabled
 /// conflicting pair. Shares no state with the scheduler — this is the
 /// gate the soundness contract names.
-fn validate_witness(events: &[PEvent], idx: &TraceIndex, order: &[usize], e1: usize, e2: usize) -> bool {
+fn validate_witness(
+    events: &[PEvent],
+    idx: &TraceIndex,
+    order: &[usize],
+    e1: usize,
+    e2: usize,
+) -> bool {
     let n = order.len();
     if n < 2 || order[n - 2] != e1 || order[n - 1] != e2 {
         return false;
@@ -1269,7 +1288,15 @@ mod tests {
                 ev(0, 0, 1, PKind::Fork { child: ThreadId(2) }),
             ];
             for k in 0..n {
-                t.push(ev(1, 1, 10 + k, PKind::Write { addr: X + 1, value: 1 }));
+                t.push(ev(
+                    1,
+                    1,
+                    10 + k,
+                    PKind::Write {
+                        addr: X + 1,
+                        value: 1,
+                    },
+                ));
             }
             t.push(ev(1, 1, 1, PKind::Write { addr: X, value: 1 }));
             t.push(ev(2, 2, 0, PKind::Write { addr: X, value: 2 }));
@@ -1319,8 +1346,24 @@ mod tests {
                     ty: Type::I64,
                 },
             ),
-            ev(2, 2, 1, PKind::Write { addr: X + 1, value: 1 }),
-            ev(0, 0, 2, PKind::Write { addr: X + 1, value: 2 }),
+            ev(
+                2,
+                2,
+                1,
+                PKind::Write {
+                    addr: X + 1,
+                    value: 1,
+                },
+            ),
+            ev(
+                0,
+                0,
+                2,
+                PKind::Write {
+                    addr: X + 1,
+                    value: 2,
+                },
+            ),
         ];
         let idx = indexed(&trace);
         // Candidate: (T2's write at 4, main's write at 5) on X+1. The
@@ -1384,14 +1427,25 @@ mod tests {
         let trace = vec![
             ev(0, 0, 0, PKind::Fork { child: ThreadId(1) }),
             ev(0, 0, 1, PKind::Fork { child: ThreadId(2) }),
-            ev(1, 1, 0, PKind::Write { addr: X + 9, value: 3 }),
+            ev(
+                1,
+                1,
+                0,
+                PKind::Write {
+                    addr: X + 9,
+                    value: 3,
+                },
+            ),
             ev(0, 0, 2, PKind::Join { child: ThreadId(1) }),
             ev(0, 0, 3, PKind::Write { addr: X, value: 1 }),
             ev(2, 2, 0, PKind::Write { addr: X, value: 2 }),
         ];
         let idx = indexed(&trace);
         let set = closure(&idx, 4, 5).expect("co-enablable");
-        assert!(set.contains(&idx, 2), "child's events pulled in by the join");
+        assert!(
+            set.contains(&idx, 2),
+            "child's events pulled in by the join"
+        );
         assert!(set.contains(&idx, 3));
         let order = schedule_lowest(&idx, &set, 4, 5).expect("schedulable");
         assert!(validate_witness(&trace, &idx, &order, 4, 5));

@@ -68,4 +68,6 @@ pub use mem::Memory;
 pub use sched::{PctScheduler, RandomScheduler, ReplayScheduler, RoundRobin, Scheduler};
 pub use sites::SiteSet;
 pub use violation::{SecurityEvent, SecurityRecord, Violation, ViolationRecord};
-pub use vm::{DeadlockInfo, ExecOutcome, ExitStatus, RunConfig, Snapshot, Vm, WaitInfo, WaitReason};
+pub use vm::{
+    DeadlockInfo, ExecOutcome, ExitStatus, RunConfig, Snapshot, Vm, WaitInfo, WaitReason,
+};

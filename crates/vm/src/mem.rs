@@ -501,25 +501,13 @@ mod tests {
         let h = mem.malloc(4);
         let snap = mem.clone();
         let a = mem.global_addr(GlobalId(0));
-        assert!(Arc::ptr_eq(
-            &mem.regions[&a].data,
-            &snap.regions[&a].data
-        ));
+        assert!(Arc::ptr_eq(&mem.regions[&a].data, &snap.regions[&a].data));
         // Reads keep sharing; a write un-shares only the touched region.
         let _ = mem.load(h).unwrap();
-        assert!(Arc::ptr_eq(
-            &mem.regions[&h].data,
-            &snap.regions[&h].data
-        ));
+        assert!(Arc::ptr_eq(&mem.regions[&h].data, &snap.regions[&h].data));
         mem.store(h + 1, 5).unwrap();
-        assert!(!Arc::ptr_eq(
-            &mem.regions[&h].data,
-            &snap.regions[&h].data
-        ));
-        assert!(Arc::ptr_eq(
-            &mem.regions[&a].data,
-            &snap.regions[&a].data
-        ));
+        assert!(!Arc::ptr_eq(&mem.regions[&h].data, &snap.regions[&h].data));
+        assert!(Arc::ptr_eq(&mem.regions[&a].data, &snap.regions[&a].data));
         // The snapshot still sees the pre-write value.
         assert_eq!(snap.load(h + 1).unwrap().value, 0);
         assert_eq!(mem.load(h + 1).unwrap().value, 5);

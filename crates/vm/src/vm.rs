@@ -1082,8 +1082,12 @@ impl<'m> Vm<'m> {
             // Dropped-hit fault: the controller never hears about this
             // match; execution falls through as if nothing was armed.
             if self.faults.fire_drop_bp(self.step) {
-                self.faults
-                    .record(FaultKind::DroppedBreakpoint, self.step, Some(tid), Some(site));
+                self.faults.record(
+                    FaultKind::DroppedBreakpoint,
+                    self.step,
+                    Some(tid),
+                    Some(site),
+                );
                 self.emit(
                     sink,
                     tid,

@@ -109,11 +109,8 @@ fn zeroed_plan_is_bit_identical_to_no_fault_layer() {
             &p.exploit_inputs,
         );
         let zeroed_cfg = OwlConfig::quick().with_fault_plan(FaultPlan::none());
-        let zeroed = Owl::new(&p.module, p.entry, zeroed_cfg).run(
-            p.name,
-            &p.workloads,
-            &p.exploit_inputs,
-        );
+        let zeroed =
+            Owl::new(&p.module, p.entry, zeroed_cfg).run(p.name, &p.workloads, &p.exploit_inputs);
         assert_eq!(
             counters(&base.stats),
             counters(&zeroed.stats),

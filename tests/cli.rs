@@ -211,7 +211,10 @@ fn campaign_runs_resumes_and_refuses_unresumed_reuse() {
     assert!(first.contains("Libsafe"), "{first}");
 
     // A finished journal is not silently clobbered.
-    let reuse = cli().args(["campaign", d, "--quick"]).output().expect("spawn");
+    let reuse = cli()
+        .args(["campaign", d, "--quick"])
+        .output()
+        .expect("spawn");
     assert!(!reuse.status.success());
     let err = String::from_utf8_lossy(&reuse.stderr);
     assert!(err.contains("--resume"), "{err}");
@@ -255,7 +258,13 @@ fn campaign_workers_and_metrics_flags() {
     let pool_dir = base.join("pool");
     let metrics_dir = base.join("metrics");
 
-    let serial = run_ok(&["campaign", serial_dir.to_str().unwrap(), "--quick", "--workers", "1"]);
+    let serial = run_ok(&[
+        "campaign",
+        serial_dir.to_str().unwrap(),
+        "--quick",
+        "--workers",
+        "1",
+    ]);
     let pooled = run_ok(&[
         "campaign",
         pool_dir.to_str().unwrap(),
@@ -274,7 +283,10 @@ fn campaign_workers_and_metrics_flags() {
     let summary_raw = std::fs::read_to_string(metrics_dir.join("BENCH_campaign.json"))
         .expect("BENCH_campaign.json written");
     let summary = owl::json::parse(summary_raw.trim()).expect("valid perf summary");
-    assert_eq!(summary.get("bench").and_then(|j| j.as_str()), Some("campaign"));
+    assert_eq!(
+        summary.get("bench").and_then(|j| j.as_str()),
+        Some("campaign")
+    );
     assert_eq!(summary.get("workers").and_then(|j| j.as_u64()), Some(4));
     assert!(summary.get("stages").is_some(), "{summary_raw}");
     let spans = std::fs::read_to_string(metrics_dir.join("spans.jsonl")).expect("spans.jsonl");
@@ -288,7 +300,13 @@ fn campaign_workers_and_metrics_flags() {
 
     // Zero workers is meaningless and rejected up front.
     let zero = cli()
-        .args(["campaign", base.join("zero").to_str().unwrap(), "--quick", "--workers", "0"])
+        .args([
+            "campaign",
+            base.join("zero").to_str().unwrap(),
+            "--quick",
+            "--workers",
+            "0",
+        ])
         .output()
         .expect("spawn");
     assert!(!zero.status.success(), "--workers 0 must be rejected");
@@ -385,7 +403,8 @@ fn serve_round_trip_with_typed_exit_codes() {
 
     // Typed failure exit codes: 3 rejected, 4 deadline, 5 quarantined.
     let exit = |args: &[&str]| {
-        cli().args(args)
+        cli()
+            .args(args)
             .output()
             .expect("spawn")
             .status
@@ -444,10 +463,22 @@ fn explore_workers_and_hb_backend_flags() {
     // wall-clock durations, so compare the findings lines, not the
     // whole output.
     let reference = run_ok(&[
-        "run", "SSDB", "--quick", "--hb-backend", "reference", "--explore-workers", "1",
+        "run",
+        "SSDB",
+        "--quick",
+        "--hb-backend",
+        "reference",
+        "--explore-workers",
+        "1",
     ]);
     let epoch = run_ok(&[
-        "run", "SSDB", "--quick", "--hb-backend", "epoch", "--explore-workers", "4",
+        "run",
+        "SSDB",
+        "--quick",
+        "--hb-backend",
+        "epoch",
+        "--explore-workers",
+        "4",
     ]);
     let key_line = |out: &str| {
         out.lines()
@@ -462,8 +493,22 @@ fn explore_workers_and_hb_backend_flags() {
     // `run --json` carries no timings, so the whole document — fork
     // counters included — is byte-identical at any worker count.
     // Memcached is the program whose sweep dedups units.
-    let serial = run_ok(&["run", "Memcached", "--quick", "--json", "--explore-workers", "1"]);
-    let pooled = run_ok(&["run", "Memcached", "--quick", "--json", "--explore-workers", "4"]);
+    let serial = run_ok(&[
+        "run",
+        "Memcached",
+        "--quick",
+        "--json",
+        "--explore-workers",
+        "1",
+    ]);
+    let pooled = run_ok(&[
+        "run",
+        "Memcached",
+        "--quick",
+        "--json",
+        "--explore-workers",
+        "4",
+    ]);
     assert_eq!(serial, pooled);
 
     // Bad values are rejected up front with a useful message.
@@ -471,7 +516,10 @@ fn explore_workers_and_hb_backend_flags() {
         .args(["run", "SSDB", "--quick", "--explore-workers", "0"])
         .output()
         .expect("spawn");
-    assert!(!zero.status.success(), "--explore-workers 0 must be rejected");
+    assert!(
+        !zero.status.success(),
+        "--explore-workers 0 must be rejected"
+    );
     let err = String::from_utf8_lossy(&zero.stderr);
     assert!(err.contains("at least 1"), "{err}");
 
@@ -479,7 +527,10 @@ fn explore_workers_and_hb_backend_flags() {
         .args(["run", "SSDB", "--quick", "--hb-backend", "bogus"])
         .output()
         .expect("spawn");
-    assert!(!bogus.status.success(), "--hb-backend bogus must be rejected");
+    assert!(
+        !bogus.status.success(),
+        "--hb-backend bogus must be rejected"
+    );
     let err = String::from_utf8_lossy(&bogus.stderr);
     // The rejection must list every valid backend, derived from the
     // same table the parser uses.
@@ -520,16 +571,27 @@ fn no_fork_flag_is_valueless_and_composes() {
 
     // The fork counters are zero under --no-fork and non-zero by
     // default — the flag really switches the execution strategy.
-    let doc = owl::json::parse(&run_ok(&["run", "SSDB", "--quick", "--json"]))
-        .expect("valid JSON");
+    let doc = owl::json::parse(&run_ok(&["run", "SSDB", "--quick", "--json"])).expect("valid JSON");
     let counter = |doc: &owl::json::Json, key: &str| {
-        doc.get("health").and_then(|h| h.get(key)).and_then(|j| j.as_u64()).unwrap_or(0)
+        doc.get("health")
+            .and_then(|h| h.get(key))
+            .and_then(|j| j.as_u64())
+            .unwrap_or(0)
     };
     assert!(counter(&doc, "units_forked") > 0, "default run forks");
     let doc = owl::json::parse(&run_ok(&["run", "SSDB", "--quick", "--json", "--no-fork"]))
         .expect("valid JSON");
-    for key in ["units_forked", "prefix_steps_saved", "schedules_deduped", "snapshot_bytes"] {
-        assert_eq!(counter(&doc, key), 0, "`{key}` must be zero under --no-fork");
+    for key in [
+        "units_forked",
+        "prefix_steps_saved",
+        "schedules_deduped",
+        "snapshot_bytes",
+    ] {
+        assert_eq!(
+            counter(&doc, key),
+            0,
+            "`{key}` must be zero under --no-fork"
+        );
     }
 
     // It takes no value: a trailing operand is a usage error, not a
@@ -549,7 +611,10 @@ fn no_fork_flag_is_valueless_and_composes() {
         .args(["run", "SSDB", "--quick", "--no-fork", "--no-fork"])
         .output()
         .expect("spawn");
-    assert!(!twice.status.success(), "duplicate --no-fork must be rejected");
+    assert!(
+        !twice.status.success(),
+        "duplicate --no-fork must be rejected"
+    );
     let err = String::from_utf8_lossy(&twice.stderr);
     assert!(err.contains("more than once"), "{err}");
 }

@@ -127,11 +127,10 @@ fn every_kill_point_resumes_byte_identically_across_seeds() {
                 let mut killed_cfg = cfg.clone();
                 killed_cfg.kill_after_appends = Some(kill);
                 killed_cfg.workers = workers;
-                let payload =
-                    catch_unwind(AssertUnwindSafe(|| {
-                        run_campaign(&path, &programs, &killed_cfg, false)
-                    }))
-                    .expect_err("the armed kill point must fire");
+                let payload = catch_unwind(AssertUnwindSafe(|| {
+                    run_campaign(&path, &programs, &killed_cfg, false)
+                }))
+                .expect_err("the armed kill point must fire");
                 assert!(
                     payload.downcast_ref::<JournalKilled>().is_some(),
                     "seed {seed} workers {workers} kill {kill}: unexpected panic payload"

@@ -50,7 +50,11 @@ fn epoch_backend_matches_reference_across_corpus() {
                 p.name
             );
             assert_eq!(epoch.suppressed, reference.suppressed, "{}", p.name);
-            assert_eq!(epoch.reports_dropped, reference.reports_dropped, "{}", p.name);
+            assert_eq!(
+                epoch.reports_dropped, reference.reports_dropped,
+                "{}",
+                p.name
+            );
             assert_eq!(epoch.runs, reference.runs, "{}", p.name);
             // The epoch and reference collectors reclaim exactly the
             // same cells.
@@ -80,7 +84,11 @@ fn epoch_backend_matches_reference_across_corpus() {
         let ref_ann = sweep(&p, HbBackend::Reference, 1, annotations.clone());
         let epoch_ann = sweep(&p, HbBackend::Epoch, 4, annotations);
         assert_eq!(epoch_ann.reports, ref_ann.reports, "{} annotated", p.name);
-        assert_eq!(epoch_ann.suppressed, ref_ann.suppressed, "{} annotated", p.name);
+        assert_eq!(
+            epoch_ann.suppressed, ref_ann.suppressed,
+            "{} annotated",
+            p.name
+        );
         assert_eq!(
             epoch_ann.reports_dropped, ref_ann.reports_dropped,
             "{} annotated",

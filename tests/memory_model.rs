@@ -13,8 +13,8 @@
 //!   must produce exactly the reports a cold walk produces, at a lower
 //!   traversal cost.
 
-use owl_ir::{Inst, InstRef, Module, Operand};
 use owl_ir::analysis::PointsTo;
+use owl_ir::{Inst, InstRef, Module, Operand};
 use owl_static::{SummaryCache, VulnAnalyzer, VulnConfig};
 use owl_vm::{EventKind, RandomScheduler, RunConfig, TraceEvent, VecSink, Vm};
 use std::sync::Arc;
@@ -31,7 +31,11 @@ fn addr_operand(module: &Module, site: InstRef) -> Option<Operand> {
 }
 
 /// Collects a full trace of `program` under one scheduler seed.
-fn trace_of(p: &owl_corpus::CorpusProgram, input: &owl_vm::ProgramInput, seed: u64) -> Vec<TraceEvent> {
+fn trace_of(
+    p: &owl_corpus::CorpusProgram,
+    input: &owl_vm::ProgramInput,
+    seed: u64,
+) -> Vec<TraceEvent> {
     let mut sink = VecSink::default();
     let mut sched = RandomScheduler::new(seed);
     let vm = Vm::new(&p.module, p.entry, input.clone(), RunConfig::default());
@@ -209,7 +213,11 @@ fn heap_relay_detected_end_to_end_with_points_to_only() {
     let p = owl_corpus::extensions::heap_relay();
     let on = owl::evaluate_program(&p, &owl::OwlConfig::quick());
     let a = &on.attacks[0];
-    assert!(a.hinted, "points-to hints the relay: {:?}", on.result.findings);
+    assert!(
+        a.hinted,
+        "points-to hints the relay: {:?}",
+        on.result.findings
+    );
     assert!(a.detected(), "hinted site is dynamically reachable");
     assert_eq!(a.dep_matched(), Some(true), "{:?}", a.dep_kinds);
 

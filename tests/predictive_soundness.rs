@@ -90,7 +90,11 @@ fn predictive_backends_subsume_reference_across_corpus() {
                 "{} ({backend:?})",
                 p.name
             );
-            assert!(pred.predict_reversal_races <= pred.predict_witnessed, "{}", p.name);
+            assert!(
+                pred.predict_reversal_races <= pred.predict_witnessed,
+                "{}",
+                p.name
+            );
             if backend == HbBackend::SyncPreserving {
                 assert_eq!(
                     pred.predict_reversal_races, 0,
@@ -115,7 +119,12 @@ fn predictive_reports_identical_at_any_worker_count_and_capacity() {
                     "{} ({backend:?}, workers={workers}): reports diverge",
                     p.name
                 );
-                assert_eq!(predict_counters(&r), predict_counters(&baseline), "{}", p.name);
+                assert_eq!(
+                    predict_counters(&r),
+                    predict_counters(&baseline),
+                    "{}",
+                    p.name
+                );
             }
         }
     }
@@ -180,7 +189,10 @@ enum Action {
 fn action_strategy(globals: usize) -> impl Strategy<Value = Action> {
     prop_oneof![
         (0..globals, any::<bool>()).prop_map(|(g, w)| Action::Plain { g, w }),
-        (0..2usize, prop::collection::vec((0..globals, any::<bool>()), 1..3))
+        (
+            0..2usize,
+            prop::collection::vec((0..globals, any::<bool>()), 1..3)
+        )
             .prop_map(|(l, body)| Action::Locked { l, body }),
         Just(Action::Yield),
     ]
