@@ -58,21 +58,25 @@ pub enum Counter {
     /// Shadow cells the detectors' thread-exit/free GC reclaimed.
     ShadowCellsGced,
     /// Conflicting access pairs the predictive detection backends
-    /// submitted to the witness machinery, summed over both detection
-    /// sweeps. Zero for non-predictive backends.
+    /// submitted to their gates, summed over both detection sweeps.
+    /// Zero for non-predictive backends.
     PredictCandidates,
     /// Predicted-race candidates with a validated witness reordering.
     PredictWitnessed,
     /// Predicted-race candidates rejected by the common-lock prune,
-    /// closure, scheduler, or witness validator.
+    /// the sync-preserving ideal, the reversal search, or the witness
+    /// validator.
     PredictWitnessRejected,
-    /// Witnessed predicted races that required reversing a
-    /// lock-acquire order (`syncrev` backend only).
+    /// Witnessed predicted races whose sync-preserving ideal holds an
+    /// endpoint, so that only a schedule reversing a lock-acquire order
+    /// witnessed them (`syncrev` backend only). A race the ideal
+    /// witnesses never counts here.
     PredictReversalRaces,
     /// Detection units whose prediction pass a cost ceiling cut short:
     /// the trace was too long to predict over, an access list was
-    /// truncated, or the pass ran out of attempts. Such a unit may
-    /// miss predicted races a longer search would have witnessed.
+    /// truncated, a candidate's ideal grew past its size ceiling, or
+    /// the pass ran out of attempts. Such a unit may miss predicted
+    /// races an uncapped pass would have witnessed.
     PredictCapped,
     /// Detection units the explorer launched from a mid-run snapshot
     /// instead of instruction zero (prefix-sharing fork mode), summed

@@ -202,14 +202,6 @@ fn hash_addr(addr: u64) -> usize {
 }
 
 impl EpochShadow {
-    /// A shadow table continuing from this one's state — the epoch
-    /// half of the detector fork used by prefix-sharing exploration.
-    /// Slots, the stack interner, and counters are all deep-copied;
-    /// only the scratch conflict list's capacity is shared history.
-    pub(crate) fn fork(&self) -> EpochShadow {
-        self.clone()
-    }
-
     /// Index of `addr`'s slot, inserting an empty cell if absent.
     fn cell_index(&mut self, tid: ThreadId, addr: u64) -> usize {
         let ti = tid.index();

@@ -168,17 +168,19 @@ pub struct ExploreResult {
     /// Shadow cells reclaimed by the detectors' thread-exit/free GC,
     /// summed over units.
     pub shadow_cells_gced: u64,
-    /// Conflicting pairs the predictive backends submitted to the
-    /// witness machinery, summed over units (0 for non-predictive
-    /// backends; see [`crate::PredictStats`]).
+    /// Conflicting pairs the predictive backends submitted to their
+    /// gates, summed over units (0 for non-predictive backends; see
+    /// [`crate::PredictStats`]).
     pub predict_candidates: u64,
     /// Predicted-race candidates that got a validated witness
     /// reordering, summed over units.
     pub predict_witnessed: u64,
-    /// Candidates rejected by closure, scheduling, or witness
+    /// Candidates rejected by the common-lock prune, the
+    /// sync-preserving ideal, the reversal search, or witness
     /// validation, summed over units.
     pub predict_witness_rejected: u64,
-    /// Witnessed races that required a lock-acquire reversal (only
+    /// Witnessed races whose sync-preserving ideal holds an endpoint,
+    /// so that only a lock-acquire reversal witnessed them (only
     /// non-zero under [`HbBackend::SyncReversal`]), summed over units.
     pub predict_reversal_races: u64,
     /// Units whose prediction pass a cost ceiling cut short (see

@@ -52,8 +52,9 @@ pub enum HbBackend {
     Reference,
     /// Epoch HB sweep plus sync-preserving race prediction: also
     /// reports conflicting pairs reachable by a correct reordering of
-    /// the observed trace that keeps every same-object
-    /// synchronization order (arXiv 2010.16385).
+    /// the observed trace that keeps the order of every two
+    /// acquisitions of one lock, each decided by its sync-preserving
+    /// ideal (arXiv 2010.16385).
     SyncPreserving,
     /// Epoch HB sweep plus optimistic sync-reversal prediction:
     /// everything `SyncPreserving` finds, plus races that need a
@@ -251,14 +252,10 @@ impl HbDetector {
     /// would hold after replaying the same prefix. Every field —
     /// vector clocks, shadow state (reference map or epoch table),
     /// dedup/suppression bookkeeping, the predictor's recorded trace —
-    /// is deep-copied, so forks never share mutable state.
+    /// is deep-copied by one `clone` (the boxed epoch table with it), so
+    /// forks never share mutable state.
     pub fn fork(&self) -> HbDetector {
-        let mut forked = self.clone();
-        forked.shadow = match &self.shadow {
-            ShadowState::Reference(clocks) => ShadowState::Reference(clocks.clone()),
-            ShadowState::Epoch(shadow) => ShadowState::Epoch(Box::new(shadow.fork())),
-        };
-        forked
+        self.clone()
     }
 
     /// Reports accumulated so far (one per distinct site pair).

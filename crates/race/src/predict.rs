@@ -11,53 +11,67 @@
 //! Synchronization-Reversal Data Races":
 //!
 //! * **Sync-preserving** ([`PredictMode::SyncPreserving`]): the
-//!   reordering must keep the observed relative order of any two
-//!   synchronization operations on the same object (lock
-//!   acquisitions/releases, atomic accesses) that both appear in it.
+//!   reordering must keep the observed order of any two acquisitions
+//!   of one lock that both appear in it.
 //! * **Sync-reversal** ([`PredictMode::SyncReversal`]): additionally
 //!   tries reorderings that flip the order of whole lock critical
 //!   sections (the optimistic OSR check), keeping atomic order and
 //!   lock mutual exclusion intact.
 //!
-//! Every candidate pair goes through three gates before it may be
-//! reported:
+//! Every candidate pair meets these gates before it may be reported:
 //!
-//! 1. **Closure**: the set of events that *must* precede both
-//!    endpoints — program-order predecessors, each read's observed
-//!    writer (so control flow replays identically), fork-before and
-//!    join-after edges — computed to a fixpoint. If either endpoint
-//!    lands in its own closure the pair is ordered in every correct
-//!    reordering and is rejected.
-//! 2. **Greedy witness scheduling**: a deterministic scheduler
-//!    linearizes the closure under lock mutual exclusion,
-//!    read-sees-same-writer, fork/join, and (per mode) sync-order
-//!    constraints. A stuck schedule rejects the candidate — greedy
-//!    incompleteness can only lose predictions, never invent one.
-//! 3. **Independent witness validation**: the produced sequence is
-//!    re-checked from scratch by a separate validator
+//! 1. **Common-lock prune** (below): a pair whose threads hold a common
+//!    lock at their accesses is rejected at once.
+//! 2. **The sync-preserving ideal** decides the candidate. It is the
+//!    smallest set of events that holds every program-order
+//!    predecessor of both endpoints and is closed under program order,
+//!    each read's observed writer (so control flow replays
+//!    identically), fork-before and join-after edges, and one lock
+//!    rule: if the set holds two acquisitions of one lock, the earlier
+//!    acquisition's release joins it. Every sync-preserving reordering
+//!    that ends in the pair holds the ideal, so an endpoint inside its
+//!    ideal has no sync-preserving witness. Otherwise the ideal's
+//!    events in trace order, then the two endpoints, are one: the
+//!    pair is a sync-preserving race exactly when neither endpoint
+//!    enters its ideal.
+//! 3. **Reversal search**, under sync-reversal only, for a candidate
+//!    whose ideal holds an endpoint while its plain closure (the ideal
+//!    without the lock rule) does not: a greedy scheduler linearizes
+//!    the plain closure under lock mutual exclusion,
+//!    read-sees-same-writer, fork/join and atomic order, with three
+//!    fixed tie-break rules. A stuck schedule rejects the candidate —
+//!    greedy incompleteness can only lose predictions, never invent
+//!    one.
+//! 4. **Independent witness validation**: the witness from gate 2 or 3
+//!    is re-checked from scratch by a separate validator
 //!    ([`validate_witness`]). Only validated witnesses become reports,
 //!    so no unwitnessed pair ever reaches the verification stages.
 //!
 //! **Common-lock prune.** A candidate whose two threads hold a common
-//! lock at their accesses is rejected before the gates run, because
-//! gate 3 can never accept it. The validator requires each thread's
+//! lock `L` at their accesses has no witness in either regime, so it is
+//! rejected before gate 2 runs. Both threads' acquisitions of `L`
+//! precede their endpoints in program order, so both are in the ideal,
+//! and the lock rule adds the earlier one's release, which comes after
+//! that thread's endpoint (or is missing from the trace, which leaves
+//! no sync-preserving reordering at all): gate 2 rejects the pair. Gate
+//! 3 cannot accept it either. The validator requires each thread's
 //! witness events to be exactly a program-order prefix of that thread,
-//! ending at its endpoint. So each endpoint thread's prefix contains
-//! its `Lock(L)` and not its matching `Unlock(L)`: both acquisitions are
-//! in the witness and neither is released. Whichever acquisition comes
-//! second finds `L` owned (an `Unlock(L)` by any third thread fails the
-//! owner check first), and validation fails. The prune therefore only
-//! skips work whose answer is already known: the pair is still counted
-//! as a candidate and as rejected, in the same order and against the
-//! same caps. The unit tests check this against the full gate sequence
-//! on random traces.
+//! ending at its endpoint, so both acquisitions are in the witness and
+//! neither is released. Whichever comes second finds `L` owned (an
+//! `Unlock(L)` by any third thread fails the owner check first). The
+//! prune therefore only skips work whose answer is already known: the
+//! pair is still counted as a candidate and as rejected, in the same
+//! order and against the same caps. The unit tests check this against
+//! the full gate sequence on random traces, and check gate 2 against an
+//! exhaustive search over every interleaving of small ones.
 //!
-//! Both gates 1 and 2 work on dense ids: the closure is kept as one
-//! program-order prefix length per thread (it is closed under program
-//! order), and the scheduler's per-step state lives in id-indexed
-//! tables reset in O(1) between strategies. The index they read is
-//! built while the trace is recorded, one event at a time, so the pass
-//! after the run starts at the candidate loop.
+//! Gates 2 and 3 work on dense ids: a closure is closed under program
+//! order, so it is kept as one program-order prefix length per thread,
+//! and the scheduler's per-step state lives in id-indexed tables reset
+//! in O(1) between strategies. The index they read is built while the
+//! trace is recorded, one event at a time; each plain access records
+//! only the id of its access list, and the lists themselves are built
+//! in one counting pass when the prediction pass starts.
 //!
 //! Prediction is strictly additive: it runs after the normal HB sweep
 //! and routes its pairs through the same report path (annotation
@@ -81,31 +95,33 @@ use owl_vm::{CallStack, EventKind, ThreadId, TraceEvent};
 /// `PipelineHealth` and every health surface.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PredictStats {
-    /// Conflicting cross-thread access pairs submitted to the witness
-    /// machinery.
+    /// Conflicting cross-thread access pairs submitted to the gates.
     pub candidates: u64,
     /// Candidates for which a validated witness reordering was found
     /// (each becomes at most one report, subject to suppression and
     /// dedup).
     pub witnessed: u64,
-    /// Candidates rejected by the common-lock prune, closure,
-    /// scheduling, or validation.
+    /// Candidates rejected by the common-lock prune, the
+    /// sync-preserving ideal, the reversal search, or validation.
     pub witness_rejected: u64,
-    /// Witnessed races that needed a lock-acquire reversal (only ever
-    /// non-zero under the sync-reversal mode).
+    /// Witnessed races whose sync-preserving ideal holds an endpoint,
+    /// so that only a reversal schedule witnessed them (only ever
+    /// non-zero under the sync-reversal mode). A race the ideal
+    /// witnesses never counts here.
     pub reversal_races: u64,
     /// 1 when a cost ceiling cut this unit's pass short: the trace
     /// exceeded `MAX_TRACE_EVENTS` (nothing predicted), an access list
-    /// was truncated to `MAX_LIST`, a candidate's closure passed
-    /// `MAX_CLOSURE`, or the pass spent `MAX_TOTAL_ATTEMPTS` with
-    /// candidates left. Sums to a count of capped units.
+    /// was truncated to `MAX_LIST`, a candidate's ideal (or the plain
+    /// closure a reversal search schedules) passed `MAX_CLOSURE`, or
+    /// the pass spent `MAX_TOTAL_ATTEMPTS` with candidates left. Sums
+    /// to a count of capped units.
     pub capped: u64,
 }
 
-/// Which reorderings the witness scheduler may explore.
+/// Which reorderings a witness may be.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum PredictMode {
-    /// Keep the observed order of same-object sync operations.
+    /// Keep the observed order of same-lock acquisitions.
     SyncPreserving,
     /// Also try reorderings that reverse lock-acquire order.
     SyncReversal,
@@ -151,17 +167,18 @@ struct PEvent {
     elided: bool,
 }
 
-/// A synchronization object for the sync-order constraint.
+/// A synchronization object: locks and atomic addresses share one
+/// dense id space.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 enum SyncObj {
     LockAddr(u64),
     AtomicAddr(u64),
 }
 
-/// Witness-search cost ceilings. All are *soundness-free* knobs:
-/// hitting one rejects (or skips) candidates, it never fabricates a
-/// witness. They exist so prediction stays linear-ish on traces with
-/// heavy properly-synchronized traffic.
+/// Prediction cost ceilings. All are *soundness-free* knobs: hitting
+/// one rejects (or skips) candidates, it never fabricates a witness.
+/// They exist so prediction stays linear-ish on traces with heavy
+/// properly-synchronized traffic.
 const MAX_TRACE_EVENTS: usize = 500_000;
 const MAX_CLOSURE: usize = 10_000;
 const MAX_ATTEMPTS_PER_PAIR: u32 = 4;
@@ -267,7 +284,7 @@ impl Predictor {
     /// Runs prediction over the recorded trace. `already` holds site
     /// pairs the HB sweep has reported — those need no witness.
     /// Deterministic: candidates walk addresses in order, occurrences
-    /// in trace order, and every scheduler decision is index-based.
+    /// in trace order, and every gate is index-based.
     pub(crate) fn predict(
         &mut self,
         already: &FxHashSet<(InstRef, InstRef)>,
@@ -282,6 +299,7 @@ impl Predictor {
             // the trace, so any witness could be unrealizable.
             return Vec::new();
         }
+        let lists = idx.access_lists();
         let mut scratch = Scratch::new(idx);
         let mut out = Vec::new();
         let mut done = already.clone();
@@ -289,16 +307,16 @@ impl Predictor {
         let mut total = 0u64;
         // Addresses ascending; an address's generations were opened in
         // trace order.
-        let mut order: Vec<usize> = (0..idx.lists.len()).collect();
-        order.sort_unstable_by_key(|&l| (idx.lists[l].addr, l));
+        let mut order: Vec<usize> = (0..idx.list_addr.len()).collect();
+        order.sort_unstable_by_key(|&l| (idx.list_addr[l], l));
         'all: for l in order {
-            let (addr, list) = (idx.lists[l].addr, &idx.lists[l].accs);
+            let (addr, list) = (idx.list_addr[l], lists.get(l));
             if list.len() < 2 {
                 continue;
             }
             // Cheap pre-filter: single-thread lists cannot conflict.
-            let first_tid = self.events[list[0]].tid;
-            if list.iter().all(|&i| self.events[i].tid == first_tid) {
+            let first_thread = idx.thread[list[0] as usize];
+            if list.iter().all(|&i| idx.thread[i as usize] == first_thread) {
                 continue;
             }
             if list.len() > MAX_LIST {
@@ -306,7 +324,9 @@ impl Predictor {
             }
             let accs = &list[..list.len().min(MAX_LIST)];
             for (jj, &j) in accs.iter().enumerate() {
+                let j = j as usize;
                 for &i in &accs[..jj] {
+                    let i = i as usize;
                     let (e1, e2) = (&self.events[i], &self.events[j]);
                     if e1.tid == e2.tid {
                         continue;
@@ -331,24 +351,15 @@ impl Predictor {
                     }
                     total += 1;
                     self.stats.candidates += 1;
-                    // The common-lock prune (module docs): validation
-                    // would reject every witness the gates produce.
-                    let witness = if idx.hold_common_lock(i, j) {
-                        None
+                    // The common-lock prune (module docs): no gate
+                    // would find a witness.
+                    let verdict = if idx.hold_common_lock(i, j) {
+                        Ok(None)
                     } else {
-                        match closure(idx, i, j) {
-                            Ok(cl) => {
-                                try_witness(&self.events, idx, &mut scratch, &cl, i, j, self.mode)
-                            }
-                            Err(NoClosure::Ordered) => None,
-                            Err(NoClosure::Capped) => {
-                                self.stats.capped = 1;
-                                None
-                            }
-                        }
+                        witness(&self.events, idx, &mut scratch, self.mode, i, j)
                     };
-                    match witness {
-                        Some(reversal) => {
+                    match verdict {
+                        Ok(Some((_, reversal))) => {
                             self.stats.witnessed += 1;
                             if reversal {
                                 self.stats.reversal_races += 1;
@@ -356,7 +367,7 @@ impl Predictor {
                             done.insert(key);
                             let hint = list
                                 .iter()
-                                .copied()
+                                .map(|&r| r as usize)
                                 .filter(|&r| r > j)
                                 .find(|&r| matches!(self.events[r].kind, PKind::Read { .. }))
                                 .map(|r| access_of(&self.events[r]));
@@ -367,7 +378,11 @@ impl Predictor {
                                 read_hint: if w1 && w2 { hint } else { None },
                             });
                         }
-                        None => self.stats.witness_rejected += 1,
+                        Ok(None) => self.stats.witness_rejected += 1,
+                        Err(Capped) => {
+                            self.stats.capped = 1;
+                            self.stats.witness_rejected += 1;
+                        }
                     }
                 }
             }
@@ -415,15 +430,18 @@ fn event_addr(kind: &PKind) -> Option<u64> {
 const NONE: u32 = u32::MAX;
 
 /// A recorded event over dense ids: memory locations, sync objects and
-/// threads are numbered in order of first appearance, so the closure
-/// and the scheduler index `Vec`s instead of hashing.
+/// threads are numbered in order of first appearance, so the closures
+/// and the scheduler index `Vec`s instead of hashing. A plain access's
+/// `list` is its access list (`NONE` at an elided site, which is never
+/// a candidate); a `Lock`'s `release` is the `Unlock` that ends it
+/// (`NONE` while, or if never, released).
 #[derive(Clone, Copy, Debug)]
 enum Op {
-    Read { loc: u32 },
-    Write { loc: u32 },
+    Read { loc: u32, list: u32 },
+    Write { loc: u32, list: u32 },
     AtomicRead { loc: u32, obj: u32 },
     AtomicWrite { loc: u32, obj: u32 },
-    Lock { obj: u32 },
+    Lock { obj: u32, release: u32 },
     Unlock { obj: u32 },
     Fork { child: u32 },
     Join { child: u32 },
@@ -431,13 +449,20 @@ enum Op {
 }
 
 impl Op {
-    /// The sync object this event orders against, if any.
-    fn sync_obj(self) -> Option<u32> {
+    /// The atomic address this event orders against, if any: every
+    /// reordering keeps the observed order of one address's atomic
+    /// accesses.
+    fn atomic_obj(self) -> Option<u32> {
         match self {
-            Op::AtomicRead { obj, .. }
-            | Op::AtomicWrite { obj, .. }
-            | Op::Lock { obj }
-            | Op::Unlock { obj } => Some(obj),
+            Op::AtomicRead { obj, .. } | Op::AtomicWrite { obj, .. } => Some(obj),
+            _ => None,
+        }
+    }
+
+    /// The access list this event belongs to, if any.
+    fn list(self) -> Option<u32> {
+        match self {
+            Op::Read { list, .. } | Op::Write { list, .. } if list != NONE => Some(list),
             _ => None,
         }
     }
@@ -454,18 +479,25 @@ struct LocState {
     open_list: u32,
 }
 
-/// Plain, un-elided accesses to one address within one heap
-/// generation: a `Free` of the address closes its list, so a recycled
-/// address never pairs accesses to different objects.
-#[derive(Clone, Debug)]
-struct AccessList {
-    addr: u64,
-    /// Event indices, in trace order.
-    accs: Vec<usize>,
+/// Every access list: the plain, un-elided accesses to one address
+/// within one heap generation (a `Free` of the address closes its list,
+/// so a recycled address never pairs accesses to different objects).
+/// Built in one counting pass over the index when the prediction pass
+/// starts: list `l` is `accs[start[l]..start[l + 1]]`, event indices in
+/// trace order.
+struct AccessLists {
+    start: Vec<u32>,
+    accs: Vec<u32>,
 }
 
-/// Everything the witness machinery needs, extended by
-/// [`TraceIndex::push`] as each event is recorded.
+impl AccessLists {
+    fn get(&self, l: usize) -> &[u32] {
+        &self.accs[self.start[l] as usize..self.start[l + 1] as usize]
+    }
+}
+
+/// Everything the gates need, extended by [`TraceIndex::push`] as each
+/// event is recorded.
 #[derive(Clone, Debug, Default)]
 struct TraceIndex {
     /// Each event over dense ids.
@@ -491,19 +523,19 @@ struct TraceIndex {
     /// Dense thread of each recorded thread id (by [`ThreadId::index`],
     /// `NONE` if it never appeared).
     thread_ids: Vec<u32>,
-    /// Per sync object: an atomic address (always order-constrained)
-    /// rather than a lock.
-    atomic_obj: Vec<bool>,
     /// Per dense memory location.
     locs: Vec<LocState>,
-    /// Access lists in order of their first access.
-    lists: Vec<AccessList>,
+    /// The address of each access list, in order of its first access.
+    list_addr: Vec<u64>,
     /// Whether any site emitted both `Lock` and `Unlock` events — the
     /// trace signature of a `CondWait` re-acquire.
     has_cond_reacquire: bool,
     // Recording state, read by `push` only.
     loc_ids: FxHashMap<u64, u32>,
     sync_ids: FxHashMap<SyncObj, u32>,
+    /// Per sync object: its acquisition not yet released (`NONE` when
+    /// free).
+    acquired: Vec<u32>,
     /// Per dense thread: the locks it holds now, and that set's id.
     held_now: Vec<(Vec<u32>, u32)>,
     lockset_ids: FxHashMap<Vec<u32>, u32>,
@@ -524,12 +556,20 @@ impl TraceIndex {
     fn push(&mut self, e: &PEvent, i: usize) {
         let t = self.dense_thread(e.tid);
         let op = match e.kind {
-            PKind::Read { addr, .. } => Op::Read {
-                loc: self.loc(addr),
-            },
-            PKind::Write { addr, .. } => Op::Write {
-                loc: self.loc(addr),
-            },
+            PKind::Read { addr, .. } => {
+                let loc = self.loc(addr);
+                Op::Read {
+                    loc,
+                    list: self.list_of(loc, e.elided),
+                }
+            }
+            PKind::Write { addr, .. } => {
+                let loc = self.loc(addr);
+                Op::Write {
+                    loc,
+                    list: self.list_of(loc, e.elided),
+                }
+            }
             PKind::AtomicRead { addr } => Op::AtomicRead {
                 loc: self.loc(addr),
                 obj: self.sync(SyncObj::AtomicAddr(addr)),
@@ -540,6 +580,7 @@ impl TraceIndex {
             },
             PKind::Lock { addr } => Op::Lock {
                 obj: self.sync(SyncObj::LockAddr(addr)),
+                release: NONE,
             },
             PKind::Unlock { addr } => Op::Unlock {
                 obj: self.sync(SyncObj::LockAddr(addr)),
@@ -550,7 +591,10 @@ impl TraceIndex {
             PKind::Join { child } => Op::Join {
                 child: self.dense_thread(child),
             },
-            PKind::Free { .. } => Op::Free,
+            PKind::Free { start, end } => {
+                self.close_lists(start, end);
+                Op::Free
+            }
         };
         self.ops.push(op);
         self.thread.push(t);
@@ -559,15 +603,16 @@ impl TraceIndex {
         self.thread_events[tu].push(i);
         let mut rf = NONE;
         match op {
-            Op::Read { loc } | Op::AtomicRead { loc, .. } => {
+            Op::Read { loc, .. } | Op::AtomicRead { loc, .. } => {
                 rf = self.locs[loc as usize].last_writer
             }
-            Op::Write { loc } | Op::AtomicWrite { loc, .. } => {
+            Op::Write { loc, .. } | Op::AtomicWrite { loc, .. } => {
                 self.locs[loc as usize].last_writer = i as u32
             }
-            Op::Lock { obj } => {
+            Op::Lock { obj, .. } => {
                 self.lock_sites.insert(e.site);
                 self.has_cond_reacquire |= self.unlock_sites.contains(&e.site);
+                self.acquired[obj as usize] = i as u32;
                 let set = &mut self.held_now[tu].0;
                 if let Err(k) = set.binary_search(&obj) {
                     set.insert(k, obj);
@@ -577,6 +622,10 @@ impl TraceIndex {
             Op::Unlock { obj } => {
                 self.unlock_sites.insert(e.site);
                 self.has_cond_reacquire |= self.lock_sites.contains(&e.site);
+                let a = std::mem::replace(&mut self.acquired[obj as usize], NONE);
+                if let Some(Op::Lock { release, .. }) = self.ops.get_mut(a as usize) {
+                    *release = i as u32;
+                }
                 self.held_now[tu].0.retain(|&o| o != obj);
                 self.intern_held(tu);
             }
@@ -585,21 +634,6 @@ impl TraceIndex {
         }
         self.rf.push(rf);
         self.held.push(self.held_now[tu].1);
-        match (op, &e.kind) {
-            (Op::Read { loc } | Op::Write { loc }, _) if !e.elided => {
-                let state = &mut self.locs[loc as usize];
-                if state.open_list == NONE {
-                    state.open_list = self.lists.len() as u32;
-                    self.lists.push(AccessList {
-                        addr: state.addr,
-                        accs: Vec::new(),
-                    });
-                }
-                self.lists[state.open_list as usize].accs.push(i);
-            }
-            (Op::Free, &PKind::Free { start, end }) => self.close_lists(start, end),
-            _ => {}
-        }
     }
 
     /// Dense id of thread `tid`, numbering it on first appearance.
@@ -632,11 +666,26 @@ impl TraceIndex {
         })
     }
 
+    /// The access list a plain access to location `loc` joins, opening
+    /// one if the location has none open; `NONE` for an elided access,
+    /// which is never a candidate.
+    fn list_of(&mut self, loc: u32, elided: bool) -> u32 {
+        if elided {
+            return NONE;
+        }
+        let state = &mut self.locs[loc as usize];
+        if state.open_list == NONE {
+            state.open_list = self.list_addr.len() as u32;
+            self.list_addr.push(state.addr);
+        }
+        state.open_list
+    }
+
     /// Dense id of sync object `o`, numbering it on first appearance.
     fn sync(&mut self, o: SyncObj) -> u32 {
-        let next = self.atomic_obj.len() as u32;
+        let next = self.acquired.len() as u32;
         *self.sync_ids.entry(o).or_insert_with(|| {
-            self.atomic_obj.push(matches!(o, SyncObj::AtomicAddr(_)));
+            self.acquired.push(NONE);
             next
         })
     }
@@ -675,6 +724,31 @@ impl TraceIndex {
                 }
             }
         }
+    }
+
+    /// Every access list, from the list id each access recorded: one
+    /// pass counts each list's accesses, a second places them.
+    fn access_lists(&self) -> AccessLists {
+        let n = self.list_addr.len();
+        let mut start = vec![0u32; n + 1];
+        for op in &self.ops {
+            if let Some(l) = op.list() {
+                start[l as usize + 1] += 1;
+            }
+        }
+        for l in 0..n {
+            start[l + 1] += start[l];
+        }
+        let mut next = start[..n].to_vec();
+        let mut accs = vec![0u32; start[n] as usize];
+        for (i, op) in self.ops.iter().enumerate() {
+            if let Some(l) = op.list() {
+                let slot = &mut next[l as usize];
+                accs[*slot as usize] = i as u32;
+                *slot += 1;
+            }
+        }
+        AccessLists { start, accs }
     }
 
     /// Whether the threads of events `a` and `b` hold a common lock at
@@ -718,18 +792,26 @@ impl TraceIndex {
     fn rf_of(&self, x: usize) -> Option<usize> {
         (self.rf[x] != NONE).then_some(self.rf[x] as usize)
     }
+
+    /// The `Unlock` that ends acquisition `a`, if the trace has one.
+    fn release_of(&self, a: usize) -> Option<usize> {
+        match self.ops[a] {
+            Op::Lock { release, .. } if release != NONE => Some(release as usize),
+            _ => None,
+        }
+    }
 }
 
-/// The set of events that must precede both endpoints in any correct
-/// reordering. It is closed under program order, so it is kept as one
-/// prefix length per thread.
+/// A set of events that must precede both endpoints of a candidate. It
+/// is closed under program order, so it is kept as one prefix length
+/// per thread.
 struct Closure {
     /// Thread `t` contributes its first `len[t]` events.
     len: Vec<u32>,
     /// Total number of events.
     size: usize,
-    /// The sync events in the closure, in trace order.
-    sync: Vec<usize>,
+    /// The atomic accesses in the closure, in trace order.
+    atomics: Vec<usize>,
 }
 
 impl Closure {
@@ -737,24 +819,54 @@ impl Closure {
     fn contains(&self, idx: &TraceIndex, x: usize) -> bool {
         idx.pos[x] < self.len[idx.thread[x] as usize]
     }
+
+    /// The closure's events in trace order.
+    fn in_trace_order(&self, idx: &TraceIndex) -> Vec<usize> {
+        let mut order = Vec::with_capacity(self.size + 2);
+        for (t, &n) in self.len.iter().enumerate() {
+            order.extend_from_slice(&idx.thread_events[t][..n as usize]);
+        }
+        order.sort_unstable();
+        order
+    }
 }
 
 /// Why a candidate pair has no closure.
 #[derive(Debug, PartialEq, Eq)]
 enum NoClosure {
-    /// An endpoint reached its own closure: one must precede the other.
+    /// An endpoint reached its own closure: one must precede the other
+    /// (in every sync-preserving reordering, for an ideal).
     Ordered,
     /// The closure passed `MAX_CLOSURE` events.
     Capped,
 }
 
-/// PO-downward closure, each read's observed writer, fork-before,
-/// join-pulls-the-whole-child, computed to a fixpoint.
-fn closure(idx: &TraceIndex, e1: usize, e2: usize) -> Result<Closure, NoClosure> {
+/// A closure passed `MAX_CLOSURE` before the gates could decide.
+#[derive(Debug)]
+struct Capped;
+
+/// The events that must precede both endpoints: program-order
+/// predecessors, each read's observed writer, fork-before and
+/// join-pulls-the-whole-child, computed to a fixpoint. Given
+/// `last_acq`, a table over sync objects, it is the sync-preserving
+/// ideal: of two acquisitions of one lock in the set, the earlier
+/// one's release joins it too (`last_acq` tracks the trace-latest
+/// acquisition of each lock so far), and an earlier acquisition the
+/// trace never releases makes the pair `Ordered`. Without it, the
+/// plain closure.
+fn closure(
+    idx: &TraceIndex,
+    e1: usize,
+    e2: usize,
+    mut last_acq: Option<&mut Table>,
+) -> Result<Closure, NoClosure> {
     let mut len = vec![0u32; idx.thread_events.len()];
     let mut size = 0usize;
-    let mut sync = Vec::new();
+    let mut atomics = Vec::new();
     let mut work: Vec<usize> = Vec::new();
+    if let Some(last) = last_acq.as_deref_mut() {
+        last.clear();
+    }
     // An endpoint needs everything before it in its thread (or, as the
     // thread's first event, the fork that created it).
     for e in [e1, e2] {
@@ -791,7 +903,21 @@ fn closure(idx: &TraceIndex, e1: usize, e2: usize) -> Result<Closure, NoClosure>
                         work.push(last);
                     }
                 }
-                op if op.sync_obj().is_some() => sync.push(y),
+                Op::Lock { obj, .. } => {
+                    if let Some(last) = last_acq.as_deref_mut() {
+                        let prev = last.get(obj).map(|a| a as usize);
+                        if prev.is_none_or(|a| a < y) {
+                            last.set(obj, y as u32);
+                        }
+                        if let Some(a) = prev {
+                            match idx.release_of(a.min(y)) {
+                                Some(r) => work.push(r),
+                                None => return Err(NoClosure::Ordered),
+                            }
+                        }
+                    }
+                }
+                op if op.atomic_obj().is_some() => atomics.push(y),
                 _ => {}
             }
         }
@@ -804,8 +930,8 @@ fn closure(idx: &TraceIndex, e1: usize, e2: usize) -> Result<Closure, NoClosure>
             return Err(NoClosure::Capped);
         }
     }
-    sync.sort_unstable();
-    Ok(Closure { len, size, sync })
+    atomics.sort_unstable();
+    Ok(Closure { len, size, atomics })
 }
 
 /// An id-indexed table reset in O(1): entries written before the last
@@ -837,17 +963,20 @@ impl Table {
     }
 }
 
-/// Scheduler state, allocated once per prediction pass and reused by
-/// every candidate and strategy.
+/// Gate state, allocated once per prediction pass and reused by every
+/// candidate and strategy.
 struct Scratch {
-    /// Rank of each in-closure sync event among its object's in-closure
-    /// events, in trace order (valid for the current candidate).
+    /// The trace-latest acquisition per lock in the ideal being built.
+    last_acq: Table,
+    /// Rank of each in-closure atomic access among its address's
+    /// in-closure atomic accesses, in trace order (valid for the
+    /// current candidate).
     rank: Vec<u32>,
     /// Last scheduled writer per memory location.
     writer: Table,
     /// Owning thread per lock object.
     owner: Table,
-    /// Scheduled event count per order-constrained sync object.
+    /// Scheduled event count per atomic address.
     cursor: Table,
     /// Scheduled event count per thread.
     ptr: Vec<u32>,
@@ -857,8 +986,9 @@ struct Scratch {
 
 impl Scratch {
     fn new(idx: &TraceIndex) -> Self {
-        let objs = idx.atomic_obj.len();
+        let objs = idx.sync_ids.len();
         Scratch {
+            last_acq: Table::new(objs),
             rank: vec![0; idx.ops.len()],
             writer: Table::new(idx.locs.len()),
             owner: Table::new(objs),
@@ -868,13 +998,13 @@ impl Scratch {
         }
     }
 
-    /// Ranks the closure's sync events within their objects: the
-    /// sync-order constraint lets an event run only once every
-    /// in-closure event of its object before it has.
-    fn rank_sync(&mut self, idx: &TraceIndex, cl: &Closure) {
+    /// Ranks the closure's atomic accesses within their addresses:
+    /// atomic order lets an access run only once every in-closure
+    /// access of its address before it has.
+    fn rank_atomics(&mut self, idx: &TraceIndex, cl: &Closure) {
         self.cursor.clear();
-        for &x in &cl.sync {
-            let o = idx.ops[x].sync_obj().expect("sync event");
+        for &x in &cl.atomics {
+            let o = idx.ops[x].atomic_obj().expect("atomic access");
             let r = self.cursor.get(o).unwrap_or(0);
             self.rank[x] = r;
             self.cursor.set(o, r + 1);
@@ -882,29 +1012,27 @@ impl Scratch {
     }
 }
 
-/// Tie-break rules for the greedy scheduler. A small fixed portfolio:
-/// lowest-trace-index first (the sync-preserving natural order), then
-/// endpoint-thread-first variants, which find the critical-section
-/// reversals the plain greedy order walks past. All deterministic.
+/// Tie-break rules for the reversal scheduler: lowest trace index
+/// first, then endpoint-thread-first variants, which find the
+/// critical-section reversals the plain order walks past. All
+/// deterministic.
 #[derive(Clone, Copy)]
 enum Strategy {
     LowestIndex,
     PreferThread(u32),
 }
 
-/// Greedily linearizes the closure under the reordering constraints.
-/// Returns the full witness (closure order plus the two endpoints) or
-/// `None` if the schedule gets stuck. `preserve_sync_order` keeps the
-/// observed order of same-lock operations (the SyncP regime); atomic
-/// order is always preserved. Expects `sc.rank_sync` to have run for
-/// this closure.
+/// Greedily linearizes the plain closure under lock mutual exclusion,
+/// read-sees-same-writer, fork/join and atomic order; lock-acquire
+/// order is free. Returns the full witness (closure order plus the two
+/// endpoints) or `None` if the schedule gets stuck. Expects
+/// `sc.rank_atomics` to have run for this closure.
 fn schedule(
     idx: &TraceIndex,
     cl: &Closure,
     sc: &mut Scratch,
     e1: usize,
     e2: usize,
-    preserve_sync_order: bool,
     strat: Strategy,
 ) -> Option<Vec<usize>> {
     sc.writer.clear();
@@ -923,16 +1051,15 @@ fn schedule(
             return false;
         }
         let op = idx.ops[x];
-        if let Some(o) = op.sync_obj() {
-            let constrained = preserve_sync_order || idx.atomic_obj[o as usize];
-            if constrained && sc.cursor.get(o).unwrap_or(0) != sc.rank[x] {
+        if let Some(o) = op.atomic_obj() {
+            if sc.cursor.get(o).unwrap_or(0) != sc.rank[x] {
                 return false;
             }
         }
         match op {
-            Op::Lock { obj } => sc.owner.get(obj).is_none(),
+            Op::Lock { obj, .. } => sc.owner.get(obj).is_none(),
             Op::Unlock { obj } => sc.owner.get(obj) == Some(t),
-            Op::Read { loc } | Op::AtomicRead { loc, .. } => {
+            Op::Read { loc, .. } | Op::AtomicRead { loc, .. } => {
                 sc.writer.get(loc).map(|w| w as usize) == idx.rf_of(x)
             }
             Op::Join { child } => {
@@ -969,15 +1096,13 @@ fn schedule(
         let t = idx.thread[x];
         sc.ptr[t as usize] += 1;
         let op = idx.ops[x];
-        if let Some(o) = op.sync_obj() {
-            if preserve_sync_order || idx.atomic_obj[o as usize] {
-                sc.cursor.set(o, sc.rank[x] + 1);
-            }
+        if let Some(o) = op.atomic_obj() {
+            sc.cursor.set(o, sc.rank[x] + 1);
         }
         match op {
-            Op::Lock { obj } => sc.owner.set(obj, t),
+            Op::Lock { obj, .. } => sc.owner.set(obj, t),
             Op::Unlock { obj } => sc.owner.set(obj, NONE),
-            Op::Write { loc } | Op::AtomicWrite { loc, .. } => sc.writer.set(loc, x as u32),
+            Op::Write { loc, .. } | Op::AtomicWrite { loc, .. } => sc.writer.set(loc, x as u32),
             Op::Fork { child } => sc.forked[child as usize] = true,
             _ => {}
         }
@@ -990,8 +1115,8 @@ fn schedule(
 
 /// Independent witness check: replays `order` from scratch and
 /// verifies it is a correct reordering ending in the co-enabled
-/// conflicting pair. Shares no state with the scheduler — this is the
-/// gate the soundness contract names.
+/// conflicting pair. Shares no state with the gates that build
+/// witnesses — this is the gate the soundness contract names.
 fn validate_witness(
     events: &[PEvent],
     idx: &TraceIndex,
@@ -1071,40 +1196,47 @@ fn validate_witness(
     true
 }
 
-/// Runs gates 2 and 3 for one candidate whose closure is `cl`.
-/// Returns `Some(reversal)` when a validated witness exists.
-fn try_witness(
+/// Gates 2 to 4 for candidate `(e1, e2)`, `e1` first in the trace: its
+/// validated witness and whether only a reversal schedule found it, or
+/// `None` when it has none.
+fn witness(
     events: &[PEvent],
     idx: &TraceIndex,
     sc: &mut Scratch,
-    cl: &Closure,
+    mode: PredictMode,
     e1: usize,
     e2: usize,
-    mode: PredictMode,
-) -> Option<bool> {
-    sc.rank_sync(idx, cl);
+) -> Result<Option<(Vec<usize>, bool)>, Capped> {
+    match closure(idx, e1, e2, Some(&mut sc.last_acq)) {
+        Ok(ideal) => {
+            let mut order = ideal.in_trace_order(idx);
+            order.extend([e1, e2]);
+            let valid = validate_witness(events, idx, &order, e1, e2);
+            return Ok(valid.then_some((order, false)));
+        }
+        Err(NoClosure::Capped) => return Err(Capped),
+        Err(NoClosure::Ordered) if mode == PredictMode::SyncReversal => {}
+        Err(NoClosure::Ordered) => return Ok(None),
+    }
+    let cl = match closure(idx, e1, e2, None) {
+        Ok(cl) => cl,
+        Err(NoClosure::Ordered) => return Ok(None),
+        Err(NoClosure::Capped) => return Err(Capped),
+    };
+    sc.rank_atomics(idx, &cl);
     let strategies = [
         Strategy::LowestIndex,
         Strategy::PreferThread(idx.thread[e2]),
         Strategy::PreferThread(idx.thread[e1]),
     ];
     for strat in strategies {
-        if let Some(order) = schedule(idx, cl, sc, e1, e2, true, strat) {
+        if let Some(order) = schedule(idx, &cl, sc, e1, e2, strat) {
             if validate_witness(events, idx, &order, e1, e2) {
-                return Some(false);
+                return Ok(Some((order, true)));
             }
         }
     }
-    if mode == PredictMode::SyncReversal {
-        for strat in strategies {
-            if let Some(order) = schedule(idx, cl, sc, e1, e2, false, strat) {
-                if validate_witness(events, idx, &order, e1, e2) {
-                    return Some(true);
-                }
-            }
-        }
-    }
-    None
+    Ok(None)
 }
 
 #[cfg(test)]
@@ -1136,10 +1268,23 @@ mod tests {
         predictor_with(PredictMode::SyncPreserving, trace.to_vec()).idx
     }
 
+    /// Candidate `(e1, e2)`'s sync-preserving ideal.
+    fn ideal(idx: &TraceIndex, e1: usize, e2: usize) -> Result<Closure, NoClosure> {
+        closure(idx, e1, e2, Some(&mut Table::new(idx.sync_ids.len())))
+    }
+
+    /// The ideal's witness: its events in trace order, then the pair.
+    fn ideal_witness(idx: &TraceIndex, ideal: &Closure, e1: usize, e2: usize) -> Vec<usize> {
+        let mut order = ideal.in_trace_order(idx);
+        order.extend([e1, e2]);
+        order
+    }
+
+    /// The reversal scheduler's lowest-index schedule of closure `cl`.
     fn schedule_lowest(idx: &TraceIndex, cl: &Closure, e1: usize, e2: usize) -> Option<Vec<usize>> {
         let mut sc = Scratch::new(idx);
-        sc.rank_sync(idx, cl);
-        schedule(idx, cl, &mut sc, e1, e2, true, Strategy::LowestIndex)
+        sc.rank_atomics(idx, cl);
+        schedule(idx, cl, &mut sc, e1, e2, Strategy::LowestIndex)
     }
 
     const X: u64 = 0x1000;
@@ -1231,6 +1376,43 @@ mod tests {
         let races = osr.predict(&FxHashSet::default());
         assert_eq!(races.len(), 1, "{:?}", osr.stats);
         assert_eq!(osr.stats.reversal_races, 1);
+    }
+
+    /// main: fork; lock; write x; unlock; T1: lock; unlock; write x.
+    /// The lock-handoff shape: T1's acquisition follows main's, so a
+    /// sync-preserving reordering must release main's first, and that
+    /// release follows main's write.
+    fn handoff_trace() -> Vec<PEvent> {
+        vec![
+            ev(0, 0, 0, PKind::Fork { child: ThreadId(1) }),
+            ev(0, 0, 1, PKind::Lock { addr: L }),
+            ev(0, 0, 2, PKind::Write { addr: X, value: 1 }),
+            ev(0, 0, 3, PKind::Unlock { addr: L }),
+            ev(1, 1, 0, PKind::Lock { addr: L }),
+            ev(1, 1, 1, PKind::Unlock { addr: L }),
+            ev(1, 1, 2, PKind::Write { addr: X, value: 2 }),
+        ]
+    }
+
+    #[test]
+    fn ideal_pulls_in_the_earlier_acquisitions_release() {
+        let trace = handoff_trace();
+        let idx = indexed(&trace);
+        assert_eq!(idx.release_of(1), Some(3));
+        assert_eq!(idx.release_of(4), Some(5));
+        // The plain closure of (2, 6) holds both acquisitions and no
+        // endpoint; the lock rule adds main's release, past its write.
+        let plain = closure(&idx, 2, 6, None).expect("co-enablable");
+        assert!(plain.contains(&idx, 1) && plain.contains(&idx, 4));
+        assert!(!plain.contains(&idx, 3));
+        assert_eq!(ideal(&idx, 2, 6).err(), Some(NoClosure::Ordered));
+
+        let mut syncp = predictor_with(PredictMode::SyncPreserving, trace.clone());
+        assert!(syncp.predict(&FxHashSet::default()).is_empty());
+        assert_eq!(syncp.stats.witness_rejected, 1, "{:?}", syncp.stats);
+        let mut osr = predictor_with(PredictMode::SyncReversal, trace);
+        assert_eq!(osr.predict(&FxHashSet::default()).len(), 1);
+        assert_eq!(osr.stats.reversal_races, 1, "{:?}", osr.stats);
     }
 
     #[test]
@@ -1369,11 +1551,14 @@ mod tests {
         // Candidate: (T2's write at 4, main's write at 5) on X+1. The
         // closure must contain T2's read (PO) and transitively T1's
         // write (RF).
-        let set = closure(&idx, 4, 5).expect("co-enablable");
+        let set = ideal(&idx, 4, 5).expect("co-enablable");
         assert!(set.contains(&idx, 3), "PO pred of endpoint in closure");
         assert!(set.contains(&idx, 2), "observed writer pulled in via RF");
-        let order = schedule_lowest(&idx, &set, 4, 5).expect("schedulable");
+        let order = ideal_witness(&idx, &set, 4, 5);
         assert!(validate_witness(&trace, &idx, &order, 4, 5));
+        let plain = closure(&idx, 4, 5, None).expect("co-enablable");
+        let scheduled = schedule_lowest(&idx, &plain, 4, 5).expect("schedulable");
+        assert!(validate_witness(&trace, &idx, &scheduled, 4, 5));
         // The validator rejects a witness whose read sees the wrong
         // writer: drop T1's write from the order.
         let broken: Vec<usize> = order.iter().copied().filter(|&x| x != 2).collect();
@@ -1402,7 +1587,7 @@ mod tests {
             ev(2, 2, 0, PKind::Write { addr: X, value: 2 }),
         ];
         let idx = indexed(&trace);
-        assert_eq!(idx.lists.len(), 2, "free splits the generation");
+        assert_eq!(idx.list_addr.len(), 2, "free splits the generation");
         let mut p = predictor_with(PredictMode::SyncReversal, trace);
         assert!(p.predict(&FxHashSet::default()).is_empty());
         assert_eq!(p.stats.candidates, 0, "no cross-generation candidates");
@@ -1441,13 +1626,21 @@ mod tests {
             ev(2, 2, 0, PKind::Write { addr: X, value: 2 }),
         ];
         let idx = indexed(&trace);
-        let set = closure(&idx, 4, 5).expect("co-enablable");
+        let set = ideal(&idx, 4, 5).expect("co-enablable");
         assert!(
             set.contains(&idx, 2),
             "child's events pulled in by the join"
         );
         assert!(set.contains(&idx, 3));
-        let order = schedule_lowest(&idx, &set, 4, 5).expect("schedulable");
+        assert!(validate_witness(
+            &trace,
+            &idx,
+            &ideal_witness(&idx, &set, 4, 5),
+            4,
+            5
+        ));
+        let plain = closure(&idx, 4, 5, None).expect("co-enablable");
+        let order = schedule_lowest(&idx, &plain, 4, 5).expect("schedulable");
         assert!(validate_witness(&trace, &idx, &order, 4, 5));
     }
 
@@ -1464,14 +1657,16 @@ mod tests {
         assert_eq!(p.stats.candidates, 0);
     }
 
-    /// The common-lock prune against the full gate sequence, on random
-    /// traces: two to four threads forked by main, each running plain
-    /// reads and writes and critical sections over two locks (some
-    /// nested), interleaved by a random schedule that respects lock
-    /// ownership.
+    /// The gates on random traces: threads forked by main, each running
+    /// plain reads and writes and critical sections over two locks
+    /// (some nested), interleaved by a random schedule that respects
+    /// lock ownership. The common-lock prune is checked against the
+    /// full gate sequence, and the gates against an exhaustive search.
     mod prune_property {
         use super::*;
-        use proptest::prelude::{any, prop, prop_assert, prop_oneof, proptest, ProptestConfig};
+        use proptest::prelude::{
+            any, prop, prop_assert, prop_assert_eq, prop_oneof, proptest, ProptestConfig,
+        };
         use proptest::strategy::Strategy as Gen;
 
         #[derive(Clone, Debug)]
@@ -1489,13 +1684,14 @@ mod tests {
             },
         }
 
-        fn act() -> impl Gen<Value = Act> {
+        /// One action over `cells` memory cells.
+        fn act(cells: u64) -> impl Gen<Value = Act> {
             prop_oneof![
-                (0..3u64, any::<bool>()).prop_map(|(cell, write)| Act::Access { cell, write }),
+                (0..cells, any::<bool>()).prop_map(|(cell, write)| Act::Access { cell, write }),
                 (
                     0..2u64,
                     0..4u64,
-                    prop::collection::vec((0..3u64, any::<bool>()), 1..4)
+                    prop::collection::vec((0..cells, any::<bool>()), 1..4)
                 )
                     .prop_map(|(lock, nested, body)| Act::Section {
                         lock,
@@ -1598,8 +1794,9 @@ mod tests {
                 && (matches!(a.kind, PKind::Write { .. }) || matches!(b.kind, PKind::Write { .. }))
         }
 
-        /// A witness for `(i, j)` that passes the full gate sequence:
-        /// the closure, every strategy of both regimes, the validator.
+        /// A witness for `(i, j)` from the full gate sequence: the
+        /// ideal's, or any strategy of the reversal scheduler on the
+        /// plain closure, each through the validator.
         fn any_witness(
             trace: &[PEvent],
             idx: &TraceIndex,
@@ -1607,23 +1804,153 @@ mod tests {
             i: usize,
             j: usize,
         ) -> Option<Vec<usize>> {
-            let cl = closure(idx, i, j).ok()?;
-            sc.rank_sync(idx, &cl);
+            if let Ok(ideal) = closure(idx, i, j, Some(&mut sc.last_acq)) {
+                let mut order = ideal.in_trace_order(idx);
+                order.extend([i, j]);
+                if validate_witness(trace, idx, &order, i, j) {
+                    return Some(order);
+                }
+            }
+            let cl = closure(idx, i, j, None).ok()?;
+            sc.rank_atomics(idx, &cl);
             let strategies = [
                 Strategy::LowestIndex,
                 Strategy::PreferThread(idx.thread[j]),
                 Strategy::PreferThread(idx.thread[i]),
             ];
-            for preserve in [true, false] {
-                for strat in strategies {
-                    if let Some(order) = schedule(idx, &cl, sc, i, j, preserve, strat) {
-                        if validate_witness(trace, idx, &order, i, j) {
-                            return Some(order);
-                        }
+            for strat in strategies {
+                if let Some(order) = schedule(idx, &cl, sc, i, j, strat) {
+                    if validate_witness(trace, idx, &order, i, j) {
+                        return Some(order);
                     }
                 }
             }
             None
+        }
+
+        /// Sequences already searched from without success: per-thread
+        /// prefix lengths and the last writer of each address.
+        type Dead = FxHashSet<(Vec<usize>, Vec<(u64, usize)>)>;
+
+        /// Every interleaving of every choice of per-thread prefixes,
+        /// depth first and independent of the gates: a sequence of
+        /// events that, followed by `(i, j)`, passes `validate_witness`
+        /// and, with `sync_order`, keeps every two acquisitions of one
+        /// lock in trace order.
+        fn exhaustive_witness(
+            trace: &[PEvent],
+            idx: &TraceIndex,
+            i: usize,
+            j: usize,
+            sync_order: bool,
+        ) -> Option<Vec<usize>> {
+            let mut ptr = vec![0; idx.thread_events.len()];
+            let mut order = Vec::new();
+            let mut dead = Dead::default();
+            if search(
+                trace,
+                idx,
+                [i, j],
+                sync_order,
+                &mut ptr,
+                &mut order,
+                &mut dead,
+            ) {
+                order.extend([i, j]);
+                Some(order)
+            } else {
+                None
+            }
+        }
+
+        /// One step of [`exhaustive_witness`]: `order` so far, with
+        /// `ptr` events of each thread.
+        fn search(
+            trace: &[PEvent],
+            idx: &TraceIndex,
+            ends: [usize; 2],
+            sync_order: bool,
+            ptr: &mut Vec<usize>,
+            order: &mut Vec<usize>,
+            dead: &mut Dead,
+        ) -> bool {
+            let at = |ptr: &[usize], e: usize| ptr[idx.thread[e] as usize] == idx.pos[e] as usize;
+            if at(ptr, ends[0]) && at(ptr, ends[1]) {
+                let mut w = order.clone();
+                w.extend(ends);
+                if validate_witness(trace, idx, &w, ends[0], ends[1]) {
+                    return true;
+                }
+            }
+            let mut owner: FxHashMap<u64, ThreadId> = FxHashMap::default();
+            let mut writer: FxHashMap<u64, usize> = FxHashMap::default();
+            let mut forked: FxHashSet<ThreadId> = FxHashSet::default();
+            let mut acquired = Vec::new();
+            for &x in order.iter() {
+                let e = &trace[x];
+                match e.kind {
+                    PKind::Lock { addr } => {
+                        owner.insert(addr, e.tid);
+                        acquired.push((addr, x));
+                    }
+                    PKind::Unlock { addr } => {
+                        owner.remove(&addr);
+                    }
+                    PKind::Write { addr, .. } | PKind::AtomicWrite { addr } => {
+                        writer.insert(addr, x);
+                    }
+                    PKind::Fork { child } => {
+                        forked.insert(child);
+                    }
+                    _ => {}
+                }
+            }
+            let mut writers: Vec<(u64, usize)> = writer.iter().map(|(&a, &x)| (a, x)).collect();
+            writers.sort_unstable();
+            let state = (ptr.clone(), writers);
+            if dead.contains(&state) {
+                return false;
+            }
+            for t in 0..ptr.len() {
+                let Some(&x) = idx.thread_events[t].get(ptr[t]) else {
+                    continue;
+                };
+                // An endpoint's thread stops at its endpoint.
+                if ends.contains(&x) {
+                    continue;
+                }
+                let e = &trace[x];
+                let ok = (forked.contains(&e.tid) || !idx.has_forker(e.tid))
+                    && match e.kind {
+                        PKind::Lock { addr } => {
+                            // With `sync_order`, no later acquisition of the
+                            // lock may have run yet.
+                            let later = |&(a, y): &(u64, usize)| a == addr && y > x;
+                            let reversed = sync_order && acquired.iter().any(later);
+                            !owner.contains_key(&addr) && !reversed
+                        }
+                        PKind::Unlock { addr } => owner.get(&addr) == Some(&e.tid),
+                        PKind::Read { addr, .. } | PKind::AtomicRead { addr } => {
+                            writer.get(&addr).copied() == idx.rf_of(x)
+                        }
+                        PKind::Join { child } => {
+                            let ran = order.iter().filter(|&&y| trace[y].tid == child).count();
+                            ran == idx.thread_len(child)
+                        }
+                        _ => true,
+                    };
+                if ok {
+                    ptr[t] += 1;
+                    order.push(x);
+                    if search(trace, idx, ends, sync_order, ptr, order, dead) {
+                        return true;
+                    }
+                    ptr[t] -= 1;
+                    order.pop();
+                }
+            }
+            dead.insert(state);
+            false
         }
 
         proptest! {
@@ -1633,7 +1960,7 @@ mod tests {
             /// validated witness from the full gate sequence.
             #[test]
             fn every_pruned_pair_fails_the_full_gate_sequence(
-                threads in prop::collection::vec(prop::collection::vec(act(), 1..6), 2..5),
+                threads in prop::collection::vec(prop::collection::vec(act(3), 1..6), 2..5),
                 picks in prop::collection::vec(any::<u8>(), 1..48),
             ) {
                 let trace = interleave(&threads, &picks);
@@ -1647,6 +1974,68 @@ mod tests {
                                 w.is_none(),
                                 "pruned pair ({i}, {j}) has a witness: {w:?}\n{trace:#?}"
                             );
+                        }
+                    }
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(1024))]
+
+            /// The gates against the exhaustive search, on every
+            /// candidate of small traces (two or three workers, cut to at
+            /// most 14 events, so some end inside a critical section):
+            /// neither endpoint enters a candidate's ideal exactly when
+            /// the search finds a sync-preserving witness, and then the
+            /// ideal's own witness validates; under
+            /// sync-reversal every witness validates, the search finds
+            /// one too, and it is a reversal exactly when the
+            /// sync-preserving gates found none; and no pair the prune
+            /// rejects has any witness at all.
+            #[test]
+            fn the_gates_agree_with_an_exhaustive_search(
+                threads in prop::collection::vec(prop::collection::vec(act(2), 1..4), 2..4),
+                picks in prop::collection::vec(any::<u8>(), 1..16),
+                cut in 6..15usize,
+            ) {
+                let mut trace = interleave(&threads, &picks);
+                trace.truncate(cut);
+                let idx = indexed(&trace);
+                let mut sc = Scratch::new(&idx);
+                for j in 0..trace.len() {
+                    for i in 0..j {
+                        if !candidate(&trace[i], &trace[j]) {
+                            continue;
+                        }
+                        let sync_preserving = exhaustive_witness(&trace, &idx, i, j, true);
+                        let ideal = closure(&idx, i, j, Some(&mut sc.last_acq)).map(|_| ());
+                        prop_assert_eq!(
+                            ideal.is_ok(),
+                            sync_preserving.is_some(),
+                            "({}, {}): ideal {:?}, search {:?}\n{:#?}",
+                            i, j, ideal, sync_preserving, trace
+                        );
+                        let syncp = witness(&trace, &idx, &mut sc, PredictMode::SyncPreserving, i, j)
+                            .expect("a small trace passes no ceiling");
+                        prop_assert_eq!(syncp.is_some(), ideal.is_ok(), "({}, {})", i, j);
+                        if let Some((order, reversal)) = &syncp {
+                            prop_assert!(validate_witness(&trace, &idx, order, i, j));
+                            prop_assert!(!reversal);
+                        }
+                        let syncrev = witness(&trace, &idx, &mut sc, PredictMode::SyncReversal, i, j)
+                            .expect("a small trace passes no ceiling");
+                        let any = exhaustive_witness(&trace, &idx, i, j, false);
+                        match &syncrev {
+                            Some((order, reversal)) => {
+                                prop_assert!(validate_witness(&trace, &idx, order, i, j));
+                                prop_assert!(any.is_some());
+                                prop_assert_eq!(*reversal, syncp.is_none());
+                            }
+                            None => prop_assert!(syncp.is_none()),
+                        }
+                        if idx.hold_common_lock(i, j) {
+                            prop_assert!(any.is_none(), "pruned pair ({i}, {j}): {any:?}");
                         }
                     }
                 }
